@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -252,14 +251,6 @@ def _cmd_maximin(args, instance) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("LIQUIDPOWER_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liquidpower",
@@ -275,12 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SEED,
         help="seed for randomized methods (fixed default for reproducibility)",
-    )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        help="cap on worker parallelism (default: LIQUIDPOWER_JOBS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -373,8 +358,6 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        args.jobs = 1  # a cap below one worker is meaningless
     started = time.perf_counter()
     try:
         instance = _load_election(args.instance)

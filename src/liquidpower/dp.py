@@ -11,21 +11,29 @@ contiguous block of positions ending at the voter's own position.  Trees not
 containing the queried voter come first (ascending root id); the queried
 voter's tree comes last.
 
-Tables.  ``F[j][w][s]`` counts the subsets of the first ``j`` voters in that
-order that have size ``s`` and *settled weight* ``w`` — the total weight of
-members whose delegation chain, up to the root of the already-completed
-subtree containing them, lies inside the subset.  Once a prefix covers whole
-trees, settled weight coincides with the election's active-member weight.
-Closing voter ``u`` (block size ``t``) either leaves ``u`` out — every member
-of ``u``'s subtree is then unsettled, so any ``x`` of the ``t-1`` proper
-members may pad the subset, in ``C(t-1, x)`` ways — or puts ``u`` in, adding
-``u``'s weight on top of the prefix that ends just below ``u``::
+Tables.  ``F[j][w]`` is the counting polynomial, in ``y``, of the subsets
+of the first ``j`` voters in that order that have *settled weight* ``w`` —
+the total weight of members whose delegation chain, up to the root of the
+already-completed subtree containing them, lies inside the subset.  The
+coefficient of ``y**e`` counts the subsets that leave out ``e`` of the
+``j`` voters.  Once a prefix covers whole trees, settled weight coincides
+with the election's active-member weight.  Closing voter ``u`` (block size
+``t``) either leaves ``u`` out — every member of ``u``'s subtree is then
+unsettled, so each of the ``t-1`` proper members may pad the subset or stay
+out, a factor ``(1+y)**(t-1)`` — or puts ``u`` in, adding ``u``'s weight on
+top of the prefix that ends just below ``u``::
 
-    F[j][w][s] = sum_x C(t-1, x) * F[j-t][w][s-x]  +  F[j-1][w-w_u][s-1]
+    F[j][w] = y * (1+y)**(t-1) * F[j-t][w]  +  F[j-1][w-w_u]
+
+The polynomial is one Python int, evaluated at ``y = 2**b`` (Kronecker
+substitution): ``b = 0`` sums over sizes, which is all the swing-count
+measure needs, and a ``b`` wider than any count keeps each size in its own
+``b``-bit slot for the ordering measure.
 
 A guru's swing coalitions then split into a part outside its tree (weight
 below the quota) and a part inside it (the guru present and settling enough
-weight to close the gap); a delegating voter reduces to the guru case on the
+weight to close the gap), so its packed swing count is a sum of products of
+the two tables' top rows; a delegating voter reduces to the guru case on the
 sub-election that removes the voters its ballot passes through, with the
 quota lowered by their weight (already-spoken-for weight) and coalition sizes
 shifted by the number of removed voters.
@@ -100,94 +108,27 @@ def dfs_order(forest: DelegationForest, voter: int) -> DfsOrdering:
     )
 
 
-_BINOM_ROWS: list[list[int]] = [[1]]
-
-
-def binomial_row(k: int) -> list[int]:
-    """Row ``k`` of Pascal's triangle (cached)."""
-    while len(_BINOM_ROWS) <= k:
-        prev = _BINOM_ROWS[-1]
-        _BINOM_ROWS.append(
-            [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        )
-    return _BINOM_ROWS[k]
-
-
 def fill_table(
     weights_seq: list[int],
     block_sizes: list[int],
     weight_cap: int | None = None,
-) -> list[list[list[int]]]:
+    slot_bits: int = 0,
+) -> list[list[int]]:
     """All rows ``F[0..m]`` of the counting table described in the module docs.
 
-    ``F[j][w][s]`` is indexed by prefix length, settled weight and subset
-    size.  Entries with settled weight above ``weight_cap`` are dropped —
-    sound as long as callers only read weights up to the cap, since weight
-    only accumulates along the recurrence.  With no cap the table is complete
-    and each row ``j`` sums to ``2**j``.
+    ``F[j][w]`` is indexed by prefix length and settled weight; it packs the
+    subset sizes as ``sum(count * y**left_out)`` with ``y = 2**slot_bits``.
+    ``slot_bits=0`` sums over sizes; a slot of more than ``m`` bits keeps
+    every count apart.  Entries with settled weight above ``weight_cap`` are
+    dropped — sound as long as callers only read weights up to the cap,
+    since weight only accumulates along the recurrence.  With no cap the
+    table is complete and each row ``j`` sums to ``(1 + y)**j``.
     """
     m = len(weights_seq)
     total = sum(weights_seq)
     cap = total if weight_cap is None else min(weight_cap, total)
-    row0 = [[0] * (m + 1) for _ in range(cap + 1)]
-    row0[0][0] = 1
-    rows = [row0]
-    prefix_weight = 0
-    for j in range(1, m + 1):
-        w_u = weights_seq[j - 1]
-        t = block_sizes[j - 1]
-        prefix_weight += w_u
-        src_skip = rows[j - t]
-        src_take = rows[j - 1]
-        new = [[0] * (m + 1) for _ in range(cap + 1)]
-        w_hi = min(cap, prefix_weight)
-        s_hi = j
-        if t == 1:
-            for w in range(w_hi + 1):
-                dst = new[w]
-                src = src_skip[w]
-                dst[: s_hi + 1] = src[: s_hi + 1]
-                if w >= w_u:
-                    src_w = src_take[w - w_u]
-                    for s in range(1, s_hi + 1):
-                        f = src_w[s - 1]
-                        if f:
-                            dst[s] += f
-        else:
-            brow = binomial_row(t - 1)
-            for w in range(w_hi + 1):
-                dst = new[w]
-                src = src_skip[w]
-                for s in range(s_hi + 1):
-                    acc = 0
-                    for x in range(min(t - 1, s) + 1):
-                        f = src[s - x]
-                        if f:
-                            acc += brow[x] * f
-                    if acc:
-                        dst[s] = acc
-                if w >= w_u:
-                    src_w = src_take[w - w_u]
-                    for s in range(1, s_hi + 1):
-                        f = src_w[s - 1]
-                        if f:
-                            dst[s] += f
-        rows.append(new)
-    return rows
-
-
-def _fill_weight_table(
-    weights_seq: list[int],
-    block_sizes: list[int],
-    weight_cap: int | None = None,
-) -> list[list[int]]:
-    """Weight-only variant: ``G[j][w]`` sums ``F[j][w][.]`` over sizes.
-
-    The pad choices collapse into a factor ``2**(t-1)``.
-    """
-    m = len(weights_seq)
-    total = sum(weights_seq)
-    cap = total if weight_cap is None else min(weight_cap, total)
+    y = 1 << slot_bits
+    pads: dict[int, int] = {}
     row0 = [0] * (cap + 1)
     row0[0] = 1
     rows = [row0]
@@ -196,9 +137,11 @@ def _fill_weight_table(
         w_u = weights_seq[j - 1]
         t = block_sizes[j - 1]
         prefix_weight += w_u
+        pad = pads.get(t)
+        if pad is None:
+            pad = pads[t] = y * (1 + y) ** (t - 1)
         src_skip = rows[j - t]
         src_take = rows[j - 1]
-        pad = 1 << t - 1
         w_hi = min(cap, prefix_weight)
         new = [0] * (cap + 1)
         for w in range(w_hi + 1):
@@ -215,88 +158,42 @@ def _fill_weight_table(
 # --------------------------------------------------------------------------
 
 
-def _guru_swing_per_size(
+def _guru_swings(
     profile: DelegationProfile,
     weights: tuple[int, ...],
     quota: int,
     target: int,
-) -> list[int]:
-    """Per-size swing counts for a root voter of the given (sub-)profile."""
-    n = profile.n
-    forest = build_forest(profile, weights)
-    assert forest.guru[target] == target
-    order = dfs_order(forest, target)
-    b = order.boundary
-    outside = list(order.sequence[:b])
-    tree = list(order.sequence[b:])
-    w_out = [weights[v] for v in outside]
-    w_tree = [weights[v] for v in tree]
-    blocks_out = list(order.block_size[:b])
-    blocks_tree = list(order.block_size[b:])
-
-    out_rows = fill_table(w_out, blocks_out, weight_cap=quota - 1)
-    tree_rows = fill_table(w_tree, blocks_tree)
-    top_out = out_rows[-1]
-    top_tree = tree_rows[-1]
-    m_out, m_tree = len(outside), len(tree)
-    tree_weight = sum(w_tree)
-
-    # suffix[w][s] = number of tree subsets of size s settling weight >= w
-    suffix = [[0] * (m_tree + 1) for _ in range(tree_weight + 2)]
-    for w in range(tree_weight, -1, -1):
-        above = suffix[w + 1]
-        here = top_tree[w]
-        suffix[w] = [above[s] + here[s] for s in range(m_tree + 1)]
-
-    per_size = [0] * n
-    w_out_hi = min(len(top_out) - 1, quota - 1)
-    for w in range(w_out_hi + 1):
-        row_out = top_out[w]
-        need = max(quota - w, 1)
-        if need > tree_weight:
-            continue
-        row_tree = suffix[need]
-        for k in range(m_out + 1):
-            c_out = row_out[k]
-            if not c_out:
-                continue
-            for s_in in range(1, m_tree + 1):
-                c_in = row_tree[s_in]
-                if c_in:
-                    per_size[k + s_in - 1] += c_out * c_in
-    return per_size
-
-
-def _guru_total_swings(
-    profile: DelegationProfile,
-    weights: tuple[int, ...],
-    quota: int,
-    target: int,
+    slot_bits: int,
 ) -> int:
-    """Total swing count for a root voter, via the weight-only tables."""
+    """Packed swing count of a root voter of the given (sub-)profile.
+
+    Slot ``e`` (of ``slot_bits`` bits) counts the swing coalitions that leave
+    out ``e`` of the other voters; with ``slot_bits=0`` the result is the
+    total.
+    """
     forest = build_forest(profile, weights)
-    assert forest.guru[target] == target
+    if forest.guru[target] != target:
+        raise ValueError(f"voter {target} delegates; the combiner needs a root")
     order = dfs_order(forest, target)
     b = order.boundary
-    outside = list(order.sequence[:b])
-    tree = list(order.sequence[b:])
-    w_out = [weights[v] for v in outside]
-    w_tree = [weights[v] for v in tree]
+    w_seq = [weights[v] for v in order.sequence]
+    top_out = fill_table(
+        w_seq[:b], list(order.block_size[:b]), weight_cap=quota - 1, slot_bits=slot_bits
+    )[-1]
+    top_tree = fill_table(w_seq[b:], list(order.block_size[b:]), slot_bits=slot_bits)[-1]
+    tree_weight = sum(w_seq[b:])
 
-    top_out = _fill_weight_table(w_out, list(order.block_size[:b]), weight_cap=quota - 1)[-1]
-    top_tree = _fill_weight_table(w_tree, list(order.block_size[b:]))[-1]
-    tree_weight = sum(w_tree)
-
+    # suffix[w] = tree subsets settling weight >= w
     suffix = [0] * (tree_weight + 2)
     for w in range(tree_weight, -1, -1):
         suffix[w] = suffix[w + 1] + top_tree[w]
 
     total = 0
-    for w in range(min(len(top_out) - 1, quota - 1) + 1):
-        if top_out[w]:
+    for w, c_out in enumerate(top_out):
+        if c_out:
             need = max(quota - w, 1)
             if need <= tree_weight:
-                total += top_out[w] * suffix[need]
+                total += c_out * suffix[need]
     return total
 
 
@@ -329,59 +226,51 @@ def _restrict_past_proxies(
     return profile, weights, reduced_quota, index[voter], len(removed)
 
 
-def swing_counts_guru(election: LiquidElection, voter: int) -> SwingCounts:
-    """Per-size swing counts for a voter that casts its own ballot."""
-    if election.forest.guru[voter] != voter:
-        raise ValueError(f"voter {voter} delegates; use swing_counts_delegator")
-    per_size = _guru_swing_per_size(
-        election.profile, election.weights, election.quota, voter
-    )
-    per_size += [0] * (election.n - len(per_size))
-    return SwingCounts(tuple(per_size[: election.n]))
+def _swings(election: LiquidElection, voter: int, slot_bits: int) -> tuple[int, int, int]:
+    """``(packed, m, shift)``: the voter's packed swing count (see
+    :func:`_guru_swings`) in the sub-election of ``m`` voters left after
+    removing the ``shift`` voters its ballot passes through.
 
-
-def swing_counts_delegator(election: LiquidElection, voter: int) -> SwingCounts:
-    """Per-size swing counts for a delegating voter.
-
-    Works on the sub-election without the voters the ballot passes through;
-    every swing coalition there extends uniquely to one of the full election
-    by adding those voters back, shifting coalition sizes accordingly.
+    Every swing coalition of the sub-election extends uniquely to one of the
+    full election by adding the removed voters back.
     """
-    n = election.n
-    if election.forest.guru[voter] == voter:
-        raise ValueError(f"voter {voter} is a root; use swing_counts_guru")
     restricted = _restrict_past_proxies(election, voter)
     if restricted is None:
-        return SwingCounts((0,) * n)
+        return 0, election.n, 0
     profile, weights, reduced_quota, new_target, shift = restricted
-    reduced = _guru_swing_per_size(profile, weights, reduced_quota, new_target)
-    per_size = [0] * n
-    for s, c in enumerate(reduced):
-        if c:
-            per_size[s + shift] = c
-    return SwingCounts(tuple(per_size))
+    packed = _guru_swings(profile, weights, reduced_quota, new_target, slot_bits)
+    return packed, profile.n, shift
 
 
 def swing_counts_dp(election: LiquidElection, voter: int) -> SwingCounts:
     """Per-size swing counts for any voter, via the counting tables."""
+    # counts never exceed 2**n, so n + 2 bits keep every slot apart
+    slot_bits = election.n + 2
+    packed, m, shift = _swings(election, voter, slot_bits)
+    mask = (1 << slot_bits) - 1
+    per_size = [0] * election.n
+    for e in range(m):
+        per_size[m - 1 - e + shift] = (packed >> e * slot_bits) & mask
+    return SwingCounts(tuple(per_size))
+
+
+def swing_counts_guru(election: LiquidElection, voter: int) -> SwingCounts:
+    """Per-size swing counts for a voter that casts its own ballot."""
+    if election.forest.guru[voter] != voter:
+        raise ValueError(f"voter {voter} delegates; use swing_counts_delegator")
+    return swing_counts_dp(election, voter)
+
+
+def swing_counts_delegator(election: LiquidElection, voter: int) -> SwingCounts:
+    """Per-size swing counts for a delegating voter."""
     if election.forest.guru[voter] == voter:
-        return swing_counts_guru(election, voter)
-    return swing_counts_delegator(election, voter)
+        raise ValueError(f"voter {voter} is a root; use swing_counts_guru")
+    return swing_counts_dp(election, voter)
 
 
 def banzhaf_dp(election: LiquidElection, voter: int) -> Fraction:
-    """Penetration power of a voter, computed by the weight-only tables."""
-    forest = election.forest
-    if forest.guru[voter] == voter:
-        total = _guru_total_swings(
-            election.profile, election.weights, election.quota, voter
-        )
-    else:
-        restricted = _restrict_past_proxies(election, voter)
-        if restricted is None:
-            return Fraction(0)
-        profile, weights, reduced_quota, new_target, _ = restricted
-        total = _guru_total_swings(profile, weights, reduced_quota, new_target)
+    """Penetration power of a voter, computed by the size-free tables."""
+    total, _, _ = _swings(election, voter, 0)
     return Fraction(total, 1 << election.n - 1)
 
 

@@ -31,7 +31,7 @@ class ArcNotInNetwork(LiquidPowerError):
 
 
 class QuotaOutOfRange(LiquidPowerError):
-    """The quota must satisfy total/2 < quota <= total weight."""
+    """The quota must satisfy 1 <= quota <= total weight."""
 
 
 class NonPositiveWeight(LiquidPowerError):

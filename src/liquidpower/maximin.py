@@ -203,6 +203,7 @@ def mmwp_leafmin(
         denominator = 1 << n - 1
         values = [Fraction(sum(counts[v]), denominator) for v in range(n)]
         leaf_min = min(values[v] for v in leaves)
-        assert leaf_min == min(values), "leaf minimum diverged from the full minimum"
+        if leaf_min != min(values):
+            raise RuntimeError("leaf minimum diverged from the full minimum")
         return leaf_min
     return min(banzhaf_dp(evaluated, v) for v in leaves)

@@ -764,6 +764,8 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
     floor = eps * Fraction(budget) / 2
     ratio_start = Fraction(total_prize, total_cost)
     members = set(reachable)
+    full_parent = dict(parent_of)
+    full_cost = dict(arc_cost)
     while total_cost > ceiling:
         p_total, c_total = _subtree_stats(
             problem.target, children, arc_cost, prize
@@ -801,28 +803,28 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
         and Fraction(total_prize, total_cost) >= eps * ratio_start / 4
     )
     if not contract_ok:
-        # exhaustive fallback over the tree's own subtrees; the existence
-        # argument for the peel guarantees a subtree in the cost window
+        # the peel always ends inside the cost window, so it seeds an
+        # exhaustive search over the tree's parent-closed subsets for the best
+        # weight-per-change ratio in that window
         if len(reachable) > TRIM_FALLBACK_LIMIT:
-            raise AssertionError("trim contract violated on a large tree")
-        full_parent = {c: p for p, c in arborescence.edges()}
+            raise InstanceTooLargeForEnumeration(
+                f"{len(reachable)} reachable voters exceed the trim fallback "
+                f"limit of {TRIM_FALLBACK_LIMIT}"
+            )
         full_children: dict[int, list[int]] = {}
         for child, parent in full_parent.items():
             full_children.setdefault(parent, []).append(child)
-        full_cost = {c: d["weight"] for _, c, d in arborescence.edges(data=True)}
-        best_set = None
-        best_ratio = None
+        best_set = members
+        best_ratio = Fraction(total_prize, total_cost)
         for subset in _parent_closed_subsets(problem.target, full_children):
             c = sum(full_cost[v] for v in subset if v != problem.target)
             if not floor <= c <= ceiling or c == 0:
                 continue
             p = sum(prize[v] for v in subset)
             ratio = Fraction(p, c)
-            if best_ratio is None or ratio > best_ratio:
+            if ratio > best_ratio:
                 best_set = subset
                 best_ratio = ratio
-        if best_set is None:
-            raise AssertionError("no subtree lands in the trim cost window")
         members = set(best_set)
         parent_of = {v: full_parent[v] for v in members if v != problem.target}
 

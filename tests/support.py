@@ -37,6 +37,21 @@ def three_voter_line_election(delegate_third: bool) -> LiquidElection:
     return validate(network, (1, 1, 1), profile, 2)
 
 
+# A skewed-weight instance whose peel lands in the cost window with too poor a
+# weight-per-change ratio, so vbamw falls back to searching the spanning tree.
+TRIM_FALLBACK_INSTANCE = {
+    "n": 6,
+    "weights": [15, 3, 10, 27, 45, 1],
+    "arcs": [
+        [1, 2], [1, 3], [1, 4], [1, 5], [2, 1], [2, 4], [2, 5], [2, 6],
+        [3, 1], [3, 4], [3, 5], [4, 1], [4, 3], [4, 5], [4, 6], [5, 1],
+        [5, 3], [6, 1], [6, 2], [6, 3], [6, 4], [6, 5],
+    ],
+    "delegations": {"1": 5},
+    "quota": 51,
+}
+
+
 def random_network(rng: random.Random, n: int, arc_prob: float = 0.5) -> SocialNetwork:
     arcs = [
         (i, j)

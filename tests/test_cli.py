@@ -8,7 +8,7 @@ import pytest
 
 from liquidpower.cli import main
 from liquidpower.core import election_to_json
-from support import eight_voter_election, random_election
+from support import TRIM_FALLBACK_INSTANCE, eight_voter_election, random_election
 
 
 @pytest.fixture()
@@ -183,6 +183,18 @@ def test_weightmax_vbamw_needs_epsilon(capsys, fixture_path):
     )
     assert code == 1
     assert "epsilon" in doc["error"]["message"]
+
+
+def test_weightmax_vbamw_trim_fallback_answers(capsys, tmp_path):
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(TRIM_FALLBACK_INSTANCE))
+    argv = ["weightmax", str(path), "--target", "2", "--budget", "2"]
+    argv += ["--threshold", "1", "--method", "vbamw", "--epsilon", "2/3"]
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    results = doc["results"]
+    assert (results["decision"], results["support"], results["changes"]) == (True, 31, 2)
+    assert results["witness_instance"]["delegations"]["2"] == 2
 
 
 def test_maximin_reports_the_balanced_design(capsys, tmp_path):

@@ -56,7 +56,13 @@ def test_uncapped_rows_count_all_subsets(seed):
     weights = [e.weights[v] for v in order.sequence]
     rows = fill_table(weights, list(order.block_size))
     for j, row in enumerate(rows):
-        assert sum(sum(by_size) for by_size in row) == 1 << j
+        assert sum(row) == 1 << j
+    # with a slot wider than any count, sizes stay apart: (1 + y)**j
+    slot_bits = e.n + 2
+    y = 1 << slot_bits
+    rows = fill_table(weights, list(order.block_size), slot_bits=slot_bits)
+    for j, row in enumerate(rows):
+        assert sum(row) == (1 + y) ** j
 
 
 def test_eight_voter_reference_values_via_tables():

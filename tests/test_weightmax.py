@@ -10,8 +10,10 @@ import oracle
 from liquidpower import (
     SELF,
     DelegationProfile,
+    InstanceTooLargeForEnumeration,
     ParameterTooLarge,
     SocialNetwork,
+    election_from_json,
     find_delegation_cycle,
     validate,
 )
@@ -25,7 +27,12 @@ from liquidpower.weightmax import (
     vbamw,
     wmaxp_exact,
 )
-from support import eight_voter_election, random_election, three_voter_line_election
+from support import (
+    TRIM_FALLBACK_INSTANCE,
+    eight_voter_election,
+    random_election,
+    three_voter_line_election,
+)
 
 
 def _assert_witness_ok(problem, outcome, *, budget=None):
@@ -337,6 +344,28 @@ def test_vbamw_trims_an_expensive_star():
     assert outcome.changes == 2
     assert outcome.changes <= (1 + eps) * 2
     assert outcome.changes >= eps * 2 / 2
+
+
+def test_vbamw_trim_fallback_meets_its_bounds():
+    election = election_from_json(TRIM_FALLBACK_INSTANCE)
+    problem = WeightMaxProblem(election, 1, 2, 1)
+    eps = Fraction(2, 3)
+    outcome = vbamw(problem, eps)
+    optimum = wmaxp_exact(
+        WeightMaxProblem(election, 1, 2, election.total_weight)
+    ).support
+    assert outcome.support == 31
+    assert outcome.changes == 2
+    assert eps * 2 / 2 <= outcome.changes <= (1 + eps) * 2
+    assert outcome.support >= Fraction(eps**2 * 2, 8 * election.n) * optimum
+    _assert_witness_ok(problem, outcome, budget=3)  # (1 + eps) * 2 floored
+
+
+def test_vbamw_trim_fallback_refuses_a_large_tree(monkeypatch):
+    monkeypatch.setattr("liquidpower.weightmax.TRIM_FALLBACK_LIMIT", 5)
+    election = election_from_json(TRIM_FALLBACK_INSTANCE)
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        vbamw(WeightMaxProblem(election, 1, 2, 1), Fraction(2, 3))
 
 
 def test_vbamw_keeps_its_guarantees_on_randoms():
