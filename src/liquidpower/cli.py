@@ -34,7 +34,7 @@ from .core import (
     instance_digest,
     validate,
 )
-from .dp import banzhaf_dp, shapley_dp
+from .dp import all_indices_dp, banzhaf_dp, shapley_dp
 from .errors import LiquidPowerError
 from .exact import MeasureKind, banzhaf_exact, shapley_exact
 from .maximin import MaximinProblem, mmwp_bruteforce
@@ -131,25 +131,22 @@ def _cmd_index(args, instance) -> dict:
         fn = banzhaf_exact if kind is MeasureKind.BANZHAF else shapley_exact
         return fn(election, v)
 
-    def dp_value(v: int) -> Fraction:
-        fn = banzhaf_dp if kind is MeasureKind.BANZHAF else shapley_dp
-        return fn(election, v)
-
     if args.method == "exact":
         values = [exact_value(v) for v in voters]
-    elif args.method == "dp":
-        values = [dp_value(v) for v in voters]
-    else:  # both: compute twice, any divergence is a failure
-        values = []
-        for v in voters:
-            via_tables = dp_value(v)
-            via_enumeration = exact_value(v)
-            if via_tables != via_enumeration:
-                raise CliError(
-                    f"method divergence for voter {v + 1}: "
-                    f"dp={via_tables} exact={via_enumeration}"
-                )
-            values.append(via_tables)
+    else:
+        if args.voter == "all":
+            values = list(all_indices_dp(election, kind).values)
+        else:
+            fn = banzhaf_dp if kind is MeasureKind.BANZHAF else shapley_dp
+            values = [fn(election, voters[0])]
+        if args.method == "both":  # compute twice, any divergence is a failure
+            for v, via_tables in zip(voters, values):
+                via_enumeration = exact_value(v)
+                if via_tables != via_enumeration:
+                    raise CliError(
+                        f"method divergence for voter {v + 1}: "
+                        f"dp={via_tables} exact={via_enumeration}"
+                    )
 
     results: dict = {
         "kind": kind.value,

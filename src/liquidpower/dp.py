@@ -1,50 +1,71 @@
-"""Pseudo-polynomial power computation via counting tables over a forest order.
+"""Pseudo-polynomial power computation: one top-down walk over the forest.
 
 The enumeration in :mod:`liquidpower.exact` is exponential in the number of
-voters.  This module instead counts swing coalitions with a dynamic program
-over a carefully chosen voter ordering, in time polynomial in the number of
-voters and the total weight.
+voters.  This module instead counts swing coalitions with counting tables,
+in time polynomial in the number of voters and the total weight.
 
-Ordering.  Every tree of the delegation forest is laid out in post-order
-(children visited in ascending id), so each voter's subtree occupies the
-contiguous block of positions ending at the voter's own position.  Trees not
-containing the queried voter come first (ascending root id); the queried
-voter's tree comes last.
+Layout.  Every tree of the delegation forest is laid out in post-order
+(children visited in ascending id), trees by ascending root id, so each
+voter's subtree occupies the contiguous block of positions ending at the
+voter's own position (:func:`postorder`).
 
 Tables.  ``F[j][w]`` is the counting polynomial, in ``y``, of the subsets
-of the first ``j`` voters in that order that have *settled weight* ``w`` —
-the total weight of members whose delegation chain, up to the root of the
-already-completed subtree containing them, lies inside the subset.  The
+of the first ``j`` voters of a run of whole blocks that have *settled
+weight* ``w`` — the total weight of members whose delegation chain, up to
+the root of the block containing them, lies inside the subset.  The
 coefficient of ``y**e`` counts the subsets that leave out ``e`` of the
-``j`` voters.  Once a prefix covers whole trees, settled weight coincides
-with the election's active-member weight.  Closing voter ``u`` (block size
-``t``) either leaves ``u`` out — every member of ``u``'s subtree is then
-unsettled, so each of the ``t-1`` proper members may pad the subset or stay
-out, a factor ``(1+y)**(t-1)`` — or puts ``u`` in, adding ``u``'s weight on
-top of the prefix that ends just below ``u``::
+``j`` voters.  Closing voter ``u`` (block size ``t``) either leaves ``u``
+out — every member of ``u``'s subtree is then unsettled, so each of the
+``t-1`` proper members may pad the subset or stay out, a factor
+``(1+y)**(t-1)`` — or puts ``u`` in, adding ``u``'s weight on top of the
+prefix that ends just below ``u``::
 
     F[j][w] = y * (1+y)**(t-1) * F[j-t][w]  +  F[j-1][w-w_u]
 
-The polynomial is one Python int, evaluated at ``y = 2**b`` (Kronecker
-substitution): ``b = 0`` sums over sizes, which is all the swing-count
-measure needs, and a ``b`` wider than any count keeps each size in its own
-``b``-bit slot for the ordering measure.
+``F[0]`` may be any row (the table of voters counted earlier): a fill then
+multiplies it by the blocks' polynomials.  Entries at or above a cap can be
+dropped, since weight only accumulates.  The polynomial is one Python int,
+evaluated at ``y = 2**b`` (Kronecker substitution): ``b = 0`` sums over
+sizes, which is all the swing-count measure needs, and a ``b`` wider than
+any count keeps each size in its own ``b``-bit slot for the ordering
+measure.
 
-A guru's swing coalitions then split into a part outside its tree (weight
-below the quota) and a part inside it (the guru present and settling enough
-weight to close the gap), so its packed swing count is a sum of products of
-the two tables' top rows; a delegating voter reduces to the guru case on the
-sub-election that removes the voters its ballot passes through, with the
-quota lowered by their weight (already-spoken-for weight) and coalition sizes
-shifted by the number of removed voters.
+Swings.  A voter ``u`` changes the outcome only of coalitions that hold all
+its proxies (the voters its ballot passes through), whose weight is then
+spoken for: ``u`` faces the reduced quota ``rq(u)``, the quota minus its
+proxies' weight.  The other voters outside ``u``'s subtree hang off its
+chain as whole subtrees; ``u``'s *outside row* counts their subsets by
+settled weight, capped at ``rq(u) - 1``.  ``u`` swings a coalition when its
+outside part weighs less than ``rq(u)`` and adding ``u`` and its settled
+delegators reaches ``rq(u)``.  Counting the complement, ``u``'s packed swing
+count is ``sum(outside row) * (1+y)**(t-1)`` minus the sum of the outside
+row filled with all of ``u``'s children's blocks, capped at
+``rq(u) - w_u - 1``.  Slot ``e`` counts the swung coalitions of size
+``n - 1 - e``: the proxies are always in.  When ``rq(u) - w_u <= 0``, ``u``
+alone closes the gap and everyone below ``u`` is a dummy.
+
+The walk.  The gurus hang under a virtual root of weight 0 whose outside row
+is the empty subset alone, ``[1]``, and whose reduced quota is the quota.
+A child's outside row is its parent's, capped one level lower (``rq`` drops
+by the parent's weight), with every sibling's block filled in.  All ``d``
+children get theirs by halving: fill the right half's blocks from the
+parent's row and recurse into the left half, then the mirror image, for
+``O(m log d)`` row steps instead of ``O(m d)``.  A node's own complement
+table is the leave-one-out row of an empty extra member after its children,
+so the same halving yields it.  A single voter's query walks its chain
+only, filling each level's siblings in one run.  The weights are first
+divided by their gcd ``g`` and the quota becomes ``ceil(quota / g)``, which
+changes no coalition's outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .core import SELF, DelegationForest, DelegationProfile, LiquidElection, build_forest
+from .core import DelegationForest, LiquidElection
+from .core import build_forest  # noqa: F401  bench/selftest.py patches dp.build_forest
 from .exact import IndexReport, MeasureKind, shapley_from_counts
 
 
@@ -59,26 +80,13 @@ class SwingCounts:
         return sum(self.per_size)
 
 
-@dataclass(frozen=True)
-class DfsOrdering:
-    """Forest layout used by the tables.
-
-    ``sequence[p]`` is the voter at (0-based) position ``p``; ``position`` is
-    its inverse.  ``block_size[p]`` is the size of that voter's subtree,
-    which occupies positions ``p - block_size[p] + 1 .. p``.  Positions from
-    ``boundary`` on hold the tree containing the queried voter.
-    """
-
-    sequence: tuple[int, ...]
-    position: tuple[int, ...]
-    block_size: tuple[int, ...]
-    boundary: int
-
-
-def _postorder(forest: DelegationForest, root: int) -> list[int]:
+def postorder(forest: DelegationForest) -> list[int]:
+    """Every voter, trees by ascending root id, each tree in post-order with
+    children in ascending id: voter ``v``'s subtree is the block of
+    ``forest.subtree_size[v]`` positions ending at ``v``."""
     children = forest.delegators
     out = []
-    stack = [root]
+    stack = list(forest.gurus)
     while stack:
         u = stack.pop()
         out.append(u)
@@ -87,68 +95,50 @@ def _postorder(forest: DelegationForest, root: int) -> list[int]:
     return out
 
 
-def dfs_order(forest: DelegationForest, voter: int) -> DfsOrdering:
-    """Layout with the tree containing ``voter`` last (other trees by root id)."""
-    home = forest.guru[voter]
-    seq: list[int] = []
-    for root in forest.gurus:
-        if root != home:
-            seq.extend(_postorder(forest, root))
-    boundary = len(seq)
-    seq.extend(_postorder(forest, home))
-    position = [0] * forest.n
-    for p, v in enumerate(seq):
-        position[v] = p
-    block_size = tuple(forest.subtree_size[v] for v in seq)
-    return DfsOrdering(
-        sequence=tuple(seq),
-        position=tuple(position),
-        block_size=block_size,
-        boundary=boundary,
-    )
-
-
 def fill_table(
     weights_seq: list[int],
     block_sizes: list[int],
     weight_cap: int | None = None,
     slot_bits: int = 0,
+    *,
+    start: list[int] | None = None,
 ) -> list[list[int]]:
     """All rows ``F[0..m]`` of the counting table described in the module docs.
 
     ``F[j][w]`` is indexed by prefix length and settled weight; it packs the
     subset sizes as ``sum(count * y**left_out)`` with ``y = 2**slot_bits``.
     ``slot_bits=0`` sums over sizes; a slot of more than ``m`` bits keeps
-    every count apart.  Entries with settled weight above ``weight_cap`` are
+    every count apart.  ``start`` is ``F[0]`` (by default ``[1]``, the empty
+    subset), so a fill can continue from an earlier one; the blocks must be
+    whole subtrees.  Entries with settled weight above ``weight_cap`` are
     dropped — sound as long as callers only read weights up to the cap,
-    since weight only accumulates along the recurrence.  With no cap the
-    table is complete and each row ``j`` sums to ``(1 + y)**j``.
+    since weight only accumulates along the recurrence.  With no cap and no
+    start the table is complete and each row ``j`` sums to ``(1 + y)**j``.
     """
     m = len(weights_seq)
-    total = sum(weights_seq)
+    if start is None:
+        start = [1]
+    prefix_weight = len(start) - 1
+    total = prefix_weight + sum(weights_seq)
     cap = total if weight_cap is None else min(weight_cap, total)
-    y = 1 << slot_bits
-    pads: dict[int, int] = {}
-    row0 = [0] * (cap + 1)
-    row0[0] = 1
+    pads = [1 << slot_bits]  # pads[t-1] = y * (1+y)**(t-1), extended as needed
+    row0 = start[: cap + 1]
+    row0 += [0] * (cap + 1 - len(row0))
     rows = [row0]
-    prefix_weight = 0
     for j in range(1, m + 1):
         w_u = weights_seq[j - 1]
         t = block_sizes[j - 1]
         prefix_weight += w_u
-        pad = pads.get(t)
-        if pad is None:
-            pad = pads[t] = y * (1 + y) ** (t - 1)
+        while len(pads) < t:
+            pads.append(pads[-1] + (pads[-1] << slot_bits))
+        pad = pads[t - 1]
         src_skip = rows[j - t]
         src_take = rows[j - 1]
         w_hi = min(cap, prefix_weight)
-        new = [0] * (cap + 1)
-        for w in range(w_hi + 1):
-            acc = pad * src_skip[w] if src_skip[w] else 0
-            if w >= w_u and src_take[w - w_u]:
-                acc += src_take[w - w_u]
-            new[w] = acc
+        # w < w_u: skip only; w_u <= w <= w_hi: skip plus take
+        new = [pad * a if a else 0 for a in src_skip[: min(w_u, w_hi + 1)]]
+        new += [pad * a + b if a else b for a, b in zip(src_skip[w_u : w_hi + 1], src_take)]
+        new += [0] * (cap - w_hi)
         rows.append(new)
     return rows
 
@@ -158,100 +148,115 @@ def fill_table(
 # --------------------------------------------------------------------------
 
 
-def _guru_swings(
-    profile: DelegationProfile,
-    weights: tuple[int, ...],
-    quota: int,
-    target: int,
-    slot_bits: int,
-) -> int:
-    """Packed swing count of a root voter of the given (sub-)profile.
+def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -> list[int]:
+    """Packed swing count of every voter, or only of ``target``.
 
-    Slot ``e`` (of ``slot_bits`` bits) counts the swing coalitions that leave
-    out ``e`` of the other voters; with ``slot_bits=0`` the result is the
-    total.
-    """
-    forest = build_forest(profile, weights)
-    if forest.guru[target] != target:
-        raise ValueError(f"voter {target} delegates; the combiner needs a root")
-    order = dfs_order(forest, target)
-    b = order.boundary
-    w_seq = [weights[v] for v in order.sequence]
-    top_out = fill_table(
-        w_seq[:b], list(order.block_size[:b]), weight_cap=quota - 1, slot_bits=slot_bits
-    )[-1]
-    top_tree = fill_table(w_seq[b:], list(order.block_size[b:]), slot_bits=slot_bits)[-1]
-    tree_weight = sum(w_seq[b:])
-
-    # suffix[w] = tree subsets settling weight >= w
-    suffix = [0] * (tree_weight + 2)
-    for w in range(tree_weight, -1, -1):
-        suffix[w] = suffix[w + 1] + top_tree[w]
-
-    total = 0
-    for w, c_out in enumerate(top_out):
-        if c_out:
-            need = max(quota - w, 1)
-            if need <= tree_weight:
-                total += c_out * suffix[need]
-    return total
-
-
-def _restrict_past_proxies(
-    election: LiquidElection, voter: int
-) -> tuple[DelegationProfile, tuple[int, ...], int, int, int] | None:
-    """Remove the voters ``voter``'s ballot passes through.
-
-    Returns ``(profile, weights, reduced_quota, new_target_id, removed_count)``
-    for the sub-election on the remaining voters, or ``None`` when the removed
-    voters' weight already covers the quota (the voter is then a dummy).
-    Voters who delegated to a removed voter become roots.
+    Slot ``e`` (of ``slot_bits`` bits) counts the swing coalitions that
+    leave out ``e`` of the other voters; with ``slot_bits=0`` each entry is
+    the total.  Entries the walk does not reach (dummies, and every voter
+    but ``target`` when one is given) are 0.
     """
     forest = election.forest
-    removed = set(forest.chain[voter][1:])
-    reduced_quota = election.quota - sum(election.weights[v] for v in removed)
-    if reduced_quota <= 0:
-        return None
-    kept = [v for v in range(election.n) if v not in removed]
-    index = {v: i for i, v in enumerate(kept)}
-    choices = []
-    for v in kept:
-        c = election.profile.choices[v]
-        if c is SELF or c in removed:
-            choices.append(SELF)
+    n = election.n
+    g = gcd(*election.weights)
+    quota = -(-election.quota // g)
+    # voter n is the virtual root: weight 0, the gurus as children, and a
+    # block that spans the whole layout plus its own position
+    weight = [w // g for w in election.weights] + [0]
+    size = list(forest.subtree_size) + [n + 1]
+    children = list(forest.delegators) + [forest.gurus]
+    seq = postorder(forest)
+    end = [0] * n + [n + 1]  # v's block is seq[end[v] - size[v] : end[v]]
+    for p, v in enumerate(seq):
+        end[v] = p + 1
+    w_seq = [weight[v] for v in seq]
+    t_seq = [size[v] for v in seq]
+    on_path = None if target is None else set(forest.chain[target]) | {n}
+
+    def span(member: int) -> tuple[int, int]:
+        if member < 0:  # ~u: the empty block after u's children
+            return end[~member] - 1, end[~member] - 1
+        return end[member] - size[member], end[member]
+
+    def fill(ranges: list[tuple[int, int]], row: list[int], cap: int) -> list[int]:
+        ws: list[int] = []
+        ts: list[int] = []
+        for lo, hi in ranges:
+            ws += w_seq[lo:hi]
+            ts += t_seq[lo:hi]
+        return fill_table(ws, ts, cap, slot_bits, start=row)[-1]
+
+    y = 1 << slot_bits
+    pads: dict[int, int] = {}
+
+    def pad(u: int) -> int:
+        # (1+y)**(t-1): every subset of u's subtree below u, by left-out count
+        t = size[u]
+        if t not in pads:
+            pads[t] = (1 + y) ** (t - 1)
+        return pads[t]
+
+    swings = [0] * n
+    outside_total = [0] * n
+    # (members, lo, hi, row, rq): members[lo:hi] are consecutive siblings (or
+    # a parent's empty extra member) sharing the outside row ``row`` and the
+    # reduced quota ``rq``, capped at rq - 1
+    stack: list[tuple[list[int], int, int, list[int], int]] = [([n], 0, 1, [1], quota)]
+    while stack:
+        members, lo, hi, row, rq = stack.pop()
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            first = span(members[lo])[0]
+            split = span(members[mid])[0]
+            last = span(members[hi - 1])[1]
+            stack.append((members, lo, mid, fill([(split, last)], row, rq - 1), rq))
+            stack.append((members, mid, hi, fill([(first, split)], row, rq - 1), rq))
+            continue
+        u = members[lo]
+        if u < 0:  # the complement table of ~u: every child's block filled in
+            u = ~u
+            swings[u] = outside_total[u] * pad(u) - sum(row)
+            continue
+        cap = rq - weight[u] - 1
+        wanted = u == target or (target is None and u < n)
+        if cap < 0:
+            if wanted:
+                swings[u] = sum(row) * pad(u)
+            continue
+        if wanted:
+            outside_total[u] = sum(row)
+        row = row[: cap + 1]
+        kids = children[u]
+        first, last = end[u] - size[u], end[u] - 1
+        if on_path is None:
+            down = list(kids)
         else:
-            choices.append(index[c])
-    profile = DelegationProfile(tuple(choices))
-    weights = tuple(election.weights[v] for v in kept)
-    return profile, weights, reduced_quota, index[voter], len(removed)
+            # fill the siblings of the next chain member in one run
+            down = [c for c in kids if c in on_path]
+            if down:
+                lo_c, hi_c = span(down[0])
+                row = fill([(first, lo_c), (hi_c, last)], row, cap)
+            else:
+                row = fill([(first, last)], row, cap)
+        if wanted:
+            down.append(~u)
+        if down:
+            stack.append((down, 0, len(down), row, cap + 1))
+    return swings
 
 
-def _swings(election: LiquidElection, voter: int, slot_bits: int) -> tuple[int, int, int]:
-    """``(packed, m, shift)``: the voter's packed swing count (see
-    :func:`_guru_swings`) in the sub-election of ``m`` voters left after
-    removing the ``shift`` voters its ballot passes through.
-
-    Every swing coalition of the sub-election extends uniquely to one of the
-    full election by adding the removed voters back.
-    """
-    restricted = _restrict_past_proxies(election, voter)
-    if restricted is None:
-        return 0, election.n, 0
-    profile, weights, reduced_quota, new_target, shift = restricted
-    packed = _guru_swings(profile, weights, reduced_quota, new_target, slot_bits)
-    return packed, profile.n, shift
+def _per_size(packed: int, n: int, slot_bits: int) -> list[int]:
+    """Unpack a packed swing count: slot ``e`` is coalition size ``n-1-e``."""
+    mask = (1 << slot_bits) - 1
+    return [(packed >> (n - 1 - s) * slot_bits) & mask for s in range(n)]
 
 
 def swing_counts_dp(election: LiquidElection, voter: int) -> SwingCounts:
     """Per-size swing counts for any voter, via the counting tables."""
     # counts never exceed 2**n, so n + 2 bits keep every slot apart
     slot_bits = election.n + 2
-    packed, m, shift = _swings(election, voter, slot_bits)
-    mask = (1 << slot_bits) - 1
-    per_size = [0] * election.n
-    for e in range(m):
-        per_size[m - 1 - e + shift] = (packed >> e * slot_bits) & mask
-    return SwingCounts(tuple(per_size))
+    packed = _walk(election, slot_bits, voter)[voter]
+    return SwingCounts(tuple(_per_size(packed, election.n, slot_bits)))
 
 
 def swing_counts_guru(election: LiquidElection, voter: int) -> SwingCounts:
@@ -270,8 +275,7 @@ def swing_counts_delegator(election: LiquidElection, voter: int) -> SwingCounts:
 
 def banzhaf_dp(election: LiquidElection, voter: int) -> Fraction:
     """Penetration power of a voter, computed by the size-free tables."""
-    total, _, _ = _swings(election, voter, 0)
-    return Fraction(total, 1 << election.n - 1)
+    return Fraction(_walk(election, 0, voter)[voter], 1 << election.n - 1)
 
 
 def shapley_dp(election: LiquidElection, voter: int) -> Fraction:
@@ -281,10 +285,15 @@ def shapley_dp(election: LiquidElection, voter: int) -> Fraction:
 
 
 def all_indices_dp(election: LiquidElection, kind: MeasureKind) -> IndexReport:
-    """Power values of every voter under one measure, via the tables."""
+    """Power values of every voter under one measure, in one walk."""
     kind = MeasureKind(kind)
+    n = election.n
     if kind is MeasureKind.BANZHAF:
-        values = tuple(banzhaf_dp(election, v) for v in range(election.n))
+        values = tuple(Fraction(s, 1 << n - 1) for s in _walk(election, 0))
     else:
-        values = tuple(shapley_dp(election, v) for v in range(election.n))
+        slot_bits = n + 2
+        values = tuple(
+            shapley_from_counts(_per_size(s, n, slot_bits), n)
+            for s in _walk(election, slot_bits)
+        )
     return IndexReport(kind=kind, values=values)

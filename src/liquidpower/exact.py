@@ -150,12 +150,8 @@ def banzhaf_from_counts(counts: list[int], n: int) -> Fraction:
 
 
 def shapley_from_counts(counts: list[int], n: int) -> Fraction:
-    total = sum(
-        Fraction(factorial(s) * factorial(n - 1 - s), factorial(n)) * c
-        for s, c in enumerate(counts)
-        if c
-    )
-    return total if total else Fraction(0)
+    weighted = sum(factorial(s) * factorial(n - 1 - s) * c for s, c in enumerate(counts) if c)
+    return Fraction(weighted, factorial(n))
 
 
 def banzhaf_exact(game: EvaluableGame, voter: int, *, method: str = "auto") -> Fraction:

@@ -1,15 +1,16 @@
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liquidpower.core import DelegationProfile, SocialNetwork, validate
+from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
 from liquidpower.dp import (
     all_indices_dp,
     banzhaf_dp,
-    dfs_order,
     fill_table,
+    postorder,
     shapley_dp,
     swing_counts_dp,
 )
@@ -25,14 +26,9 @@ from support import eight_voter_election, random_election
 
 def test_ordering_on_the_eight_voter_fixture():
     e = eight_voter_election()
-    order = dfs_order(e.forest, 7)
-    assert order.sequence == (0, 1, 2, 3, 4, 5, 6, 7)
-    assert order.boundary == 3
-    assert order.block_size == (1, 1, 3, 1, 1, 2, 4, 5)
-    # querying a voter of the first tree flips the tree order
-    order3 = dfs_order(e.forest, 2)
-    assert order3.sequence == (3, 4, 5, 6, 7, 0, 1, 2)
-    assert order3.boundary == 5
+    order = postorder(e.forest)
+    assert order == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert [e.forest.subtree_size[v] for v in order] == [1, 1, 3, 1, 1, 2, 4, 5]
 
 
 @settings(max_examples=50, deadline=None)
@@ -40,10 +36,11 @@ def test_ordering_on_the_eight_voter_fixture():
 def test_every_subtree_is_a_contiguous_block(seed):
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=10)
-    order = dfs_order(e.forest, rng.randrange(e.n))
-    for p, v in enumerate(order.sequence):
-        t = order.block_size[p]
-        block = set(order.sequence[p - t + 1 : p + 1])
+    order = postorder(e.forest)
+    assert sorted(order) == list(range(e.n))
+    for p, v in enumerate(order):
+        t = e.forest.subtree_size[v]
+        block = set(order[p - t + 1 : p + 1])
         assert block == set(e.forest.subtree[v])
 
 
@@ -52,17 +49,37 @@ def test_every_subtree_is_a_contiguous_block(seed):
 def test_uncapped_rows_count_all_subsets(seed):
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=8)
-    order = dfs_order(e.forest, rng.randrange(e.n))
-    weights = [e.weights[v] for v in order.sequence]
-    rows = fill_table(weights, list(order.block_size))
+    order = postorder(e.forest)
+    weights = [e.weights[v] for v in order]
+    sizes = [e.forest.subtree_size[v] for v in order]
+    rows = fill_table(weights, sizes)
     for j, row in enumerate(rows):
         assert sum(row) == 1 << j
     # with a slot wider than any count, sizes stay apart: (1 + y)**j
     slot_bits = e.n + 2
     y = 1 << slot_bits
-    rows = fill_table(weights, list(order.block_size), slot_bits=slot_bits)
+    rows = fill_table(weights, sizes, slot_bits=slot_bits)
     for j, row in enumerate(rows):
         assert sum(row) == (1 + y) ** j
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_fill_continued_from_a_start_row_equals_one_fill(seed):
+    rng = random.Random(seed)
+    e = random_election(rng, n_min=2, n_max=9)
+    order = postorder(e.forest)
+    weights = [e.weights[v] for v in order]
+    sizes = [e.forest.subtree_size[v] for v in order]
+    # split between whole trees, so both parts are runs of whole blocks
+    ends = [p + 1 for p, v in enumerate(order) if e.forest.guru[v] == v]
+    split = rng.choice([0] + ends)
+    cap = rng.choice([None, rng.randint(0, sum(weights))])
+    slot_bits = rng.choice([0, e.n + 2])
+    head = fill_table(weights[:split], sizes[:split], cap, slot_bits)[-1]
+    tail = fill_table(weights[split:], sizes[split:], cap, slot_bits, start=head)
+    whole = fill_table(weights, sizes, cap, slot_bits)
+    assert tail == whole[split:]
 
 
 def test_eight_voter_reference_values_via_tables():
@@ -121,3 +138,70 @@ def test_moderate_instance_smoke():
     values = [banzhaf_dp(e, v) for v in range(e.n)]
     assert all(0 <= v <= 1 for v in values)
     assert sum(all_indices_dp(e, MeasureKind.SHAPLEY).values) == 1
+
+
+def _with_quota(e, quota):
+    return validate(e.network, e.weights, e.profile, quota)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_all_voter_report_matches_enumeration(seed):
+    rng = random.Random(seed)
+    e = random_election(rng, n_min=1, n_max=9, w_max=5)
+    # any legal quota, so dummies and near-dictators both occur
+    e = _with_quota(e, rng.randint(1, sum(e.weights)))
+    banzhaf = tuple(banzhaf_exact(e, v) for v in range(e.n))
+    shapley = tuple(shapley_exact(e, v) for v in range(e.n))
+    assert all_indices_dp(e, MeasureKind.BANZHAF).values == banzhaf
+    assert all_indices_dp(e, MeasureKind.SHAPLEY).values == shapley
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6))
+def test_single_voter_route_matches_the_all_voter_walk(seed):
+    rng = random.Random(seed)
+    e = random_election(rng, n_min=10, n_max=30, w_max=8, delegate_prob=0.75)
+    e = _with_quota(e, rng.randint(1, sum(e.weights)))
+    banzhaf = all_indices_dp(e, MeasureKind.BANZHAF).values
+    shapley = all_indices_dp(e, MeasureKind.SHAPLEY).values
+    for v in range(e.n):
+        assert banzhaf_dp(e, v) == banzhaf[v]
+        assert shapley_dp(e, v) == shapley[v]
+
+
+def test_scaling_weights_and_quota_changes_no_value():
+    e = random_election(
+        random.Random(10_001), n_min=20, n_max=20, w_max=4, delegate_prob=0.75
+    )
+    scaled = validate(
+        e.network, tuple(100 * w for w in e.weights), e.profile, 100 * e.quota
+    )
+    for kind in MeasureKind:
+        assert all_indices_dp(scaled, kind).values == all_indices_dp(e, kind).values
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_a_unanimity_chain_needs_no_deep_recursion():
+    # voter i delegates to i - 1; only the whole electorate reaches the quota
+    n = 250
+    network = SocialNetwork.from_arcs(n, [(i, i - 1) for i in range(1, n)])
+    profile = DelegationProfile((SELF,) + tuple(range(n - 1)))
+    e = validate(network, (1,) * n, profile, n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        banzhaf = all_indices_dp(e, MeasureKind.BANZHAF).values
+        shapley = all_indices_dp(e, MeasureKind.SHAPLEY).values
+        single = (banzhaf_dp(e, n - 1), shapley_dp(e, n - 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert banzhaf == (Fraction(1, 2 ** (n - 1)),) * n
+    assert shapley == (Fraction(1, n),) * n
+    assert single == (banzhaf[-1], shapley[-1])
