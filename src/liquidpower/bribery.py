@@ -16,7 +16,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
-from .coalition_table import swing_counts_fast
+import numpy as np
+
+from .coalition_table import batches, coalition_weight_table, swing_counts_from_table
 from .core import (
     SELF,
     DelegationProfile,
@@ -156,40 +158,30 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     sign = 1 if problem.objective.maximize else -1
     # integer scoring key avoids per-profile Fraction construction:
     # total swings for the penetration measure, sum of s!(n-1-s)!-weighted
-    # counts (denominator n!) for the pivotal-order measure
-    size_weights = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
+    # counts (denominator n!, at most 16! under the table limit, so int64
+    # holds it) for the pivotal-order measure
+    size_weights = np.array(
+        [factorial(s) * factorial(n - 1 - s) for s in range(n)], dtype=np.int64
+    )
     base_choices = election.profile.choices
 
-    best_key = None
-    best_changes = 0
-    best_profile = election.profile
-    for profile in enumerate_neighborhood(election, problem.budget):
-        counts = swing_counts_fast(
-            profile.choices, election.weights, election.quota, problem.target
-        )
-        if banzhaf:
-            key = sum(counts)
-        else:
-            key = sum(w * c for w, c in zip(size_weights, counts) if c)
-        key *= sign
-        if best_key is None or key > best_key:
-            better = True
-        elif key == best_key:
+    # the winner minimizes (-key, changes, sort_key), a total order: per
+    # chunk only the rows at the chunk's best key can hold it
+    best_rank = best_profile = None
+    for chunk in batches(enumerate_neighborhood(election, problem.budget), n):
+        gamma = coalition_weight_table([p.choices for p in chunk], election.weights)
+        counts = swing_counts_from_table(gamma, n, election.quota, problem.target)
+        keys = sign * (counts.sum(axis=1) if banzhaf else counts @ size_weights)
+        top = int(keys.max())
+        for i in np.flatnonzero(keys == top):
+            profile = chunk[i]
             changes = sum(a != b for a, b in zip(profile.choices, base_choices))
-            better = changes < best_changes or (
-                changes == best_changes
-                and profile.sort_key() < best_profile.sort_key()
-            )
-        else:
-            better = False
-        if better:
-            best_key = key
-            best_profile = profile
-            best_changes = sum(
-                a != b for a, b in zip(profile.choices, base_choices)
-            )
+            rank = (-top, changes, profile.sort_key())
+            if best_rank is None or rank < best_rank:
+                best_rank, best_profile = rank, profile
+    neg_key, best_changes, _ = best_rank
     denominator = 1 << n - 1 if banzhaf else factorial(n)
-    value = Fraction(sign * best_key, denominator)
+    value = Fraction(-sign * neg_key, denominator)
     if problem.objective.maximize:
         decision = value >= problem.threshold
     else:

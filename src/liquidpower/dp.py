@@ -259,20 +259,6 @@ def swing_counts_dp(election: LiquidElection, voter: int) -> SwingCounts:
     return SwingCounts(tuple(_per_size(packed, election.n, slot_bits)))
 
 
-def swing_counts_guru(election: LiquidElection, voter: int) -> SwingCounts:
-    """Per-size swing counts for a voter that casts its own ballot."""
-    if election.forest.guru[voter] != voter:
-        raise ValueError(f"voter {voter} delegates; use swing_counts_delegator")
-    return swing_counts_dp(election, voter)
-
-
-def swing_counts_delegator(election: LiquidElection, voter: int) -> SwingCounts:
-    """Per-size swing counts for a delegating voter."""
-    if election.forest.guru[voter] == voter:
-        raise ValueError(f"voter {voter} is a root; use swing_counts_guru")
-    return swing_counts_dp(election, voter)
-
-
 def banzhaf_dp(election: LiquidElection, voter: int) -> Fraction:
     """Penetration power of a voter, computed by the size-free tables."""
     return Fraction(_walk(election, 0, voter)[voter], 1 << election.n - 1)

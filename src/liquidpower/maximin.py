@@ -12,10 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial
 
-from .coalition_table import TABLE_LIMIT, all_swing_counts_fast
+import numpy as np
+
+from .coalition_table import (
+    TABLE_LIMIT,
+    all_swing_counts_fast,
+    batches,
+    coalition_weight_table,
+    swing_counts_from_table,
+)
 from .core import (
     SELF,
     DelegationProfile,
@@ -31,7 +39,7 @@ from .errors import (
     NonPositiveWeight,
     QuotaOutOfRange,
 )
-from .exact import MeasureKind
+from .exact import MeasureKind, banzhaf_from_counts, shapley_from_counts
 
 BRUTEFORCE_VOTER_LIMIT = 8
 PROFILE_CAP = 500_000
@@ -103,14 +111,38 @@ def _profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]):
     yield from assign(0)
 
 
-def _min_measure_key(counts_per_voter, n: int, kind: MeasureKind, size_weights):
-    """Integer scoring of min-over-voters (common denominator per kind)."""
-    if kind is MeasureKind.BANZHAF:
-        return min(sum(counts) for counts in counts_per_voter)
-    return min(
-        sum(w * c for w, c in zip(size_weights, counts) if c)
-        for counts in counts_per_voter
-    )
+def _count_profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]) -> int:
+    """Number of profiles :func:`_profiles_with_roots` yields, without
+    enumerating them.
+
+    Those profiles are the spanning in-forests rooted at ``roots``; by the
+    directed matrix-tree theorem they number ``det((D_out - A)[V-R, V-R])``,
+    computed exactly by Bareiss elimination.  The matrix is weakly
+    diagonally dominant by rows with a nonnegative diagonal, and elimination
+    keeps it so; a zero pivot therefore means a zero row and a count of 0
+    (as for a non-root without out-arcs), and no row swaps are needed.
+    """
+    root_set = set(roots)
+    rest = [v for v in range(network.n) if v not in root_set]
+    index = {v: i for i, v in enumerate(rest)}
+    a = []
+    for v in rest:
+        row = [0] * len(rest)
+        row[index[v]] = len(network.out_neighbors[v])
+        for u in network.out_neighbors[v]:
+            if u in index:
+                row[index[u]] -= 1
+        a.append(row)
+    m = len(a)
+    previous = 1
+    for k in range(m - 1):
+        if a[k][k] == 0:
+            return 0
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return a[-1][-1] if m else 1
 
 
 def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
@@ -118,60 +150,60 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
 
     Ties between equally good profiles break lexicographically.  Raises
     NoFeasibleProfile when no acyclic profile has exactly the requested
-    number of roots (e.g. more voters without out-arcs than roots allowed).
+    number of roots (e.g. more voters without out-arcs than roots allowed),
+    and InstanceTooLargeForEnumeration, before scoring anything, when more
+    than ``PROFILE_CAP`` profiles qualify.
     """
     n = problem.network.n
     if n > BRUTEFORCE_VOTER_LIMIT:
         raise InstanceTooLargeForEnumeration(
             f"{n} voters exceed the maximin enumeration limit of {BRUTEFORCE_VOTER_LIMIT}"
         )
-    kind = problem.kind
-    size_weights = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
-    # voters without out-arcs can never delegate, so every root set must
-    # contain them
-    forced = [v for v in range(n) if not problem.network.out_neighbors[v]]
-    best_key = None
-    best_profile = None
-    seen = 0
+    network = problem.network
+    root_sets = []
+    total = 0
     for roots in combinations(range(n), problem.gurus):
-        if any(v not in roots for v in forced):
-            continue
-        for profile in _profiles_with_roots(problem.network, roots):
-            seen += 1
-            if seen > PROFILE_CAP:
-                raise InstanceTooLargeForEnumeration(
-                    f"more than {PROFILE_CAP} feasible profiles to evaluate"
-                )
-            counts = all_swing_counts_fast(
-                profile.choices, problem.weights, problem.quota
-            )
-            key = _min_measure_key(counts, n, kind, size_weights)
-            if (
-                best_key is None
-                or key > best_key
-                or (
-                    key == best_key
-                    and profile.sort_key() < best_profile.sort_key()
-                )
-            ):
-                best_key = key
-                best_profile = profile
-    if best_profile is None:
+        count = _count_profiles_with_roots(network, roots)
+        if count:
+            root_sets.append(roots)
+            total += count
+    if total > PROFILE_CAP:
+        raise InstanceTooLargeForEnumeration(
+            f"{total} feasible profiles exceed the cap of {PROFILE_CAP}"
+        )
+    if not root_sets:
         raise NoFeasibleProfile(
             f"no acyclic profile with exactly {problem.gurus} personally-voting voters"
         )
+    banzhaf = problem.kind is MeasureKind.BANZHAF
+    # integer scoring key per voter: total swings (denominator 2^(n-1)) or
+    # s!(n-1-s)!-weighted counts (denominator n!, fits int64 for n <= 16)
+    size_weights = np.array(
+        [factorial(s) * factorial(n - 1 - s) for s in range(n)], dtype=np.int64
+    )
+    profiles = chain.from_iterable(
+        _profiles_with_roots(network, roots) for roots in root_sets
+    )
+    # the winner minimizes (-min key, sort_key), a total order: per chunk
+    # only the rows at the chunk's best key can hold it
+    best_rank = best_profile = None
+    for chunk in batches(profiles, n):
+        gamma = coalition_weight_table([p.choices for p in chunk], problem.weights)
+        keys = None
+        for v in range(n):
+            counts = swing_counts_from_table(gamma, n, problem.quota, v)
+            key = counts.sum(axis=1) if banzhaf else counts @ size_weights
+            keys = key if keys is None else np.minimum(keys, key)
+        top = int(keys.max())
+        for i in np.flatnonzero(keys == top):
+            rank = (-top, chunk[i].sort_key())
+            if best_rank is None or rank < best_rank:
+                best_rank, best_profile = rank, chunk[i]
     counts = all_swing_counts_fast(
         best_profile.choices, problem.weights, problem.quota
     )
-    if kind is MeasureKind.BANZHAF:
-        denominator = 1 << n - 1
-        per_voter = tuple(Fraction(sum(c), denominator) for c in counts)
-    else:
-        denominator = factorial(n)
-        per_voter = tuple(
-            Fraction(sum(w * x for w, x in zip(size_weights, c) if x), denominator)
-            for c in counts
-        )
+    from_counts = banzhaf_from_counts if banzhaf else shapley_from_counts
+    per_voter = tuple(from_counts(c, n) for c in counts)
     return MaximinSolution(best_profile, min(per_voter), per_voter)
 
 

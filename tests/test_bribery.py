@@ -15,6 +15,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
+from liquidpower import coalition_table
 from liquidpower.bribery import (
     BriberyObjective,
     BriberyProblem,
@@ -214,6 +215,29 @@ def test_witness_revalidates():
         rebuilt = election.with_profile(witness)  # revalidates arcs + acyclicity
         assert banzhaf_exact(rebuilt, target) == outcome.value
     assert seen_yes >= 3
+
+
+def test_chunk_boundaries_change_no_outcome(monkeypatch):
+    # ties between equal keys must resolve the same way whether the
+    # candidates share a scoring chunk or sit in different ones
+    rng = random.Random(7_307)
+    for _ in range(10):
+        n = rng.randint(2, 7)
+        complete = rng.random() < 0.5
+        election = random_election(rng, n_min=n, n_max=n, w_max=3, complete=complete)
+        target = rng.randrange(n)
+        budget = rng.randint(1, 2)
+        for objective in BriberyObjective:
+            # a threshold every profile meets, so the witness is reported
+            threshold = Fraction(0) if objective.maximize else Fraction(1)
+            problem = BriberyProblem(election, target, budget, threshold, objective)
+            outcomes = []
+            for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
+                monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+                outcomes.append(solve_bribery_exact(problem))
+            monkeypatch.undo()
+            assert outcomes[1] == outcomes[0]
+            assert outcomes[2] == outcomes[0]
 
 
 def test_voter_count_guard():

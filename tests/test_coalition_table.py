@@ -9,13 +9,13 @@ from liquidpower import InstanceTooLargeForEnumeration, SELF
 from liquidpower.coalition_table import (
     TABLE_LIMIT,
     all_swing_counts_fast,
-    banzhaf_fast,
     chain_masks_of,
     coalition_weight_table,
     swing_counts_fast,
+    swing_counts_from_table,
 )
 from liquidpower.exact import swing_size_counts
-from support import eight_voter_election, random_election
+from support import eight_voter_election, random_election, random_profile
 
 
 def test_chain_masks_on_fixture():
@@ -31,7 +31,7 @@ def test_weight_table_matches_oracle():
     rng = random.Random(20_401)
     for _ in range(25):
         election = random_election(rng, n_min=2, n_max=7)
-        gamma = coalition_weight_table(election.profile.choices, election.weights)
+        gamma = coalition_weight_table([election.profile.choices], election.weights)[0]
         for mask in range(1 << election.n):
             members = {v for v in range(election.n) if mask >> v & 1}
             assert gamma[mask] == oracle.coalition_weight(
@@ -65,11 +65,36 @@ def test_banzhaf_fast_on_fixture():
 
     election = eight_voter_election()
     choices, w, q = election.profile.choices, election.weights, election.quota
-    assert banzhaf_fast(choices, w, q, 7) == Fraction(1, 2)
-    assert banzhaf_fast(choices, w, q, 5) == Fraction(1, 16)
+    denominator = 1 << election.n - 1
+    assert Fraction(sum(swing_counts_fast(choices, w, q, 7)), denominator) == Fraction(1, 2)
+    assert Fraction(sum(swing_counts_fast(choices, w, q, 5)), denominator) == Fraction(1, 16)
 
 
 def test_table_size_guard():
     n = TABLE_LIMIT + 1
     with pytest.raises(InstanceTooLargeForEnumeration):
-        coalition_weight_table((SELF,) * n, (1,) * n)
+        coalition_weight_table([(SELF,) * n], (1,) * n)
+
+
+def test_batched_tables_stack_the_single_profile_tables():
+    rng = random.Random(20_403)
+    for _ in range(10):
+        n = rng.randint(2, 7)
+        election = random_election(rng, n_min=n, n_max=n)
+        rows = [random_profile(rng, election.network).choices for _ in range(5)]
+        gamma = coalition_weight_table(rows, election.weights)
+        assert gamma.shape == (5, 1 << n)
+        for p, choices in enumerate(rows):
+            assert (gamma[p] == coalition_weight_table([choices], election.weights)[0]).all()
+            for mask in range(1 << n):
+                members = {v for v in range(n) if mask >> v & 1}
+                assert gamma[p, mask] == oracle.coalition_weight(
+                    choices, election.weights, members
+                )
+        voter = rng.randrange(n)
+        counts = swing_counts_from_table(gamma, n, election.quota, voter)
+        assert counts.shape == (5, n)
+        for p, choices in enumerate(rows):
+            assert counts[p].tolist() == swing_counts_fast(
+                choices, election.weights, election.quota, voter
+            )

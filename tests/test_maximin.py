@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
+from liquidpower import coalition_table, maximin
 from liquidpower.exact import MeasureKind, banzhaf_exact
 from liquidpower.maximin import MaximinProblem, mmwp_bruteforce, mmwp_leafmin
 from support import eight_voter_election, random_election, random_profile
@@ -81,6 +82,54 @@ def test_voter_limit_guard():
     network = SocialNetwork.complete(9)
     with pytest.raises(InstanceTooLargeForEnumeration):
         mmwp_bruteforce(MaximinProblem(network, (1,) * 9, 5, 3))
+
+
+def test_profile_count_matches_the_enumeration():
+    rng = random.Random(11_004)
+    for _ in range(40):
+        election = random_election(rng, n_min=1, n_max=6, arc_prob=rng.random())
+        network = election.network
+        for k in range(1, network.n + 1):
+            for roots in combinations(range(network.n), k):
+                expected = sum(1 for _ in maximin._profiles_with_roots(network, roots))
+                assert maximin._count_profiles_with_roots(network, roots) == expected
+
+
+def test_oversized_search_is_refused_before_scoring(monkeypatch):
+    # each root pair of the complete 8-voter network roots 2 * 8**5 forests
+    # (Cayley), 1,835,008 profiles in all
+    def no_scoring(*_args):
+        raise AssertionError("the refusal must come before any scoring")
+
+    monkeypatch.setattr(maximin, "coalition_weight_table", no_scoring)
+    network = SocialNetwork.complete(8)
+    assert sum(
+        maximin._count_profiles_with_roots(network, roots)
+        for roots in combinations(range(8), 2)
+    ) == 1_835_008
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        mmwp_bruteforce(MaximinProblem(network, (1,) * 8, 5, 2))
+
+
+def test_chunk_boundaries_change_no_solution(monkeypatch):
+    rng = random.Random(11_005)
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        election = random_election(rng, n_min=n, n_max=n, w_max=3)
+        network, weights, quota = election.network, election.weights, election.quota
+        k = rng.randint(1, n)
+        for kind in MeasureKind:
+            problem = MaximinProblem(network, weights, quota, k, kind)
+            solutions = []
+            for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
+                monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+                try:
+                    solutions.append(mmwp_bruteforce(problem))
+                except NoFeasibleProfile:
+                    solutions.append(None)
+            monkeypatch.undo()
+            assert solutions[1] == solutions[0]
+            assert solutions[2] == solutions[0]
 
 
 def _brute_reference(network, weights, quota, k, kind):
