@@ -3,7 +3,10 @@
 The exact solver enumerates the whole feasible neighborhood — every acyclic
 profile differing from the current one in at most ``k`` positions, each
 delegation following a network arc — and optimizes the chosen measure of the
-target voter in the chosen direction.  The greedy solver redirects the
+target voter in the chosen direction.  The neighborhood is walked in numpy
+blocks of parent rows: the cycle test and the chain masks of a whole block
+come from one pointer-doubling pass, and each block is scored with one
+coalition table, with no per-profile Python.  The greedy solver redirects the
 heaviest ballot-holders toward the target and comes with a provable (if
 weak) guarantee on complete networks.
 """
@@ -13,19 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, product
-from math import factorial
+from itertools import chain, combinations
+from math import factorial, prod
 
 import numpy as np
 
-from .coalition_table import batches, coalition_weight_table, swing_counts_from_table
-from .core import (
-    SELF,
-    DelegationProfile,
-    LiquidElection,
-    build_forest,
-    find_delegation_cycle,
+from . import coalition_table
+from .coalition_table import (
+    best_rank,
+    chain_masks,
+    coalition_weight_table,
+    reduced_weights,
+    swing_counts_from_table,
 )
+from .core import SELF, DelegationProfile, LiquidElection, build_forest
 from .dp import banzhaf_dp, shapley_dp
 from .errors import InstanceTooLargeForEnumeration
 from .exact import MeasureKind
@@ -116,24 +120,64 @@ def neighborhood_size(election: LiquidElection, k: int) -> int:
 
 
 def enumerate_neighborhood(election: LiquidElection, k: int):
-    """Yield every acyclic profile differing from the current one in at most
-    ``k`` positions (each changed voter gets a genuinely different choice),
-    each profile exactly once.  The original profile comes first."""
-    base = election.profile.choices
-    n = len(base)
-    options = _change_options(election)
-    yield election.profile
-    for size in range(1, min(k, n) + 1):
-        for subset in combinations(range(n), size):
-            pools = [options[v] for v in subset]
-            if any(not pool for pool in pools):
-                continue
-            for combo in product(*pools):
-                choices = list(base)
-                for v, c in zip(subset, combo):
-                    choices[v] = c
-                if find_delegation_cycle(choices) is None:
-                    yield DelegationProfile(tuple(choices))
+    """Yield the acyclic profiles within ``k`` changes of the current one as
+    numpy blocks ``(parents, masks, changes)``.
+
+    Each profile differs from the current one in at most ``k`` positions,
+    each changed voter taking a genuinely different legal choice, and
+    appears exactly once; the current profile comes first.  ``parents`` is a
+    ``(P, n)`` intp array whose rows are the profiles' sort keys (a
+    self-voter is its own parent), ``masks`` the ``(P, n)`` chain masks of
+    :func:`coalition_table.chain_masks` and ``changes`` the ``(P,)`` change
+    counts.  Candidates are filled in per changed-voter subset, a large
+    subset's product sliced over several blocks, so no block holds more than
+    ``max(1, CHUNK_CELLS >> n)`` rows; blocks whose candidates are all
+    cyclic are skipped.
+    """
+    n = election.n
+    base = np.array(election.profile.sort_key(), dtype=np.intp)
+    options = [
+        np.array([v if c is SELF else c for c in opts], dtype=np.intp)
+        for v, opts in enumerate(_change_options(election))
+    ]
+    size = max(1, coalition_table.CHUNK_CELLS >> n)
+    rows = np.empty((size, n), dtype=np.intp)
+    changes = np.empty(size, dtype=np.intp)
+    filled = 0
+    subsets = chain.from_iterable(
+        combinations(range(n), s) for s in range(min(k, n) + 1)
+    )
+    for subset in subsets:
+        pools = [options[v] for v in subset]
+        total = prod(len(pool) for pool in pools)
+        start = 0
+        while start < total:
+            stop = min(total, start + size - filled)
+            block = rows[filled : filled + stop - start]
+            block[:] = base
+            # candidate i of the subset is product()'s i-th combination:
+            # its digits in the pools' mixed radix, the last voter fastest
+            index = np.arange(start, stop)
+            for v, pool in zip(reversed(subset), reversed(pools)):
+                index, digit = np.divmod(index, len(pool))
+                block[:, v] = pool[digit]
+            changes[filled : filled + stop - start] = len(subset)
+            filled += stop - start
+            start = stop
+            if filled == size:
+                yield from _acyclic_rows(rows, changes)
+                filled = 0
+    if filled:
+        yield from _acyclic_rows(rows[:filled], changes[:filled])
+
+
+def _acyclic_rows(rows, changes):
+    """The acyclic rows of a candidate block with their masks and change
+    counts (copies, so the caller may refill its buffers); nothing when all
+    rows are cyclic."""
+    masks, acyclic = chain_masks(rows)
+    if acyclic.any():
+        yield rows[acyclic], masks[acyclic], changes[acyclic]
 
 
 def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
@@ -163,23 +207,18 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     size_weights = np.array(
         [factorial(s) * factorial(n - 1 - s) for s in range(n)], dtype=np.int64
     )
-    base_choices = election.profile.choices
+    g, weights = reduced_weights(election.weights)
+    quota = -(-election.quota // g)
 
-    # the winner minimizes (-key, changes, sort_key), a total order: per
-    # chunk only the rows at the chunk's best key can hold it
-    best_rank = best_profile = None
-    for chunk in batches(enumerate_neighborhood(election, problem.budget), n):
-        gamma = coalition_weight_table([p.choices for p in chunk], election.weights)
-        counts = swing_counts_from_table(gamma, n, election.quota, problem.target)
+    best = None
+    for parents, masks, changes in enumerate_neighborhood(election, problem.budget):
+        gamma = coalition_weight_table(masks, weights)
+        counts = swing_counts_from_table(gamma, n, quota, problem.target)
         keys = sign * (counts.sum(axis=1) if banzhaf else counts @ size_weights)
-        top = int(keys.max())
-        for i in np.flatnonzero(keys == top):
-            profile = chunk[i]
-            changes = sum(a != b for a, b in zip(profile.choices, base_choices))
-            rank = (-top, changes, profile.sort_key())
-            if best_rank is None or rank < best_rank:
-                best_rank, best_profile = rank, profile
-    neg_key, best_changes, _ = best_rank
+        rank = best_rank(keys, changes, parents)
+        if best is None or rank < best:
+            best = rank
+    neg_key, best_changes, best_parents = best
     denominator = 1 << n - 1 if banzhaf else factorial(n)
     value = Fraction(-sign * neg_key, denominator)
     if problem.objective.maximize:
@@ -188,7 +227,7 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
         decision = value <= problem.threshold
     return BriberyOutcome(
         decision=decision,
-        profile=best_profile if decision else None,
+        profile=DelegationProfile.from_parents(best_parents) if decision else None,
         value=value,
         changes=best_changes,
     )

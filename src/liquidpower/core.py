@@ -106,6 +106,12 @@ class DelegationProfile:
         return tuple(i if c is SELF else c for i, c in enumerate(self.choices))
 
     @classmethod
+    def from_parents(cls, parents: Sequence[int]) -> "DelegationProfile":
+        """Inverse of :meth:`sort_key`: a voter that is its own parent votes
+        personally, every other voter delegates to its parent."""
+        return cls(tuple(SELF if p == v else int(p) for v, p in enumerate(parents)))
+
+    @classmethod
     def all_self(cls, n: int) -> "DelegationProfile":
         return cls((SELF,) * n)
 

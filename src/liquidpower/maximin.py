@@ -21,16 +21,13 @@ from .coalition_table import (
     TABLE_LIMIT,
     all_swing_counts_fast,
     batches,
+    best_rank,
+    chain_masks,
     coalition_weight_table,
+    reduced_weights,
     swing_counts_from_table,
 )
-from .core import (
-    SELF,
-    DelegationProfile,
-    LiquidElection,
-    SocialNetwork,
-    build_forest,
-)
+from .core import SELF, DelegationProfile, LiquidElection, SocialNetwork
 from .dp import banzhaf_dp
 from .errors import (
     InstanceTooLargeForEnumeration,
@@ -181,24 +178,27 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
     size_weights = np.array(
         [factorial(s) * factorial(n - 1 - s) for s in range(n)], dtype=np.int64
     )
+    g, weights = reduced_weights(problem.weights)
+    quota = -(-problem.quota // g)
     profiles = chain.from_iterable(
         _profiles_with_roots(network, roots) for roots in root_sets
     )
-    # the winner minimizes (-min key, sort_key), a total order: per chunk
-    # only the rows at the chunk's best key can hold it
-    best_rank = best_profile = None
+    # the winner minimizes (-min key, sort_key); every profile has the same
+    # (zero) change count in the shared rank
+    best = None
     for chunk in batches(profiles, n):
-        gamma = coalition_weight_table([p.choices for p in chunk], problem.weights)
+        parents = np.array([p.sort_key() for p in chunk], dtype=np.intp)
+        masks, _ = chain_masks(parents)
+        gamma = coalition_weight_table(masks, weights)
         keys = None
         for v in range(n):
-            counts = swing_counts_from_table(gamma, n, problem.quota, v)
+            counts = swing_counts_from_table(gamma, n, quota, v)
             key = counts.sum(axis=1) if banzhaf else counts @ size_weights
             keys = key if keys is None else np.minimum(keys, key)
-        top = int(keys.max())
-        for i in np.flatnonzero(keys == top):
-            rank = (-top, chunk[i].sort_key())
-            if best_rank is None or rank < best_rank:
-                best_rank, best_profile = rank, chunk[i]
+        rank = best_rank(keys, np.zeros(len(chunk), dtype=np.intp), parents)
+        if best is None or rank < best:
+            best = rank
+    best_profile = DelegationProfile.from_parents(best[2])
     counts = all_swing_counts_fast(
         best_profile.choices, problem.weights, problem.quota
     )
@@ -225,9 +225,8 @@ def mmwp_leafmin(
             "the leaf shortcut is only proven for the swing-count measure"
         )
     n = election.n
-    forest = build_forest(profile, election.weights)
-    leaves = [v for v in range(n) if forest.subtree_size[v] == 1]
     evaluated = election.with_profile(profile)
+    leaves = [v for v in range(n) if evaluated.forest.subtree_size[v] == 1]
     if n <= TABLE_LIMIT:
         counts = all_swing_counts_fast(
             profile.choices, election.weights, election.quota

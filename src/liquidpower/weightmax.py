@@ -32,7 +32,8 @@ from .bribery import (
     enumerate_neighborhood,
     neighborhood_size,
 )
-from .core import SELF, DelegationProfile, LiquidElection, build_forest
+from .coalition_table import best_rank, reduced_weights
+from .core import SELF, DelegationProfile, LiquidElection
 from .errors import (
     InstanceTooLargeForEnumeration,
     NoSpanningArborescence,
@@ -143,7 +144,9 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
     """Best reachable support by brute force over the change neighborhood.
 
     Maximizes the weight the target casts; ties prefer fewer changes, then
-    the lexicographically smallest profile.
+    the lexicographically smallest profile.  The target casts the weight of
+    the voters whose chain contains it, read off the blocks' chain masks,
+    when it votes personally, and nothing otherwise.
     """
     election = problem.election
     if election.n > ENUMERATION_VOTER_LIMIT:
@@ -154,31 +157,20 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
         raise InstanceTooLargeForEnumeration(
             f"change neighborhood exceeds the cap of {NEIGHBORHOOD_CAP}"
         )
-    base = election.profile
-    best_support = -1
-    best_changes = 0
-    best_profile = base
-    for profile in enumerate_neighborhood(election, problem.budget):
-        forest = build_forest(profile, election.weights)
-        support = forest.acc_weight[problem.target]
-        if support < best_support:
-            continue
-        changes = len(base.changed_voters(profile))
-        if (
-            support > best_support
-            or changes < best_changes
-            or (
-                changes == best_changes
-                and profile.sort_key() < best_profile.sort_key()
-            )
-        ):
-            best_support = support
-            best_changes = changes
-            best_profile = profile
+    t = problem.target
+    g, weights = reduced_weights(election.weights)
+    best = None
+    for parents, masks, changes in enumerate_neighborhood(election, problem.budget):
+        support = np.where(parents[:, t] == t, (masks >> t & 1) @ weights, 0)
+        rank = best_rank(support, changes, parents)
+        if best is None or rank < best:
+            best = rank
+    neg_support, best_changes, best_parents = best
+    best_support = -neg_support * g
     decision = best_support >= problem.tau
     return WeightMaxOutcome(
         decision,
-        best_profile if decision else None,
+        DelegationProfile.from_parents(best_parents) if decision else None,
         best_support,
         best_changes if decision else 0,
     )

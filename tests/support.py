@@ -9,6 +9,7 @@ from liquidpower.core import (
     SocialNetwork,
     validate,
 )
+from liquidpower.bribery import enumerate_neighborhood
 
 
 def eight_voter_election() -> LiquidElection:
@@ -24,6 +25,15 @@ def eight_voter_election() -> LiquidElection:
     network = SocialNetwork.from_arcs(8, delegation_arcs + extra_arcs)
     profile = DelegationProfile((2, 2, SELF, 6, 5, 6, 7, SELF))
     return validate(network, (1,) * 8, profile, 3)
+
+
+def neighborhood_profiles(election: LiquidElection, k: int) -> list[DelegationProfile]:
+    """The profiles of ``enumerate_neighborhood``'s blocks, in order."""
+    return [
+        DelegationProfile.from_parents(row)
+        for parents, _masks, _changes in enumerate_neighborhood(election, k)
+        for row in parents.tolist()
+    ]
 
 
 def three_voter_line_election(delegate_third: bool) -> LiquidElection:

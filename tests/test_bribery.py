@@ -26,7 +26,7 @@ from liquidpower.bribery import (
     solve_bribery_exact,
 )
 from liquidpower.exact import MeasureKind, banzhaf_exact, shapley_exact
-from support import eight_voter_election, random_election
+from support import eight_voter_election, neighborhood_profiles, random_election
 
 
 def _three_self_voters(quota=2):
@@ -54,25 +54,25 @@ def _brute_neighborhood(election, k):
 
 def test_zero_budget_neighborhood_is_the_original():
     election = _three_self_voters()
-    profiles = list(enumerate_neighborhood(election, 0))
+    profiles = neighborhood_profiles(election, 0)
     assert profiles == [election.profile]
 
 
 def test_three_voters_one_change_gives_seven_profiles():
     election = _three_self_voters()
-    profiles = list(enumerate_neighborhood(election, 1))
+    profiles = neighborhood_profiles(election, 1)
     assert len(profiles) == 7  # the original plus 3 voters x 2 targets
     assert len({p.choices for p in profiles}) == 7
 
 
 def test_three_voters_two_changes_match_brute_filter():
     election = _three_self_voters()
-    ours = {p.choices for p in enumerate_neighborhood(election, 2)}
+    ours = {p.choices for p in neighborhood_profiles(election, 2)}
     brute = _brute_neighborhood(election, 2)
     assert ours == brute
     assert len(ours) == 16  # 1 + 6 singles + 9 acyclic pairs
     # and each profile was produced exactly once
-    assert len(list(enumerate_neighborhood(election, 2))) == 16
+    assert len(neighborhood_profiles(election, 2)) == 16
 
 
 def test_enumeration_matches_brute_filter_on_randoms():
@@ -80,7 +80,7 @@ def test_enumeration_matches_brute_filter_on_randoms():
     for _ in range(20):
         election = random_election(rng, n_min=2, n_max=5)
         k = rng.randint(0, 2)
-        ours = [p.choices for p in enumerate_neighborhood(election, k)]
+        ours = [p.choices for p in neighborhood_profiles(election, k)]
         assert len(ours) == len(set(ours))
         assert set(ours) == _brute_neighborhood(election, k)
 
@@ -93,7 +93,30 @@ def test_neighborhood_size_is_a_tight_upper_bound():
     for _ in range(10):
         e = random_election(rng, n_min=2, n_max=5)
         k = rng.randint(0, 2)
-        assert neighborhood_size(e, k) >= len(list(enumerate_neighborhood(e, k)))
+        assert neighborhood_size(e, k) >= len(neighborhood_profiles(e, k))
+
+
+def test_blocks_stay_within_the_row_bound(monkeypatch):
+    rng = random.Random(7_303)
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        election = random_election(rng, n_min=n, n_max=n, complete=rng.random() < 0.5)
+        k = rng.randint(1, 3)
+        expected = neighborhood_profiles(election, k)
+        for chunk_cells in (coalition_table.CHUNK_CELLS, 5 << n, 3 << n, 1):
+            monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+            profiles = []
+            for parents, masks, changes in enumerate_neighborhood(election, k):
+                assert 1 <= len(parents) <= max(1, chunk_cells >> n)
+                assert masks.shape == parents.shape == (len(changes), n)
+                for row, row_masks, row_changes in zip(parents, masks, changes):
+                    profile = DelegationProfile.from_parents(row)
+                    forest = election.with_profile(profile).forest
+                    assert row_masks.tolist() == list(forest.chain_mask)
+                    assert row_changes == len(election.profile.changed_voters(profile))
+                    profiles.append(profile)
+            assert profiles == expected
+        monkeypatch.undo()
 
 
 # --- exact solver ---------------------------------------------------------
@@ -238,6 +261,26 @@ def test_chunk_boundaries_change_no_outcome(monkeypatch):
             monkeypatch.undo()
             assert outcomes[1] == outcomes[0]
             assert outcomes[2] == outcomes[0]
+
+
+def test_large_weights_give_the_exact_value():
+    # three voters of weight 2**62 and quota 2**63: their coalition weights
+    # overflow int64 unless the weights are divided by their gcd first
+    network = SocialNetwork.complete(3)
+    election = validate(network, (1 << 62,) * 3, DelegationProfile.all_self(3), 1 << 63)
+    problem = BriberyProblem(election, 0, 0, Fraction(1, 2), BriberyObjective.MAX_BANZHAF)
+    outcome = solve_bribery_exact(problem)
+    assert outcome.value == banzhaf_exact(election, 0) == Fraction(1, 2)
+    assert outcome.profile == election.profile
+
+
+def test_weights_that_overflow_even_reduced_are_refused():
+    weights = (1 << 62, (1 << 62) + 1, 1 << 62)  # gcd 1, total above 2**63
+    network = SocialNetwork.complete(3)
+    election = validate(network, weights, DelegationProfile.all_self(3), 1 << 63)
+    problem = BriberyProblem(election, 0, 1, Fraction(1, 2), BriberyObjective.MAX_BANZHAF)
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        solve_bribery_exact(problem)
 
 
 def test_voter_count_guard():

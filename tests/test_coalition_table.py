@@ -5,11 +5,16 @@ import random
 import pytest
 
 import oracle
-from liquidpower import InstanceTooLargeForEnumeration, SELF
+from liquidpower import (
+    DelegationProfile,
+    InstanceTooLargeForEnumeration,
+    build_forest,
+    find_delegation_cycle,
+)
 from liquidpower.coalition_table import (
     TABLE_LIMIT,
     all_swing_counts_fast,
-    chain_masks_of,
+    chain_masks,
     coalition_weight_table,
     swing_counts_fast,
     swing_counts_from_table,
@@ -18,20 +23,47 @@ from liquidpower.exact import swing_size_counts
 from support import eight_voter_election, random_election, random_profile
 
 
+def _masks(choices_rows):
+    """Chain masks of acyclic profiles given by their choices."""
+    parents = [DelegationProfile(choices).sort_key() for choices in choices_rows]
+    masks, acyclic = chain_masks(parents)
+    assert acyclic.all()
+    return masks
+
+
 def test_chain_masks_on_fixture():
     election = eight_voter_election()
-    masks = chain_masks_of(election.profile.choices)
+    masks = _masks([election.profile.choices])[0]
     # voter 0 delegates through 2; voter 4 through 5 -> 6 -> 7
     assert masks[0] == (1 << 0) | (1 << 2)
     assert masks[2] == 1 << 2
     assert masks[4] == (1 << 4) | (1 << 5) | (1 << 6) | (1 << 7)
 
 
+def test_chain_masks_agree_with_the_forest_on_random_rows():
+    # random parent rows, cyclic ones included: the kernel's acyclic flag
+    # is the cycle finder's verdict, and its masks the forest's
+    rng = random.Random(20_404)
+    for n in range(1, 11):
+        rows = [[rng.randrange(n) for _ in range(n)] for _ in range(60)]
+        rows += [list(range(n))]  # everyone votes personally
+        masks, acyclic = chain_masks(rows)
+        assert masks.shape == (len(rows), n) and acyclic.shape == (len(rows),)
+        for row, row_masks, row_acyclic in zip(rows, masks, acyclic):
+            profile = DelegationProfile.from_parents(row)
+            cycle = find_delegation_cycle(profile.choices)
+            assert row_acyclic == (cycle is None)
+            if cycle is None:
+                forest = build_forest(profile, (1,) * n)
+                assert row_masks.tolist() == list(forest.chain_mask)
+        assert acyclic[-1]
+
+
 def test_weight_table_matches_oracle():
     rng = random.Random(20_401)
     for _ in range(25):
         election = random_election(rng, n_min=2, n_max=7)
-        gamma = coalition_weight_table([election.profile.choices], election.weights)[0]
+        gamma = coalition_weight_table(_masks([election.profile.choices]), election.weights)[0]
         for mask in range(1 << election.n):
             members = {v for v in range(election.n) if mask >> v & 1}
             assert gamma[mask] == oracle.coalition_weight(
@@ -73,7 +105,16 @@ def test_banzhaf_fast_on_fixture():
 def test_table_size_guard():
     n = TABLE_LIMIT + 1
     with pytest.raises(InstanceTooLargeForEnumeration):
-        coalition_weight_table([(SELF,) * n], (1,) * n)
+        coalition_weight_table(_masks([(None,) * n]), (1,) * n)
+
+
+def test_table_weight_overflow_guard():
+    # the coalition of all three would weigh 3 * 2**62, past int64
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        coalition_weight_table(_masks([(None,) * 3]), (1 << 62,) * 3)
+    # the fast routes divide the weights by their gcd and stay exact
+    counts = all_swing_counts_fast((None,) * 3, (1 << 62,) * 3, 1 << 63)
+    assert counts == [[0, 2, 0]] * 3
 
 
 def test_batched_tables_stack_the_single_profile_tables():
@@ -82,10 +123,11 @@ def test_batched_tables_stack_the_single_profile_tables():
         n = rng.randint(2, 7)
         election = random_election(rng, n_min=n, n_max=n)
         rows = [random_profile(rng, election.network).choices for _ in range(5)]
-        gamma = coalition_weight_table(rows, election.weights)
+        gamma = coalition_weight_table(_masks(rows), election.weights)
         assert gamma.shape == (5, 1 << n)
         for p, choices in enumerate(rows):
-            assert (gamma[p] == coalition_weight_table([choices], election.weights)[0]).all()
+            single = coalition_weight_table(_masks([choices]), election.weights)[0]
+            assert (gamma[p] == single).all()
             for mask in range(1 << n):
                 members = {v for v in range(n) if mask >> v & 1}
                 assert gamma[p, mask] == oracle.coalition_weight(

@@ -17,6 +17,8 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
+from liquidpower import coalition_table
+from liquidpower.bribery import enumerate_neighborhood, neighborhood_size
 from liquidpower.weightmax import (
     WeightMaxOutcome,
     WeightMaxProblem,
@@ -112,6 +114,47 @@ def test_exact_matches_brute_force_support():
                 )
         outcome = wmaxp_exact(WeightMaxProblem(election, target, k, 1))
         assert outcome.support == best
+
+
+def test_exact_chunk_boundaries_change_no_outcome(monkeypatch):
+    # equal supports must resolve the same way whether the candidates share
+    # a block or not; one-row blocks also meet all-cyclic (skipped) blocks
+    rng = random.Random(9_002)
+    skipped = 0
+    for _ in range(12):
+        n = rng.randint(2, 7)
+        election = random_election(
+            rng, n_min=n, n_max=n, w_max=3, complete=rng.random() < 0.5
+        )
+        target = rng.randrange(n)
+        budget = rng.randint(1, 3)
+        problem = WeightMaxProblem(election, target, budget, 1)
+        outcomes = []
+        for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
+            monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+            outcomes.append(wmaxp_exact(problem))
+        blocks = sum(1 for _ in enumerate_neighborhood(election, budget))
+        skipped += neighborhood_size(election, budget) - blocks
+        monkeypatch.undo()
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+    assert skipped > 0
+
+
+def test_exact_with_large_weights_is_exact():
+    # coalition weights of 3 * 2**62 overflow int64 unless the weights are
+    # divided by their gcd first
+    network = SocialNetwork.complete(3)
+    election = validate(network, (1 << 62,) * 3, DelegationProfile.all_self(3), 1 << 63)
+    outcome = wmaxp_exact(WeightMaxProblem(election, 0, 2, 3 << 62))
+    assert (outcome.decision, outcome.support, outcome.changes) == (True, 3 << 62, 2)
+    assert outcome.profile.choices == (SELF, 0, 0)
+    outcome = wmaxp_exact(WeightMaxProblem(election, 0, 0, 1 << 62))
+    assert (outcome.decision, outcome.support) == (True, 1 << 62)
+    weights = (1 << 62, (1 << 62) + 1, 1 << 62)  # gcd 1, total above 2**63
+    election = validate(network, weights, DelegationProfile.all_self(3), 1 << 63)
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        wmaxp_exact(WeightMaxProblem(election, 0, 2, 1))
 
 
 # --- full support -----------------------------------------------------------
