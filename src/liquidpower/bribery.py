@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations
-from math import factorial, prod
 
 import numpy as np
 
-from . import coalition_table
 from .coalition_table import (
     best_rank,
-    chain_masks,
     coalition_weight_table,
+    measure_key_weights,
+    product_blocks,
     reduced_weights,
     swing_counts_from_table,
 )
@@ -129,10 +128,9 @@ def enumerate_neighborhood(election: LiquidElection, k: int):
     ``(P, n)`` intp array whose rows are the profiles' sort keys (a
     self-voter is its own parent), ``masks`` the ``(P, n)`` chain masks of
     :func:`coalition_table.chain_masks` and ``changes`` the ``(P,)`` change
-    counts.  Candidates are filled in per changed-voter subset, a large
-    subset's product sliced over several blocks, so no block holds more than
-    ``max(1, CHUNK_CELLS >> n)`` rows; blocks whose candidates are all
-    cyclic are skipped.
+    counts.  The neighbourhood is one product per changed-voter subset (the
+    subset's voters range over their changed options), cut into blocks by
+    :func:`coalition_table.product_blocks`.
     """
     n = election.n
     base = np.array(election.profile.sort_key(), dtype=np.intp)
@@ -140,44 +138,11 @@ def enumerate_neighborhood(election: LiquidElection, k: int):
         np.array([v if c is SELF else c for c in opts], dtype=np.intp)
         for v, opts in enumerate(_change_options(election))
     ]
-    size = max(1, coalition_table.CHUNK_CELLS >> n)
-    rows = np.empty((size, n), dtype=np.intp)
-    changes = np.empty(size, dtype=np.intp)
-    filled = 0
     subsets = chain.from_iterable(
         combinations(range(n), s) for s in range(min(k, n) + 1)
     )
-    for subset in subsets:
-        pools = [options[v] for v in subset]
-        total = prod(len(pool) for pool in pools)
-        start = 0
-        while start < total:
-            stop = min(total, start + size - filled)
-            block = rows[filled : filled + stop - start]
-            block[:] = base
-            # candidate i of the subset is product()'s i-th combination:
-            # its digits in the pools' mixed radix, the last voter fastest
-            index = np.arange(start, stop)
-            for v, pool in zip(reversed(subset), reversed(pools)):
-                index, digit = np.divmod(index, len(pool))
-                block[:, v] = pool[digit]
-            changes[filled : filled + stop - start] = len(subset)
-            filled += stop - start
-            start = stop
-            if filled == size:
-                yield from _acyclic_rows(rows, changes)
-                filled = 0
-    if filled:
-        yield from _acyclic_rows(rows[:filled], changes[:filled])
-
-
-def _acyclic_rows(rows, changes):
-    """The acyclic rows of a candidate block with their masks and change
-    counts (copies, so the caller may refill its buffers); nothing when all
-    rows are cyclic."""
-    masks, acyclic = chain_masks(rows)
-    if acyclic.any():
-        yield rows[acyclic], masks[acyclic], changes[acyclic]
+    products = ((base, subset, [options[v] for v in subset]) for subset in subsets)
+    yield from product_blocks(products, n)
 
 
 def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
@@ -198,14 +163,10 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
         raise InstanceTooLargeForEnumeration(
             f"neighborhood of {bound} candidate profiles exceeds the cap of {NEIGHBORHOOD_CAP}"
         )
-    banzhaf = problem.objective.kind is MeasureKind.BANZHAF
     sign = 1 if problem.objective.maximize else -1
-    # integer scoring key avoids per-profile Fraction construction:
-    # total swings for the penetration measure, sum of s!(n-1-s)!-weighted
-    # counts (denominator n!, at most 16! under the table limit, so int64
-    # holds it) for the pivotal-order measure
-    size_weights = np.array(
-        [factorial(s) * factorial(n - 1 - s) for s in range(n)], dtype=np.int64
+    # an integer scoring key avoids per-profile Fraction construction
+    size_weights, denominator = measure_key_weights(
+        problem.objective.kind is MeasureKind.BANZHAF, n
     )
     g, weights = reduced_weights(election.weights)
     quota = -(-election.quota // g)
@@ -213,13 +174,13 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     best = None
     for parents, masks, changes in enumerate_neighborhood(election, problem.budget):
         gamma = coalition_weight_table(masks, weights)
-        counts = swing_counts_from_table(gamma, n, quota, problem.target)
-        keys = sign * (counts.sum(axis=1) if banzhaf else counts @ size_weights)
+        keys = sign * swing_counts_from_table(
+            gamma, n, quota, [problem.target], size_weights
+        )[:, 0]
         rank = best_rank(keys, changes, parents)
         if best is None or rank < best:
             best = rank
     neg_key, best_changes, best_parents = best
-    denominator = 1 << n - 1 if banzhaf else factorial(n)
     value = Fraction(-sign * neg_key, denominator)
     if problem.objective.maximize:
         decision = value >= problem.threshold
@@ -257,6 +218,7 @@ def gamw(
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    kind = MeasureKind(kind)
     n = election.n
     choices = list(election.profile.choices)
     network = election.network

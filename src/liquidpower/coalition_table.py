@@ -8,27 +8,32 @@ all call overhead.  This module therefore works on blocks of P profiles,
 each given as a row of parents (a self-voter is its own parent, so a row
 equals :meth:`DelegationProfile.sort_key`):
 
+* :func:`product_blocks` generates the candidate rows of a stream of
+  products (a base row whose free voters range over option pools) in blocks
+  of at most :data:`CHUNK_CELLS` table cells, keeping the acyclic rows;
+  bribery's change neighbourhood and maximin's root sets are such streams;
 * :func:`chain_masks` resolves every voter's delegation chain, and tells the
   acyclic rows apart, by pointer doubling in ``ceil(log2 n)`` array steps;
 * :func:`coalition_weight_table` computes the active-member weight of every
   coalition mask for all P profiles (a ``(P, 2**n)`` table);
-* :func:`swing_counts_from_table` derives per-size swing counts of one voter
-  for all P profiles from two table lookups per coalition;
+* :func:`swing_counts_from_table` sums, for any set of voters and all P
+  profiles at once, a per-size weight over the coalitions each voter swings:
+  all-ones weights give the swing total, ``s!(n-1-s)!`` the Shapley
+  numerator, a unit vector the count of one size;
+* :func:`measure_key_weights` gives those weights for each measure;
 * :func:`best_rank` picks a block's winner under the search solvers' shared
   tie-break.
 
-:func:`batches` cuts a stream of profiles into chunks of at most
-:data:`CHUNK_CELLS` table cells.  Results are exact integers; weights are
-divided by their gcd (:func:`reduced_weights`) so that tables stay in int64,
-and games whose reduced total weight still overflows are refused.  The
-pure-Python enumeration in :mod:`liquidpower.exact` serves as the independent
+Results are exact integers; weights are divided by their gcd
+(:func:`reduced_weights`) so that tables stay in int64, and games whose
+reduced total weight still overflows are refused.  The pure-Python
+enumeration in :mod:`liquidpower.exact` serves as the independent
 cross-check.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
-from math import comb, gcd
+from math import factorial, gcd, prod
 
 import numpy as np
 
@@ -38,16 +43,58 @@ from .errors import CycleInDelegations, InstanceTooLargeForEnumeration
 TABLE_LIMIT = 16  # 2^16 coalition masks is the comfort ceiling for this path
 CHUNK_CELLS = 1 << 16  # table cells per batch: 256 profiles at n=8
 INT64_MAX = (1 << 63) - 1
+INT32_MAX = (1 << 31) - 1
 MASK_BITS = 63  # voters a non-negative int64 chain mask can hold
 
 
-def batches(profiles, n: int):
-    """Consecutive lists of ``profiles`` whose ``n``-voter tables fill at
-    most :data:`CHUNK_CELLS` cells together (always at least one profile)."""
+def product_blocks(products, n: int):
+    """The acyclic rows of a stream of candidate products, in numpy blocks.
+
+    Each product is ``(base, free, pools)``: a length-``n`` parent row, a
+    sequence of free voters and one option array per free voter; its
+    candidates are the base row with every free voter set to each
+    combination of its pool's options, in :func:`itertools.product` order
+    (the last free voter fastest).  Candidates of consecutive products share
+    blocks of at most ``max(1, CHUNK_CELLS >> n)`` rows, a large product
+    being sliced over several.  Yields ``(parents, masks, free_counts)``
+    for the acyclic rows of each block: the ``(P, n)`` parent rows, their
+    chain masks (see :func:`chain_masks`) and each row's number of free
+    voters; blocks whose candidates are all cyclic are skipped.
+    """
     size = max(1, CHUNK_CELLS >> n)
-    it = iter(profiles)
-    while chunk := list(islice(it, size)):
-        yield chunk
+    rows = np.empty((size, n), dtype=np.intp)
+    free_counts = np.empty(size, dtype=np.intp)
+    filled = 0
+    for base, free, pools in products:
+        total = prod(len(pool) for pool in pools)
+        start = 0
+        while start < total:
+            stop = min(total, start + size - filled)
+            block = rows[filled : filled + stop - start]
+            block[:] = base
+            # candidate i of the product: its digits in the pools' mixed
+            # radix, the last free voter fastest
+            index = np.arange(start, stop)
+            for v, pool in zip(reversed(free), reversed(pools)):
+                index, digit = np.divmod(index, len(pool))
+                block[:, v] = pool[digit]
+            free_counts[filled : filled + stop - start] = len(free)
+            filled += stop - start
+            start = stop
+            if filled == size:
+                yield from _acyclic_rows(rows, free_counts)
+                filled = 0
+    if filled:
+        yield from _acyclic_rows(rows[:filled], free_counts[:filled])
+
+
+def _acyclic_rows(rows, free_counts):
+    """The acyclic rows of a candidate block with their masks and free
+    counts (copies, so the caller may refill its buffers); nothing when all
+    rows are cyclic."""
+    masks, acyclic = chain_masks(rows)
+    if acyclic.any():
+        yield rows[acyclic], masks[acyclic], free_counts[acyclic]
 
 
 def chain_masks(parents) -> tuple[np.ndarray, np.ndarray]:
@@ -128,25 +175,47 @@ def coalition_weight_table(masks, weights) -> np.ndarray:
 
 
 def swing_counts_from_table(
-    gamma: np.ndarray, n: int, quota: int, voter: int
+    gamma: np.ndarray, n: int, quota: int, voters, size_weights
 ) -> np.ndarray:
-    """Per-size swing counts of one voter for every row of a weight table.
+    """Size-weighted swing counts of some voters for every row of a table.
 
-    Returns a ``(P, n)`` int64 array: entry ``[p, s]`` counts the coalitions
-    of size ``s`` without ``voter`` that ``voter`` turns from losing to
-    winning under profile ``p``.
+    ``gamma`` is a ``(P, 2**n)`` table of :func:`coalition_weight_table`;
+    the result is a ``(P, len(voters))`` int64 array whose entry ``[p, i]``
+    sums ``size_weights[|C|]`` over the coalitions ``C`` without
+    ``voters[i]`` that the voter turns from losing to winning under profile
+    ``p``.
     """
-    p = len(gamma)
-    # split every mask at the voter's bit: [:, 0] lacks the voter, [:, 1]
-    # is the same coalition with it; a swing wins only with the voter
-    wins = (gamma.T >= quota).reshape(-1, 2, 1 << voter, p)
-    swing = (wins[:, 1] > wins[:, 0]).reshape(-1, p)
-    # row r of ``swing`` is the coalition whose other members are the bits
-    # of r; sum the rows size by size (C(n-1, s) rows of size s)
-    sizes = np.fromiter(map(int.bit_count, range(1 << n - 1)), np.intp, 1 << n - 1)
-    by_size = swing.take(sizes.argsort(kind="stable"), axis=0)
-    starts = [0, *accumulate(comb(n - 1, s) for s in range(n - 1))]
-    return np.add.reduceat(by_size, starts, axis=0, dtype=np.int64).T
+    # the table's columns are contiguous (one per profile)
+    wins = gamma.T >= quota
+    p = wins.shape[1]
+    half = 1 << n - 1
+    swing = np.empty((len(voters), half, p), dtype=bool)
+    for i, v in enumerate(voters):
+        # split every mask at the voter's bit: [:, 0] lacks the voter, [:, 1]
+        # is the same coalition with it; a swing wins only with the voter.
+        # Row r of the split is the coalition whose other members are r's bits
+        split = wins.reshape(-1, 2, 1 << v, p)
+        np.greater(split[:, 1], split[:, 0], out=swing[i].reshape(-1, 1 << v, p))
+    sizes = np.fromiter(map(int.bit_count, range(half)), np.intp, half)
+    weights = np.asarray(size_weights, dtype=np.int64)[sizes]
+    # einsum sums in the weights' dtype; no entry exceeds the sum of all
+    # weights, and while that fits int32 the sums run about 3x faster
+    if int(np.abs(weights).sum()) <= INT32_MAX:
+        weights = weights.astype(np.int32)
+    return np.einsum("vrp,r->pv", swing, weights).astype(np.int64)
+
+
+def measure_key_weights(banzhaf: bool, n: int) -> tuple[list[int], int]:
+    """Size weights and denominator of a measure's integer swing key.
+
+    All-ones weights make the key the swing total, and the Banzhaf value is
+    the key over ``2**(n-1)``; weights ``s!(n-1-s)!`` make it the Shapley
+    numerator, at most ``n!`` (16! under the table limit, so int64 holds
+    it), and the value is the key over ``n!``.
+    """
+    if banzhaf:
+        return [1] * n, 1 << n - 1
+    return [factorial(s) * factorial(n - 1 - s) for s in range(n)], factorial(n)
 
 
 def best_rank(keys, changes, parents) -> tuple[int, int, tuple[int, ...]]:

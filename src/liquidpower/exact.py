@@ -169,6 +169,7 @@ def shapley_exact(game: EvaluableGame, voter: int, *, method: str = "auto") -> F
 def power_index(
     game: EvaluableGame, voter: int, kind: MeasureKind, *, method: str = "auto"
 ) -> Fraction:
+    kind = MeasureKind(kind)
     counts = swing_size_counts(game, voter, method=method)
     if kind is MeasureKind.BANZHAF:
         return banzhaf_from_counts(counts, game.n_voters)

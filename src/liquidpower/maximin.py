@@ -12,22 +12,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
-from math import factorial
+from itertools import combinations
 
 import numpy as np
 
 from .coalition_table import (
     TABLE_LIMIT,
     all_swing_counts_fast,
-    batches,
     best_rank,
     chain_masks,
     coalition_weight_table,
+    measure_key_weights,
+    product_blocks,
     reduced_weights,
     swing_counts_from_table,
 )
-from .core import SELF, DelegationProfile, LiquidElection, SocialNetwork
+from .core import DelegationProfile, LiquidElection, SocialNetwork
 from .dp import banzhaf_dp
 from .errors import (
     InstanceTooLargeForEnumeration,
@@ -36,7 +36,7 @@ from .errors import (
     NonPositiveWeight,
     QuotaOutOfRange,
 )
-from .exact import MeasureKind, banzhaf_from_counts, shapley_from_counts
+from .exact import MeasureKind
 
 BRUTEFORCE_VOTER_LIMIT = 8
 PROFILE_CAP = 500_000
@@ -64,6 +64,7 @@ class MaximinProblem:
             )
         if not 1 <= self.gurus <= n:
             raise ValueError(f"guru count {self.gurus} outside [1, {n}]")
+        object.__setattr__(self, "kind", MeasureKind(self.kind))
 
 
 @dataclass(frozen=True)
@@ -73,44 +74,32 @@ class MaximinSolution:
     per_voter: tuple[Fraction, ...]
 
 
-def _profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]):
-    """Acyclic profiles whose personally-voting voters are exactly ``roots``.
+def _profiles_with_roots(network: SocialNetwork, root_sets):
+    """Acyclic profiles whose personally-voting voters are exactly one of
+    ``root_sets``, as numpy blocks ``(parents, masks)``.
 
-    Non-roots take one out-neighbor each; chains then terminate at roots
-    exactly when no cycle forms, which is pruned during assignment.
+    Per root set the candidates are one product: the roots fixed to
+    themselves, every other voter ranging over its out-neighbours.  A
+    candidate is acyclic exactly when every chain ends at a root, so
+    :func:`coalition_table.product_blocks` keeps the wanted profiles; a
+    block may span root sets.  ``parents`` and ``masks`` are ``(P, n)``
+    arrays of parent rows (sort keys) and chain masks.
     """
     n = network.n
-    root_set = set(roots)
-    followers = [v for v in range(n) if v not in root_set]
-    choices: list = [SELF] * n
+    identity = np.arange(n, dtype=np.intp)
+    pools = [np.array(network.out_neighbors[v], dtype=np.intp) for v in range(n)]
 
-    def acyclic_after(start: int) -> bool:
-        seen = set()
-        v = start
-        while choices[v] is not SELF:
-            if v in seen:
-                return False
-            seen.add(v)
-            v = choices[v]
-        return True
+    def rooted(roots):
+        free = [v for v in range(n) if v not in roots]
+        return identity, free, [pools[v] for v in free]
 
-    def assign(i: int):
-        if i == len(followers):
-            yield DelegationProfile(tuple(choices))
-            return
-        v = followers[i]
-        for u in network.out_neighbors[v]:
-            choices[v] = u
-            if acyclic_after(v):
-                yield from assign(i + 1)
-        choices[v] = SELF
-
-    yield from assign(0)
+    for parents, masks, _ in product_blocks(map(rooted, root_sets), n):
+        yield parents, masks
 
 
 def _count_profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]) -> int:
-    """Number of profiles :func:`_profiles_with_roots` yields, without
-    enumerating them.
+    """Number of profiles :func:`_profiles_with_roots` yields for one root
+    set, without enumerating them.
 
     Those profiles are the spanning in-forests rooted at ``roots``; by the
     directed matrix-tree theorem they number ``det((D_out - A)[V-R, V-R])``,
@@ -172,38 +161,27 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
         raise NoFeasibleProfile(
             f"no acyclic profile with exactly {problem.gurus} personally-voting voters"
         )
-    banzhaf = problem.kind is MeasureKind.BANZHAF
-    # integer scoring key per voter: total swings (denominator 2^(n-1)) or
-    # s!(n-1-s)!-weighted counts (denominator n!, fits int64 for n <= 16)
-    size_weights = np.array(
-        [factorial(s) * factorial(n - 1 - s) for s in range(n)], dtype=np.int64
+    # an integer scoring key per voter avoids per-profile Fractions
+    size_weights, denominator = measure_key_weights(
+        problem.kind is MeasureKind.BANZHAF, n
     )
     g, weights = reduced_weights(problem.weights)
     quota = -(-problem.quota // g)
-    profiles = chain.from_iterable(
-        _profiles_with_roots(network, roots) for roots in root_sets
-    )
-    # the winner minimizes (-min key, sort_key); every profile has the same
-    # (zero) change count in the shared rank
+    voters = range(n)
+    # the winner minimizes (-min key, parent row); every profile has the
+    # same (zero) change count in the shared rank
     best = None
-    for chunk in batches(profiles, n):
-        parents = np.array([p.sort_key() for p in chunk], dtype=np.intp)
-        masks, _ = chain_masks(parents)
+    for parents, masks in _profiles_with_roots(network, root_sets):
         gamma = coalition_weight_table(masks, weights)
-        keys = None
-        for v in range(n):
-            counts = swing_counts_from_table(gamma, n, quota, v)
-            key = counts.sum(axis=1) if banzhaf else counts @ size_weights
-            keys = key if keys is None else np.minimum(keys, key)
-        rank = best_rank(keys, np.zeros(len(chunk), dtype=np.intp), parents)
+        keys = swing_counts_from_table(gamma, n, quota, voters, size_weights)
+        rank = best_rank(keys.min(axis=1), np.zeros(len(parents), np.intp), parents)
         if best is None or rank < best:
             best = rank
     best_profile = DelegationProfile.from_parents(best[2])
-    counts = all_swing_counts_fast(
-        best_profile.choices, problem.weights, problem.quota
-    )
-    from_counts = banzhaf_from_counts if banzhaf else shapley_from_counts
-    per_voter = tuple(from_counts(c, n) for c in counts)
+    masks, _ = chain_masks([best[2]])
+    gamma = coalition_weight_table(masks, weights)
+    keys = swing_counts_from_table(gamma, n, quota, voters, size_weights)[0]
+    per_voter = tuple(Fraction(int(key), denominator) for key in keys)
     return MaximinSolution(best_profile, min(per_voter), per_voter)
 
 
@@ -220,7 +198,7 @@ def mmwp_leafmin(
     ordering-based measure must take the full minimum.  Small instances are
     cross-checked against the full minimum.
     """
-    if kind is not MeasureKind.BANZHAF:
+    if MeasureKind(kind) is not MeasureKind.BANZHAF:
         raise MeasureNotSupported(
             "the leaf shortcut is only proven for the swing-count measure"
         )

@@ -316,6 +316,16 @@ def test_greedy_zero_budget_is_a_no_op():
     assert outcome.value == Fraction(1, 2)
 
 
+def test_greedy_takes_string_kinds_as_the_enum():
+    election = eight_voter_election()
+    for kind in MeasureKind:
+        assert gamw(election, 5, 1, kind=kind.value) == gamw(election, 5, 1, kind=kind)
+    banzhaf = gamw(election, 5, 1, kind="banzhaf").value
+    assert banzhaf != gamw(election, 5, 1, kind="shapley").value
+    with pytest.raises(ValueError):
+        gamw(election, 5, 1, kind="penrose")
+
+
 def test_greedy_redirects_the_heaviest_root_first():
     # roots 0 (five ballots) and 5 (three ballots); the greedy step must
     # pick voter 0 for the single available change

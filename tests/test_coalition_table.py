@@ -1,7 +1,9 @@
 """Vectorized coalition-weight tables against the reference oracle."""
 
 import random
+from math import factorial
 
+import numpy as np
 import pytest
 
 import oracle
@@ -134,9 +136,47 @@ def test_batched_tables_stack_the_single_profile_tables():
                     choices, election.weights, members
                 )
         voter = rng.randrange(n)
-        counts = swing_counts_from_table(gamma, n, election.quota, voter)
+        # unit size weights pick out one coalition size per call
+        counts = np.column_stack([
+            swing_counts_from_table(gamma, n, election.quota, [voter], np.eye(n, dtype=int)[s])
+            for s in range(n)
+        ])
         assert counts.shape == (5, n)
         for p, choices in enumerate(rows):
             assert counts[p].tolist() == swing_counts_fast(
                 choices, election.weights, election.quota, voter
             )
+
+
+def test_swing_kernel_weights_every_voter_like_the_single_profile_counts():
+    # all-ones weights give swing totals, factorial weights the Shapley
+    # numerator, unit vectors the count of one size; n=1 has one coalition
+    # without the voter (2**(n-1) == 1)
+    rng = random.Random(20_405)
+    for n in range(1, 9):
+        election = random_election(rng, n_min=n, n_max=n)
+        rows = [random_profile(rng, election.network).choices for _ in range(6)]
+        gamma = coalition_weight_table(_masks(rows), election.weights)
+        expected = [
+            all_swing_counts_fast(choices, election.weights, election.quota)
+            for choices in rows
+        ]
+        shapley = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
+        for size_weights in [[1] * n, shapley, *np.eye(n, dtype=int).tolist()]:
+            keys = swing_counts_from_table(
+                gamma, n, election.quota, range(n), size_weights
+            )
+            assert keys.shape == (len(rows), n) and keys.dtype == np.int64
+            for row_keys, counts in zip(keys.tolist(), expected):
+                assert row_keys == [
+                    sum(c * w for c, w in zip(voter_counts, size_weights))
+                    for voter_counts in counts
+                ]
+        # weights whose sums outgrow int32 are summed in int64
+        big = swing_counts_from_table(gamma, n, election.quota, range(n), [1 << 40] * n)
+        ones = swing_counts_from_table(gamma, n, election.quota, range(n), [1] * n)
+        assert (big == ones << 40).all()
+        # a subset of voters, in any order, gives the matching columns
+        voters = rng.sample(range(n), rng.randint(1, n))
+        subset = swing_counts_from_table(gamma, n, election.quota, voters, [1] * n)
+        assert (subset == ones[:, voters]).all()

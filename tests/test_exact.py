@@ -11,6 +11,7 @@ from liquidpower.exact import (
     MeasureKind,
     all_indices_exact,
     banzhaf_exact,
+    power_index,
     shapley_exact,
     swing_size_counts,
 )
@@ -102,3 +103,12 @@ def test_report_is_in_voter_order():
     report = all_indices_exact(e, MeasureKind.BANZHAF)
     assert report.values[7] == Fraction(1, 2)
     assert report.values == tuple(banzhaf_exact(e, v) for v in range(8))
+
+
+def test_string_kinds_take_the_enum_branch():
+    e = eight_voter_election()
+    assert power_index(e, 7, "banzhaf") == power_index(e, 7, MeasureKind.BANZHAF)
+    assert power_index(e, 7, "banzhaf") == banzhaf_exact(e, 7)
+    assert power_index(e, 7, "shapley") == shapley_exact(e, 7)
+    with pytest.raises(ValueError):
+        power_index(e, 7, "penrose")

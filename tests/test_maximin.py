@@ -91,8 +91,62 @@ def test_profile_count_matches_the_enumeration():
         network = election.network
         for k in range(1, network.n + 1):
             for roots in combinations(range(network.n), k):
-                expected = sum(1 for _ in maximin._profiles_with_roots(network, roots))
+                expected = sum(
+                    len(parents)
+                    for parents, _ in maximin._profiles_with_roots(network, [roots])
+                )
                 assert maximin._count_profiles_with_roots(network, roots) == expected
+
+
+def test_root_set_blocks_hold_each_rooted_profile_once(monkeypatch):
+    rng = random.Random(11_006)
+    for _ in range(25):
+        election = random_election(rng, n_min=1, n_max=7, arc_prob=rng.random())
+        network, n = election.network, election.network.n
+        k = rng.randint(1, n)
+        root_sets = list(combinations(range(n), k))
+        for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
+            monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+            every_row = []
+            for roots in root_sets:
+                rows = []
+                for parents, masks in maximin._profiles_with_roots(network, [roots]):
+                    assert 1 <= len(parents) <= max(1, chunk_cells >> n)
+                    assert masks.shape == parents.shape == (len(parents), n)
+                    for row, row_masks in zip(parents.tolist(), masks.tolist()):
+                        assert [v for v in range(n) if row[v] == v] == list(roots)
+                        forest = build_forest(DelegationProfile.from_parents(row), (1,) * n)
+                        assert row_masks == list(forest.chain_mask)
+                        rows.append(tuple(row))
+                assert len(set(rows)) == len(rows)
+                assert len(rows) == maximin._count_profiles_with_roots(network, roots)
+                every_row += rows
+            # blocks may span root sets but hold the same rows in the same order
+            spanning = [
+                tuple(row)
+                for parents, _ in maximin._profiles_with_roots(network, root_sets)
+                for row in parents.tolist()
+            ]
+            assert spanning == every_row
+        monkeypatch.undo()
+
+
+def test_string_kinds_take_the_enum_branch():
+    network = SocialNetwork.complete(4)
+    by_kind = {}
+    for kind in MeasureKind:
+        solution = mmwp_bruteforce(MaximinProblem(network, (1, 2, 3, 4), 6, 2, kind))
+        problem = MaximinProblem(network, (1, 2, 3, 4), 6, 2, kind.value)
+        assert problem.kind is kind
+        assert mmwp_bruteforce(problem) == solution
+        by_kind[kind] = solution.mu
+    assert by_kind == {MeasureKind.BANZHAF: Fraction(1, 4), MeasureKind.SHAPLEY: Fraction(1, 6)}
+    election = eight_voter_election()
+    assert mmwp_leafmin(election.profile, election, "banzhaf") == 0
+    with pytest.raises(MeasureNotSupported):
+        mmwp_leafmin(election.profile, election, "shapley")
+    with pytest.raises(ValueError):
+        MaximinProblem(network, (1, 2, 3, 4), 6, 2, "penrose")
 
 
 def test_oversized_search_is_refused_before_scoring(monkeypatch):
