@@ -36,7 +36,7 @@ from .core import (
 )
 from .dp import all_indices_dp, banzhaf_dp, shapley_dp
 from .errors import LiquidPowerError
-from .exact import MeasureKind, banzhaf_exact, shapley_exact
+from .exact import MeasureKind, all_indices_exact, power_index
 from .maximin import MaximinProblem, mmwp_bruteforce
 from .weightmax import (
     WeightMaxProblem,
@@ -127,12 +127,13 @@ def _cmd_index(args, instance) -> dict:
     else:
         voters = [_parse_voter(args.voter, election.n)]
 
-    def exact_value(v: int) -> Fraction:
-        fn = banzhaf_exact if kind is MeasureKind.BANZHAF else shapley_exact
-        return fn(election, v)
+    def exact_values() -> list[Fraction]:
+        if args.voter == "all":
+            return list(all_indices_exact(election, kind).values)
+        return [power_index(election, voters[0], kind)]
 
     if args.method == "exact":
-        values = [exact_value(v) for v in voters]
+        values = exact_values()
     else:
         if args.voter == "all":
             values = list(all_indices_dp(election, kind).values)
@@ -140,8 +141,7 @@ def _cmd_index(args, instance) -> dict:
             fn = banzhaf_dp if kind is MeasureKind.BANZHAF else shapley_dp
             values = [fn(election, voters[0])]
         if args.method == "both":  # compute twice, any divergence is a failure
-            for v, via_tables in zip(voters, values):
-                via_enumeration = exact_value(v)
+            for v, via_tables, via_enumeration in zip(voters, values, exact_values()):
                 if via_tables != via_enumeration:
                     raise CliError(
                         f"method divergence for voter {v + 1}: "

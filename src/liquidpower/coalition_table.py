@@ -26,9 +26,10 @@ equals :meth:`DelegationProfile.sort_key`):
 
 Results are exact integers; weights are divided by their gcd
 (:func:`reduced_weights`) so that tables stay in int64, and games whose
-reduced total weight still overflows are refused.  The pure-Python
-enumeration in :mod:`liquidpower.exact` serves as the independent
-cross-check.
+reduced total weight still overflows are refused.  The same table and
+kernel, on a single profile, are :mod:`liquidpower.exact`'s route for
+elections of up to :data:`TABLE_LIMIT` voters; the test suite checks them
+against exact's plain enumeration and an independent oracle.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from math import factorial, gcd, prod
 
 import numpy as np
 
-from .core import SELF, find_delegation_cycle
-from .errors import CycleInDelegations, InstanceTooLargeForEnumeration
+from .errors import InstanceTooLargeForEnumeration
 
 TABLE_LIMIT = 16  # 2^16 coalition masks is the comfort ceiling for this path
 CHUNK_CELLS = 1 << 16  # table cells per batch: 256 profiles at n=8
@@ -183,7 +183,8 @@ def swing_counts_from_table(
     the result is a ``(P, len(voters))`` int64 array whose entry ``[p, i]``
     sums ``size_weights[|C|]`` over the coalitions ``C`` without
     ``voters[i]`` that the voter turns from losing to winning under profile
-    ``p``.
+    ``p``.  Size weights with a trailing axis give a trailing result axis:
+    the ``n x n`` identity yields ``[p, i, s]``, the count of size ``s``.
     """
     # the table's columns are contiguous (one per profile)
     wins = gamma.T >= quota
@@ -202,7 +203,7 @@ def swing_counts_from_table(
     # weights, and while that fits int32 the sums run about 3x faster
     if int(np.abs(weights).sum()) <= INT32_MAX:
         weights = weights.astype(np.int32)
-    return np.einsum("vrp,r->pv", swing, weights).astype(np.int64)
+    return np.einsum("vrp,r...->pv...", swing, weights).astype(np.int64)
 
 
 def measure_key_weights(banzhaf: bool, n: int) -> tuple[list[int], int]:
@@ -230,32 +231,3 @@ def best_rank(keys, changes, parents) -> tuple[int, int, tuple[int, ...]]:
     at = at[changes[at] == changes[at].min()]
     i = at[np.lexsort(parents[at].T[::-1])[0]]
     return -int(keys[i]), int(changes[i]), tuple(parents[i].tolist())
-
-
-def all_swing_counts_fast(choices, weights, quota) -> list[list[int]]:
-    """Per-size swing counts of every voter of one profile.
-
-    ``result[v][s]`` counts the coalitions of size ``s`` without ``v`` that
-    ``v`` turns from losing to winning; all voters share one weight table
-    and one pass over it.
-    """
-    n = len(choices)
-    parents = [[v if c is SELF else c for v, c in enumerate(choices)]]
-    masks, acyclic = chain_masks(parents)
-    if not acyclic[0]:
-        raise CycleInDelegations(find_delegation_cycle(choices))
-    g, reduced = reduced_weights(weights)
-    wins = coalition_weight_table(masks, reduced)[0] >= -(-quota // g)
-    voters = np.arange(n)[:, None]
-    coalitions = np.arange(1 << n)
-    members = coalitions >> voters & 1  # [v, C]: is v in C
-    # v swings C (v not in C) when C loses and C plus v wins; the key
-    # v * n + |C| files the swing under its voter and coalition size
-    swings = (members == 0) & ~wins & wins[coalitions | 1 << voters]
-    keys = (voters * n + members.sum(axis=0))[swings]
-    return np.bincount(keys, minlength=n * n).reshape(n, n).tolist()
-
-
-def swing_counts_fast(choices, weights, quota, voter) -> list[int]:
-    """Per-size swing counts of one voter of one profile."""
-    return all_swing_counts_fast(choices, weights, quota)[voter]

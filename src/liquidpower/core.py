@@ -413,6 +413,8 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(weights, list) or len(weights) != n:
         raise ValueError("'weights' must be a list of length n")
+    if not isinstance(delegations, dict):
+        raise ValueError("'delegations' must be an object")
     network = SocialNetwork.from_arcs(
         n, [(a - 1, b - 1) for a, b in (tuple(arc) for arc in arcs)]
     )

@@ -6,11 +6,13 @@ from losing to winning.  The penetration measure divides the total count by
 ``2**(n-1)``; the pivotal-order measure weighs each size ``s`` by
 ``s!(n-1-s)!/n!``.  All arithmetic is exact (:class:`fractions.Fraction`).
 
-Two independent enumeration routes exist and are cross-checked in the test
-suite: a plain route that re-evaluates the characteristic function from
-scratch for every coalition, and an incremental route (elections only) that
-walks coalitions in Gray-code order, maintaining per-voter counts of missing
-chain members.
+An election of at most ``coalition_table.TABLE_LIMIT`` voters is counted
+from one numpy coalition table, all requested voters in one pass.  Every
+other game (composed games, larger elections, and elections whose total
+weight overflows the 64-bit table even over the weights' gcd) is counted by
+plain enumeration, which re-evaluates the characteristic function for every
+coalition.  The test suite checks the two against each other, against the
+subtree DP of :mod:`liquidpower.dp`, and against an independent oracle.
 """
 
 from __future__ import annotations
@@ -71,78 +73,37 @@ def _swing_counts_plain(game: EvaluableGame, voter: int) -> list[int]:
     return counts
 
 
-def _swing_counts_incremental(election: LiquidElection, voter: int) -> list[int]:
-    """Gray-code walk over coalitions of the other voters.
+def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
+    """Per-size swing counts of some voters: one coalition table for an
+    election that fits one, plain enumeration for any other game."""
+    n = _check_size(game)
+    if isinstance(game, LiquidElection):
+        # numpy loads on the first table, not at import: dp imports this module
+        import numpy as np
 
-    Maintains, for both the coalition and the coalition plus ``voter``, the
-    number of absent chain members per voter; a voter contributes its weight
-    exactly while that count is zero.  Each step toggles one voter and only
-    touches the voters whose chain passes through it.
-    """
-    n = _check_size(election)
-    forest = election.forest
-    weights = election.weights
-    quota = election.quota
-    counts = [0] * n
+        from . import coalition_table as ct
 
-    dependents: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for anc in forest.chain[v]:
-            dependents[anc].append(v)
-
-    # state 0: the coalition itself; state 1: the coalition with `voter` added
-    missing0 = [len(forest.chain[v]) for v in range(n)]
-    missing1 = [missing0[v] - (voter in forest.chain[v]) for v in range(n)]
-    gamma0 = 0
-    gamma1 = weights[voter] if missing1[voter] == 0 else 0
-
-    others = [v for v in range(n) if v != voter]
-    present = [False] * n
-
-    if gamma0 < quota <= gamma1:
-        counts[0] += 1  # the empty coalition
-
-    for step in range(1, 1 << n - 1):
-        t = others[(step & -step).bit_length() - 1]
-        if present[t]:
-            for v in dependents[t]:
-                if missing0[v] == 0:
-                    gamma0 -= weights[v]
-                missing0[v] += 1
-                if missing1[v] == 0:
-                    gamma1 -= weights[v]
-                missing1[v] += 1
-            present[t] = False
-        else:
-            for v in dependents[t]:
-                missing0[v] -= 1
-                if missing0[v] == 0:
-                    gamma0 += weights[v]
-                missing1[v] -= 1
-                if missing1[v] == 0:
-                    gamma1 += weights[v]
-            present[t] = True
-        if gamma0 < quota <= gamma1:
-            size = (step ^ step >> 1).bit_count()
-            counts[size] += 1
-    return counts
+        if n <= ct.TABLE_LIMIT:
+            try:
+                g, weights = ct.reduced_weights(game.weights)
+            except InstanceTooLargeForEnumeration:
+                pass  # the total weight overflows int64: enumerate instead
+            else:
+                masks, _ = ct.chain_masks([game.profile.sort_key()])
+                gamma = ct.coalition_weight_table(masks, weights)
+                quota = -(-game.quota // g)
+                # unit size weights keep one count per coalition size
+                counts = ct.swing_counts_from_table(
+                    gamma, n, quota, voters, np.eye(n, dtype=np.int64)
+                )
+                return counts[0].tolist()
+    return [_swing_counts_plain(game, v) for v in voters]
 
 
-def swing_size_counts(
-    game: EvaluableGame, voter: int, *, method: str = "auto"
-) -> list[int]:
+def swing_size_counts(game: EvaluableGame, voter: int) -> list[int]:
     """Count, per coalition size, the coalitions of other voters that
-    ``voter`` swings.  ``method`` is ``"plain"``, ``"incremental"`` (elections
-    only), or ``"auto"``."""
-    if method == "auto":
-        method = "incremental" if isinstance(game, LiquidElection) else "plain"
-    if method == "plain":
-        return _swing_counts_plain(game, voter)
-    if method == "incremental":
-        if not isinstance(game, LiquidElection):
-            raise ValueError("incremental enumeration requires an election")
-        return _swing_counts_incremental(game, voter)
-    raise ValueError(f"unknown method {method!r}")
+    ``voter`` swings."""
+    return _swing_counts(game, [voter])[0]
 
 
 def banzhaf_from_counts(counts: list[int], n: int) -> Fraction:
@@ -154,32 +115,31 @@ def shapley_from_counts(counts: list[int], n: int) -> Fraction:
     return Fraction(weighted, factorial(n))
 
 
-def banzhaf_exact(game: EvaluableGame, voter: int, *, method: str = "auto") -> Fraction:
+def banzhaf_exact(game: EvaluableGame, voter: int) -> Fraction:
     """Fraction of other-voter coalitions that the voter swings."""
-    counts = swing_size_counts(game, voter, method=method)
+    counts = swing_size_counts(game, voter)
     return banzhaf_from_counts(counts, game.n_voters)
 
 
-def shapley_exact(game: EvaluableGame, voter: int, *, method: str = "auto") -> Fraction:
+def shapley_exact(game: EvaluableGame, voter: int) -> Fraction:
     """Probability of being the pivotal voter in a uniformly random order."""
-    counts = swing_size_counts(game, voter, method=method)
+    counts = swing_size_counts(game, voter)
     return shapley_from_counts(counts, game.n_voters)
 
 
-def power_index(
-    game: EvaluableGame, voter: int, kind: MeasureKind, *, method: str = "auto"
-) -> Fraction:
-    kind = MeasureKind(kind)
-    counts = swing_size_counts(game, voter, method=method)
+def _from_counts(counts: list[int], n: int, kind: MeasureKind) -> Fraction:
     if kind is MeasureKind.BANZHAF:
-        return banzhaf_from_counts(counts, game.n_voters)
-    return shapley_from_counts(counts, game.n_voters)
+        return banzhaf_from_counts(counts, n)
+    return shapley_from_counts(counts, n)
 
 
-def all_indices_exact(
-    game: EvaluableGame, kind: MeasureKind, *, method: str = "auto"
-) -> IndexReport:
-    """Power values of every voter under one measure."""
-    n = _check_size(game)
-    values = tuple(power_index(game, v, kind, method=method) for v in range(n))
-    return IndexReport(kind=MeasureKind(kind), values=values)
+def power_index(game: EvaluableGame, voter: int, kind: MeasureKind) -> Fraction:
+    return _from_counts(swing_size_counts(game, voter), game.n_voters, MeasureKind(kind))
+
+
+def all_indices_exact(game: EvaluableGame, kind: MeasureKind) -> IndexReport:
+    """Power values of every voter under one measure, from one table."""
+    kind = MeasureKind(kind)
+    n = game.n_voters
+    values = tuple(_from_counts(c, n, kind) for c in _swing_counts(game, range(n)))
+    return IndexReport(kind=kind, values=values)

@@ -17,8 +17,6 @@ from itertools import combinations
 import numpy as np
 
 from .coalition_table import (
-    TABLE_LIMIT,
-    all_swing_counts_fast,
     best_rank,
     chain_masks,
     coalition_weight_table,
@@ -28,7 +26,7 @@ from .coalition_table import (
     swing_counts_from_table,
 )
 from .core import DelegationProfile, LiquidElection, SocialNetwork
-from .dp import banzhaf_dp
+from .dp import all_indices_dp
 from .errors import (
     InstanceTooLargeForEnumeration,
     MeasureNotSupported,
@@ -195,24 +193,18 @@ def mmwp_leafmin(
     Power never decreases along a delegation arc, so the minimum over all
     voters is attained at a voter with no delegators (roots that stand alone
     included).  Only the swing-count measure enjoys this shortcut; the
-    ordering-based measure must take the full minimum.  Small instances are
-    cross-checked against the full minimum.
+    ordering-based measure must take the full minimum.  One DP walk gives
+    every voter's value, so the leaf minimum is checked against the full
+    minimum.
     """
     if MeasureKind(kind) is not MeasureKind.BANZHAF:
         raise MeasureNotSupported(
             "the leaf shortcut is only proven for the swing-count measure"
         )
-    n = election.n
     evaluated = election.with_profile(profile)
-    leaves = [v for v in range(n) if evaluated.forest.subtree_size[v] == 1]
-    if n <= TABLE_LIMIT:
-        counts = all_swing_counts_fast(
-            profile.choices, election.weights, election.quota
-        )
-        denominator = 1 << n - 1
-        values = [Fraction(sum(counts[v]), denominator) for v in range(n)]
-        leaf_min = min(values[v] for v in leaves)
-        if leaf_min != min(values):
-            raise RuntimeError("leaf minimum diverged from the full minimum")
-        return leaf_min
-    return min(banzhaf_dp(evaluated, v) for v in leaves)
+    values = all_indices_dp(evaluated, MeasureKind.BANZHAF).values
+    subtree_size = evaluated.forest.subtree_size
+    leaf_min = min(x for x, size in zip(values, subtree_size) if size == 1)
+    if leaf_min != min(values):
+        raise RuntimeError("leaf minimum diverged from the full minimum")
+    return leaf_min

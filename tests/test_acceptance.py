@@ -20,9 +20,8 @@ from liquidpower import (
     validate,
 )
 from liquidpower.bribery import BriberyObjective, BriberyProblem, gamw, solve_bribery_exact
-from liquidpower.coalition_table import all_swing_counts_fast
 from liquidpower.dp import banzhaf_dp, shapley_dp
-from liquidpower.exact import MeasureKind, banzhaf_exact, shapley_exact
+from liquidpower.exact import MeasureKind, _swing_counts_plain, banzhaf_exact, shapley_exact
 from liquidpower.maximin import mmwp_leafmin
 from liquidpower.semantics import compose
 from liquidpower.weightmax import (
@@ -191,9 +190,10 @@ def test_criterion_06_arc_monotonicity_and_leaf_minimum(corpus):
             if find_delegation_cycle(combo) is not None:
                 continue
             profile = DelegationProfile(combo)
-            counts = all_swing_counts_fast(combo, election.weights, election.quota)
+            evaluated = election.with_profile(profile)
             full_min = min(
-                Fraction(sum(counts[v]), denominator) for v in range(n)
+                Fraction(sum(_swing_counts_plain(evaluated, v)), denominator)
+                for v in range(n)
             )
             assert mmwp_leafmin(profile, election) == full_min
             enumerated += 1

@@ -244,3 +244,12 @@ def test_malformed_instance_is_a_structured_error(capsys, tmp_path):
     code, doc = _run_json(capsys, ["index", str(tmp_path / "missing.json")])
     assert code == 1
     assert doc["error"]["type"] == "FileNotFoundError"
+    # a "delegations" that is not an object is refused, not a traceback
+    for delegations in ([[1, 2]], None):
+        doc = election_to_json(eight_voter_election())
+        doc["delegations"] = delegations
+        path.write_text(json.dumps(doc))
+        code, doc = _run_json(capsys, ["index", str(path)])
+        assert code == 1
+        assert doc["error"]["type"] == "CliError"
+        assert "'delegations' must be an object" in doc["error"]["message"]

@@ -15,13 +15,12 @@ from liquidpower import (
 )
 from liquidpower.coalition_table import (
     TABLE_LIMIT,
-    all_swing_counts_fast,
     chain_masks,
     coalition_weight_table,
-    swing_counts_fast,
     swing_counts_from_table,
 )
-from liquidpower.exact import swing_size_counts
+from liquidpower.core import SocialNetwork, validate
+from liquidpower.exact import _swing_counts_plain, swing_size_counts
 from support import eight_voter_election, random_election, random_profile
 
 
@@ -31,6 +30,19 @@ def _masks(choices_rows):
     masks, acyclic = chain_masks(parents)
     assert acyclic.all()
     return masks
+
+
+def _plain_counts(election, choices):
+    """Per-size swing counts of every voter under a profile, by enumeration."""
+    game = election.with_profile(DelegationProfile(choices))
+    return [_swing_counts_plain(game, v) for v in range(game.n)]
+
+
+def _per_size(election, voters):
+    """Per-size swing counts of some voters from the election's own table."""
+    gamma = coalition_weight_table(_masks([election.profile.choices]), election.weights)
+    n = election.n
+    return swing_counts_from_table(gamma, n, election.quota, voters, np.eye(n, dtype=int))[0]
 
 
 def test_chain_masks_on_fixture():
@@ -78,30 +90,27 @@ def test_swing_counts_match_exact_route():
     for _ in range(40):
         election = random_election(rng, n_min=2, n_max=8)
         voter = rng.randrange(election.n)
-        fast = swing_counts_fast(
-            election.profile.choices, election.weights, election.quota, voter
-        )
-        assert fast == list(swing_size_counts(election, voter))
+        counts = _per_size(election, [voter])[0].tolist()
+        assert counts == _swing_counts_plain(election, voter)
 
 
 def test_all_voters_share_one_table():
     election = eight_voter_election()
-    per_voter = all_swing_counts_fast(
-        election.profile.choices, election.weights, election.quota
-    )
-    assert len(per_voter) == 8
-    assert sum(per_voter[7]) == 64  # half of the 2^7 coalitions
-    assert sum(per_voter[4]) == 0  # distant voter never swings
+    per_voter = _per_size(election, range(8))
+    assert per_voter.shape == (8, 8)
+    assert per_voter[7].sum() == 64  # half of the 2^7 coalitions
+    assert per_voter[4].sum() == 0  # distant voter never swings
 
 
-def test_banzhaf_fast_on_fixture():
+def test_banzhaf_from_the_table_on_fixture():
     from fractions import Fraction
 
     election = eight_voter_election()
-    choices, w, q = election.profile.choices, election.weights, election.quota
+    gamma = coalition_weight_table(_masks([election.profile.choices]), election.weights)
+    keys = swing_counts_from_table(gamma, 8, election.quota, [7, 5], [1] * 8)[0]
     denominator = 1 << election.n - 1
-    assert Fraction(sum(swing_counts_fast(choices, w, q, 7)), denominator) == Fraction(1, 2)
-    assert Fraction(sum(swing_counts_fast(choices, w, q, 5)), denominator) == Fraction(1, 16)
+    assert Fraction(int(keys[0]), denominator) == Fraction(1, 2)
+    assert Fraction(int(keys[1]), denominator) == Fraction(1, 16)
 
 
 def test_table_size_guard():
@@ -114,9 +123,10 @@ def test_table_weight_overflow_guard():
     # the coalition of all three would weigh 3 * 2**62, past int64
     with pytest.raises(InstanceTooLargeForEnumeration):
         coalition_weight_table(_masks([(None,) * 3]), (1 << 62,) * 3)
-    # the fast routes divide the weights by their gcd and stay exact
-    counts = all_swing_counts_fast((None,) * 3, (1 << 62,) * 3, 1 << 63)
-    assert counts == [[0, 2, 0]] * 3
+    # exact divides the weights by their gcd and stays on the table
+    profile = DelegationProfile.all_self(3)
+    election = validate(SocialNetwork.complete(3), (1 << 62,) * 3, profile, 1 << 63)
+    assert [swing_size_counts(election, v) for v in range(3)] == [[0, 2, 0]] * 3
 
 
 def test_batched_tables_stack_the_single_profile_tables():
@@ -136,16 +146,17 @@ def test_batched_tables_stack_the_single_profile_tables():
                     choices, election.weights, members
                 )
         voter = rng.randrange(n)
-        # unit size weights pick out one coalition size per call
+        # unit size weights pick out one coalition size per call, and the
+        # identity all sizes at once on a trailing axis
         counts = np.column_stack([
             swing_counts_from_table(gamma, n, election.quota, [voter], np.eye(n, dtype=int)[s])
             for s in range(n)
         ])
         assert counts.shape == (5, n)
+        sizes = swing_counts_from_table(gamma, n, election.quota, [voter], np.eye(n, dtype=int))
+        assert sizes.shape == (5, 1, n) and (sizes[:, 0] == counts).all()
         for p, choices in enumerate(rows):
-            assert counts[p].tolist() == swing_counts_fast(
-                choices, election.weights, election.quota, voter
-            )
+            assert counts[p].tolist() == _plain_counts(election, choices)[voter]
 
 
 def test_swing_kernel_weights_every_voter_like_the_single_profile_counts():
@@ -157,10 +168,7 @@ def test_swing_kernel_weights_every_voter_like_the_single_profile_counts():
         election = random_election(rng, n_min=n, n_max=n)
         rows = [random_profile(rng, election.network).choices for _ in range(6)]
         gamma = coalition_weight_table(_masks(rows), election.weights)
-        expected = [
-            all_swing_counts_fast(choices, election.weights, election.quota)
-            for choices in rows
-        ]
+        expected = [_plain_counts(election, choices) for choices in rows]
         shapley = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
         for size_weights in [[1] * n, shapley, *np.eye(n, dtype=int).tolist()]:
             keys = swing_counts_from_table(

@@ -1,14 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liquidpower
 from liquidpower.core import DelegationProfile, SocialNetwork, validate
+from liquidpower.dp import swing_counts_dp
 from liquidpower.errors import InstanceTooLargeForEnumeration
 from liquidpower.exact import (
     MeasureKind,
+    _swing_counts_plain,
     all_indices_exact,
     banzhaf_exact,
     power_index,
@@ -56,12 +63,45 @@ def test_dictator_and_dummy_extremes():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_both_enumeration_routes_agree(seed):
+    # elections under the table limit are counted from a coalition table
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=8)
     for v in range(e.n):
-        plain = swing_size_counts(e, v, method="plain")
-        incremental = swing_size_counts(e, v, method="incremental")
-        assert plain == incremental
+        assert swing_size_counts(e, v) == _swing_counts_plain(e, v)
+
+
+def test_overflowing_weights_take_the_plain_route():
+    # coprime weights whose total overflows int64: no table, plain counts
+    weights = (2**62, 2**62 + 1, 2**62 + 3)
+    profile = DelegationProfile((None, 0, None))
+    e = validate(SocialNetwork.complete(3), weights, profile, 2**63)
+    report = all_indices_exact(e, MeasureKind.BANZHAF)
+    expected = tuple(
+        oracle.banzhaf(profile.choices, weights, 2**63, v) for v in range(3)
+    )
+    assert report.values == expected == (Fraction(3, 4), Fraction(1, 4), Fraction(1, 4))
+
+
+def test_seventeen_voters_are_enumerated_like_the_dp():
+    rng = random.Random(17_017)
+    e = random_election(rng, n_min=17, n_max=17, w_max=5)
+    voter = rng.randrange(e.n)
+    assert swing_size_counts(e, voter) == list(swing_counts_dp(e, voter).per_size)
+
+
+def test_importing_the_enumerators_loads_no_numpy():
+    # a fresh interpreter, so imports made earlier in the suite cannot mask it
+    code = "import sys, liquidpower.dp, liquidpower.exact; print('numpy' in sys.modules)"
+    root = str(Path(liquidpower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 @settings(max_examples=40, deadline=None)
