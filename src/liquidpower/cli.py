@@ -7,7 +7,7 @@ Four subcommands cover the solver families::
                           [--threshold Q] [--method exact|gamw]
     liquidpower weightmax INSTANCE --target ID --budget K --threshold W
                           [--method exact|branching|xp|colorcoding|vbamw]
-                          [--epsilon Q] [--delta X]
+                          [--epsilon Q] [--delta X] [--seed N]
     liquidpower maximin   INSTANCE --gurus K [--kind ...]
 
 The report is a single JSON document on stdout (``--pretty`` renders a
@@ -258,12 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pretty", action="store_true", help="human-readable table instead of JSON"
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized methods (fixed default for reproducibility)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_index = sub.add_parser(
@@ -306,6 +300,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_wmax.add_argument("--epsilon", help="rational budget slack for vbamw")
     p_wmax.add_argument(
         "--delta", type=float, default=0.01, help="colorcoding failure bound"
+    )
+    p_wmax.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="colorcoding seed (fixed default for reproducibility)",
     )
     p_wmax.set_defaults(run=_cmd_weightmax)
 

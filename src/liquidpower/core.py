@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Final, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -409,19 +410,22 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
         quota = doc.get("quota")
     except KeyError as exc:
         raise ValueError(f"instance document missing field {exc}") from None
-    if not isinstance(n, int) or n <= 0:
+    # ids are checked with ``type(x) is int``: isinstance takes JSON true for 1
+    if type(n) is not int or n <= 0:
         raise ValueError(f"'n' must be a positive integer, got {n!r}")
     if not isinstance(weights, list) or len(weights) != n:
         raise ValueError("'weights' must be a list of length n")
     if not isinstance(delegations, dict):
         raise ValueError("'delegations' must be an object")
+    if not set(map(type, chain.from_iterable(arcs))) <= {int}:
+        raise ValueError("'arcs' must hold pairs of integer voter ids")
     network = SocialNetwork.from_arcs(
         n, [(a - 1, b - 1) for a, b in (tuple(arc) for arc in arcs)]
     )
     choices: list[Choice] = [SELF] * n
     for key, target in delegations.items():
         voter = int(key)
-        if not (1 <= voter <= n) or not isinstance(target, int) or not (1 <= target <= n):
+        if not (1 <= voter <= n) or type(target) is not int or not (1 <= target <= n):
             raise ValueError(f"bad delegation entry {key!r}: {target!r}")
         choices[voter - 1] = SELF if target == voter else target - 1
     return validate(network, tuple(weights), DelegationProfile(tuple(choices)), quota)

@@ -3,7 +3,7 @@
 A voter casts ballots only as a root of its delegation tree, so every solver
 here looks for a profile — within a budget of delegation changes — in which
 the target votes personally and the weight of its tree reaches a threshold.
-Four routes cover different parameter regimes:
+Five routes cover different parameter regimes:
 
 * ``wmaxp_exact`` — exhaustive over the change neighborhood (small n).
 * ``solve_full_support`` — threshold equals the total weight, so the tree
@@ -32,7 +32,7 @@ from .bribery import (
     enumerate_neighborhood,
     neighborhood_size,
 )
-from .coalition_table import best_rank, reduced_weights
+from .coalition_table import CHUNK_CELLS, best_rank, reduced_weights
 from .core import SELF, DelegationProfile, LiquidElection
 from .errors import (
     InstanceTooLargeForEnumeration,
@@ -401,22 +401,23 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
 
 # --- FPT in the missing weight (Monte-Carlo color coding) -------------------
 
-_SPLIT_CACHE: dict[int, list[list[tuple[int, int]]]] = {}
+# Table sentinel for "no such colorful tree".  An entry for a color set adds
+# at most one vertex weight per color, below 2^61 in all (the solver refuses
+# larger total weights), to either zero (a real tree) or the sentinel that
+# every maximum starts from.  So missing entries lie in [_NEG, _NEG + 2^61),
+# and the sum of two entries of disjoint color sets fits in int64 and is
+# negative exactly when one side is missing.
+_NEG = -(1 << 62)
 
 
-def _splits(r: int) -> list[list[tuple[int, int]]]:
-    """Per color set: its ordered partitions into two nonempty halves."""
-    table = _SPLIT_CACHE.get(r)
-    if table is None:
-        table = [[] for _ in range(1 << r)]
-        for mask in range(1 << r):
-            sub = (mask - 1) & mask
-            while sub:
-                if sub != mask:
-                    table[mask].append((mask ^ sub, sub))
-                sub = (sub - 1) & mask
-        _SPLIT_CACHE[r] = table
-    return table
+def _proper_submasks(mask: int) -> np.ndarray:
+    """The nonempty proper submasks of ``mask``, largest first."""
+    subs = []
+    sub = (mask - 1) & mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & mask
+    return np.array(subs, dtype=np.int64)
 
 
 def _collapsed_graph(problem: WeightMaxProblem):
@@ -455,58 +456,93 @@ def _collapsed_graph(problem: WeightMaxProblem):
     return outside, super_idx, vertex_weights, arcs, representative
 
 
-def _colorful_witness_arcs(
-    n_vertices, wts, arcs, colors, r, cost_cap, goal
-) -> list[tuple[int, int, int]] | None:
-    """Re-run one coloring with backpointers; return the winning tree's arcs."""
-    best: dict[tuple[int, int, int], tuple[int, tuple | None]] = {}
-    for v in range(n_vertices):
-        best[(v, 1 << colors[v], 0)] = (wts[v], None)
-    splits = _splits(r)
-    masks = sorted(range(1 << r), key=lambda m: m.bit_count())
-    for mask in masks:
-        if mask.bit_count() < 2:
+def _colorful_tables(colorings, wts, arcs, r, cost_cap) -> np.ndarray:
+    """Heaviest colorful trees for one batch of colorings.
+
+    ``table[b, v, S, c]`` is the largest weight of a tree rooted at ``v``
+    whose vertices carry each color of ``S`` exactly once under coloring
+    ``b`` and whose arcs cost ``c`` changes; ``_NEG`` when there is none.  A
+    set of two or more colors splits into the part kept at ``v`` and the
+    part hanging below one arc; all splits and arcs of a set are scored at
+    once, in chunks of splits that hold about ``CHUNK_CELLS`` cells.
+    """
+    colorings = np.array(colorings, dtype=np.int64)
+    batch, n_vertices = colorings.shape
+    slots = cost_cap + 1
+    table = np.full((batch, n_vertices, 1 << r, slots), _NEG, dtype=np.int64)
+    table[np.arange(batch)[:, None], np.arange(n_vertices), 1 << colorings, 0] = wts
+    # arcs grouped by parent, so one reduceat folds them into their parents
+    parents, children, costs = np.array(sorted(arcs, key=lambda arc: arc[0])).T
+    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+    shifted = costs == 1
+    step = max(1, CHUNK_CELLS // (batch * len(parents) * slots))
+    for mask in range(3, 1 << r):
+        if not mask & (mask - 1):
             continue
-        for own, sub in splits[mask]:
-            for parent, child, cost in arcs:
-                for c1 in range(cost_cap + 1):
-                    left = best.get((parent, own, c1))
-                    if left is None:
-                        continue
-                    for c2 in range(cost_cap + 1 - c1 - cost):
-                        right = best.get((child, sub, c2))
-                        if right is None:
-                            continue
-                        total = left[0] + right[0]
-                        key = (parent, mask, c1 + c2 + cost)
-                        cur = best.get(key)
-                        if cur is None or total > cur[0]:
-                            best[key] = (
-                                total,
-                                (own, c1, sub, c2, parent, child, cost),
-                            )
-    root = n_vertices - 1
-    hit = None
-    for (v, mask, c), (weight, _) in best.items():
-        if v == root and weight >= goal:
-            hit = (v, mask, c)
+        subs = _proper_submasks(mask)
+        best = np.full((batch, len(parents), slots), _NEG, dtype=np.int64)
+        for lo in range(0, len(subs), step):
+            sub = subs[None, lo : lo + step]
+            left = table[:, parents[:, None], mask ^ sub]
+            right = table[:, children[:, None], sub]
+            for c1 in range(slots):  # (max, +) convolution over the costs
+                joined = (left[..., c1, None] + right[..., : slots - c1]).max(axis=2)
+                np.maximum(best[..., c1:], joined, out=best[..., c1:])
+        best[:, shifted, 1:] = best[:, shifted, :-1]  # the arc's own change
+        best[:, shifted, 0] = _NEG
+        table[:, parents[starts], mask] = np.maximum.reduceat(best, starts, axis=1)
+    return table
+
+
+def _first_join(table, arcs, v, mask, c, value=None):
+    """First candidate in one coloring's ``table`` that builds ``(v, mask, c)``.
+
+    Candidates run in (split, arc, c1) order: the submask hanging below the
+    arc runs downward, arcs keep their order in ``arcs``, and ``c1`` is the
+    cost kept at ``v``.  A candidate joins when both of its sides exist and,
+    if ``value`` is given, sum to it.  The state must hold a tree of two or
+    more vertices.  Returns ``(position, arc, (own, c1), (sub, c2))``.
+    """
+    mine = [arc for arc in arcs if arc[0] == v]
+    _, children, costs = np.array(mine).T
+    subs = _proper_submasks(mask)
+    c1 = np.arange(c + 1)
+    c2 = c - costs[:, None] - c1
+    left = table[v, (mask ^ subs)[:, None, None], c1]
+    right = table[children[:, None], subs[:, None, None], np.maximum(c2, 0)]
+    joins = (left >= 0) & (right >= 0) & (c2 >= 0)
+    if value is not None:
+        joins &= left + right == value
+    i, j, k = np.unravel_index(np.flatnonzero(joins)[0], joins.shape)
+    sub = int(subs[i])
+    return (i, j, k), mine[j], (mask ^ sub, int(k)), (sub, int(c2[j, k]))
+
+
+def _colorful_witness(table, arcs, root, r, tau) -> list[tuple[int, int]]:
+    """Arcs of the first tree in one coloring's ``table`` that reaches ``tau``.
+
+    The color set is the first in (size, value) order whose root reaches
+    ``tau``; within it, the cost whose first joinable candidate comes first
+    (ties to the lower cost); below that, every state takes its first
+    candidate that attains its value.
+    """
+    for mask in sorted(range(1 << r), key=int.bit_count):
+        reaching = np.flatnonzero(table[root, mask] >= tau)
+        if reaching.size:
             break
-    if hit is None:
-        return None
-
-    collected: list[tuple[int, int, int]] = []
-
-    def collect(state):
-        _, pointer = best[state]
-        if pointer is None:
-            return
-        own, c1, sub, c2, parent, child, cost = pointer
-        collected.append((parent, child, cost))
-        collect((parent, own, c1))
-        collect((child, sub, c2))
-
-    collect(hit)
-    return collected
+    _, c = min((_first_join(table, arcs, root, mask, c)[0], c) for c in reaching)
+    tree = []
+    states = [(root, mask, int(c))]
+    while states:
+        v, mask, c = states.pop()
+        if not mask & (mask - 1):
+            continue  # a single vertex
+        _, (parent, child, _), (own, c1), (sub, c2) = _first_join(
+            table, arcs, v, mask, c, table[v, mask, c]
+        )
+        tree.append((parent, child))
+        states += [(v, own, c1), (child, sub, c2)]
+    return tree
 
 
 def solve_fpt_colorcoding(
@@ -524,6 +560,11 @@ def solve_fpt_colorcoding(
     ``delta``.  Answers "yes" only after re-validating an extracted witness,
     so false positives cannot occur; "no" may be wrong with probability at
     most ``delta``.
+
+    The witness is read back, in ``_colorful_witness``'s fixed tie-break
+    order, from the first coloring in draw order that reaches ``tau``, so a
+    seed fixes it.  The tables hold int64 sums: a total weight of 2^61 or
+    more is refused with ``ParameterTooLarge``.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -542,22 +583,12 @@ def solve_fpt_colorcoding(
     if problem.k_eff == 0:
         return _current_support_no(problem)
 
-    # sound refusals: weight that can never reach the target, and the most
-    # any k_eff redirections could add (each brings at most one current
-    # subtree from outside the tree)
-    backward: list[list[int]] = [[] for _ in range(election.n)]
-    for child in range(election.n):
-        for parent in election.network.out_neighbors[child]:
-            backward[parent].append(child)
-    seen = {problem.target}
-    queue = deque([problem.target])
-    while queue:
-        v = queue.popleft()
-        for u in backward[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if sum(election.weights[v] for v in seen) < problem.tau:
+    # sound refusals: a witness tree holds only voters within k_eff changes
+    # of the target, and k_eff redirections bring at most k_eff current
+    # subtrees from outside the target's tree
+    dist = _zero_one_distances(build_cost_graph(election), problem.target)
+    near = [d is not None and d <= problem.k_eff for d in dist]
+    if sum(w for w, ok in zip(election.weights, near) if ok) < problem.tau:
         return _current_support_no(problem)
     forest = election.forest
     tree = set(forest.subtree[problem.target])
@@ -571,22 +602,15 @@ def solve_fpt_colorcoding(
     outside, super_idx, wts, arcs, representative = _collapsed_graph(problem)
     if not outside or not arcs:
         return _current_support_no(problem)
+    if sum(wts) >= 1 << 61:
+        raise ParameterTooLarge(
+            f"total weight {sum(wts)} reaches 2^61, the bound of the int64 tables"
+        )
     n_vertices = super_idx + 1
     r = problem.req + 1
     cost_cap = min(problem.k_eff, problem.req)
     rounds = ceil(exp(r) * log(1.0 / delta))
     rng = random.Random(seed)
-    splits = _splits(r)
-    masks = sorted(range(1 << r), key=lambda m: m.bit_count())
-    neg = -(1 << 40)
-    # antidiagonals of the (cost, cost) grid, for the budgeted tree merge
-    diagonals = [
-        (
-            np.array([c1 for c1 in range(s + 1) if c1 <= cost_cap and s - c1 <= cost_cap]),
-            np.array([s - c1 for c1 in range(s + 1) if c1 <= cost_cap and s - c1 <= cost_cap]),
-        )
-        for s in range(cost_cap + 1)
-    ]
 
     done = 0
     while done < rounds:
@@ -594,40 +618,14 @@ def solve_fpt_colorcoding(
         colorings = [
             [rng.randrange(r) for _ in range(n_vertices)] for _ in range(batch)
         ]
-        table = np.full((batch, n_vertices, 1 << r, cost_cap + 1), neg, dtype=np.int64)
-        rows = np.arange(batch)
-        for v in range(n_vertices):
-            table[rows, v, [1 << colorings[b][v] for b in range(batch)], 0] = wts[v]
-        for mask in masks:
-            if mask.bit_count() < 2:
-                continue
-            for own, sub in splits[mask]:
-                for parent, child, cost in arcs:
-                    left = table[:, parent, own, :]
-                    right = table[:, child, sub, :]
-                    if left.max() < 0 or right.max() < 0:
-                        continue
-                    grid = left[:, :, None] + right[:, None, :]
-                    for total in range(cost, cost_cap + 1):
-                        c1_idx, c2_idx = diagonals[total - cost]
-                        cand = grid[:, c1_idx, c2_idx].max(axis=1)
-                        np.maximum(
-                            table[:, parent, mask, total],
-                            cand,
-                            out=table[:, parent, mask, total],
-                        )
-        hits = table[:, super_idx, :, :].reshape(batch, -1).max(axis=1)
-        for b in range(batch):
-            if hits[b] < problem.tau:
-                continue
-            tree_arcs = _colorful_witness_arcs(
-                n_vertices, wts, arcs, colorings[b], r, cost_cap, problem.tau
-            )
-            if tree_arcs is None:
-                continue
+        table = _colorful_tables(colorings, wts, arcs, r, cost_cap)
+        reach = table[:, super_idx].reshape(batch, -1).max(axis=1)
+        for b in np.flatnonzero(reach >= problem.tau):
             choices = list(election.profile.choices)
             choices[problem.target] = SELF
-            for parent, child, _ in tree_arcs:
+            for parent, child in _colorful_witness(
+                table[b], arcs, super_idx, r, problem.tau
+            ):
                 if parent == super_idx:
                     choices[outside[child]] = representative[child]
                 else:

@@ -185,6 +185,30 @@ def test_weightmax_vbamw_needs_epsilon(capsys, fixture_path):
     assert "epsilon" in doc["error"]["message"]
 
 
+def test_colorcoding_refuses_weights_beyond_its_tables(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    arcs = [[2, 1], [3, 1], [3, 2]]
+    doc = {"n": 3, "weights": [1, 1 << 64, 1], "arcs": arcs, "quota": 2}
+    path.write_text(json.dumps(doc))
+    argv = ["weightmax", str(path), "--target", "1", "--budget", "2"]
+    argv += ["--threshold", "4", "--method", "colorcoding"]
+    code, doc = _run_json(capsys, argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ParameterTooLarge"
+
+
+def test_only_weightmax_takes_a_seed(capsys, fixture_path):
+    argv = ["weightmax", fixture_path, "--target", "8", "--budget", "1"]
+    argv += ["--threshold", "8", "--method", "colorcoding", "--seed", "3"]
+    code, doc = _run_json(capsys, argv)
+    assert code == 0
+    assert doc["arguments"]["seed"] == 3
+    code, doc = _run_json(capsys, ["index", fixture_path])
+    assert "seed" not in doc["arguments"]
+    with pytest.raises(SystemExit):
+        main(["index", fixture_path, "--seed", "3"])
+
+
 def test_weightmax_vbamw_trim_fallback_answers(capsys, tmp_path):
     path = tmp_path / "skewed.json"
     path.write_text(json.dumps(TRIM_FALLBACK_INSTANCE))
@@ -253,3 +277,15 @@ def test_malformed_instance_is_a_structured_error(capsys, tmp_path):
         assert code == 1
         assert doc["error"]["type"] == "CliError"
         assert "'delegations' must be an object" in doc["error"]["message"]
+    # JSON booleans and floats are not voter ids, nor a voter count
+    base = election_to_json(eight_voter_election())
+    for broken in (
+        {**base, "arcs": [[True, 2]] + base["arcs"]},
+        {**base, "arcs": [[1, 3.0]] + base["arcs"]},
+        {**base, "delegations": {"1": True}},
+        {"n": True, "weights": [1], "arcs": [], "quota": 1},
+    ):
+        path.write_text(json.dumps(broken))
+        code, doc = _run_json(capsys, ["index", str(path)])
+        assert code == 1
+        assert doc["error"]["type"] == "CliError"

@@ -1,5 +1,6 @@
 """Weight-maximization: exact, branching, exclusion-XP, color coding, vbamw."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -348,6 +349,68 @@ def test_colorcoding_finds_reachable_thresholds():
         _assert_witness_ok(goal, outcome)
         found += 1
     assert found >= 5
+
+
+def test_colorcoding_tables_hold_weights_below_two_to_the_61():
+    # voter 1 already follows the target; voter 2 joins with one change
+    network = SocialNetwork.from_arcs(3, [(1, 0), (2, 0)])
+    profile = DelegationProfile((SELF, 0, SELF))
+    heavy = 1 << 60
+    election = validate(network, (1, heavy, heavy - 2), profile, 1)
+    problem = WeightMaxProblem(election, 0, 1, heavy + 2)
+    outcome = solve_fpt_colorcoding(problem, seed=3)
+    assert (outcome.support, outcome.changes) == (2 * heavy - 1, 1)
+    _assert_witness_ok(problem, outcome)
+    election = validate(network, (1, heavy, heavy - 1), profile, 1)
+    with pytest.raises(ParameterTooLarge, match="2\\^61"):
+        solve_fpt_colorcoding(WeightMaxProblem(election, 0, 1, heavy + 2))
+    # seven weights up to 2^58 keep every table entry below 2^61
+    rng = random.Random(10_061)
+    for seed in range(12):
+        small = random_election(rng, n_min=3, n_max=7, w_max=3)
+        weights = tuple(rng.randint(1 << 57, 1 << 58) for _ in range(small.n))
+        election = validate(small.network, weights, small.profile, 1)
+        target = rng.randrange(election.n)
+        tau = election.forest.subtree_weight[target] + rng.randint(1, 3)
+        problem = WeightMaxProblem(election, target, rng.randint(1, 3), tau)
+        outcome = solve_fpt_colorcoding(problem, seed=seed)
+        assert outcome.decision == wmaxp_exact(problem).decision
+        if outcome.decision:
+            _assert_witness_ok(problem, outcome)
+    # a weight beyond int64 is refused too, not an OverflowError
+    arcs = [[2, 1], [3, 1], [3, 2]]
+    election = election_from_json(
+        {"n": 3, "weights": [1, 1 << 64, 1], "arcs": arcs, "quota": 2}
+    )
+    with pytest.raises(ParameterTooLarge):
+        solve_fpt_colorcoding(WeightMaxProblem(election, 0, 2, 4))
+
+
+def test_colorcoding_witnesses_are_pinned_per_seed():
+    # a seed fixes the witness: it must not change with how the colorful
+    # table is filled or read back, and the digest pins 30 of them
+    rng = random.Random(10_056)
+    problems = []
+    while len(problems) < 30:
+        election = random_election(rng, n_min=3, n_max=7, w_max=3)
+        target = rng.randrange(election.n)
+        k = rng.randint(1, 4)
+        base = election.forest.subtree_weight[target]
+        best = wmaxp_exact(WeightMaxProblem(election, target, k, 1)).support
+        if best == base:
+            continue
+        req = rng.randint(1, min(5, best - base))
+        problems.append(WeightMaxProblem(election, target, k, base + req))
+    assert {p.req for p in problems} == {1, 2, 3, 4, 5}
+    rows = []
+    for seed, problem in enumerate(problems):
+        outcome = solve_fpt_colorcoding(problem, seed=seed)
+        assert outcome.decision
+        _assert_witness_ok(problem, outcome)
+        choices = outcome.profile.choices
+        rows.append((outcome.decision, choices, outcome.support, outcome.changes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "069c7ba4e729621e30387f1bceb95ad053b4d220c53fc923d57a5482321ac902"
 
 
 # --- budget-relaxed approximation -------------------------------------------
