@@ -424,6 +424,9 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
     )
     choices: list[Choice] = [SELF] * n
     for key, target in delegations.items():
+        # only canonical ASCII decimals: int() also reads "1_0", " +1 " and "01"
+        if not (type(key) is str and key.isascii() and key.isdigit() and key == str(int(key))):
+            raise ValueError(f"delegation key {key!r} is not a voter id")
         voter = int(key)
         if not (1 <= voter <= n) or type(target) is not int or not (1 <= target <= n):
             raise ValueError(f"bad delegation entry {key!r}: {target!r}")

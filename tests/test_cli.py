@@ -289,3 +289,18 @@ def test_malformed_instance_is_a_structured_error(capsys, tmp_path):
         code, doc = _run_json(capsys, ["index", str(path)])
         assert code == 1
         assert doc["error"]["type"] == "CliError"
+
+
+def test_a_delegation_key_that_is_not_a_voter_id_is_refused(capsys, tmp_path):
+    # int("1_0") is 10 and int(" +1 ") is 1; neither key names a voter
+    doc = election_to_json(eight_voter_election())
+    path = tmp_path / "keys.json"
+    for key in ("1_0", " +1 "):
+        path.write_text(json.dumps({**doc, "delegations": {key: 3}}))
+        code = main(["index", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "CliError"
+        assert repr(key) in error["message"]

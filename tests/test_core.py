@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,17 @@ def test_json_rejects_malformed_documents():
         election_from_json({"n": 0, "weights": [], "arcs": []})
     with pytest.raises(ValueError):
         election_from_json('{"weights": [1], "arcs": []}')
+
+
+@pytest.mark.parametrize("key", ["1_0", " +1 ", "+1", "01", "\u0661", "", "-1", "1.0"])
+def test_json_delegation_keys_are_canonical_voter_ids(key):
+    # int() reads all of these ("1_0" as 10, the others as 1); none is an id
+    doc = election_to_json(eight_voter_election())
+    doc["delegations"] = {key: 3}  # voter 1's own delegation in the fixture
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        election_from_json(doc)
+    doc["delegations"] = {"1": 3}
+    assert election_from_json(doc).profile.choices[0] == 2
 
 
 @settings(max_examples=60, deadline=None)

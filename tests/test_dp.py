@@ -1,7 +1,9 @@
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,12 @@ from liquidpower.exact import (
 )
 
 from support import eight_voter_election, random_election
+
+
+def _cells(row, cell_bits):
+    """The cells of a packed int, lowest first, up to its last nonzero one."""
+    mask = (1 << cell_bits) - 1
+    return [row >> w * cell_bits & mask for w in range(-(-row.bit_length() // cell_bits))]
 
 
 def test_ordering_on_the_eight_voter_fixture():
@@ -54,7 +62,7 @@ def test_uncapped_rows_count_all_subsets(seed):
     sizes = [e.forest.subtree_size[v] for v in order]
     rows = fill_table(weights, sizes)
     for j, row in enumerate(rows):
-        assert sum(row) == 1 << j
+        assert sum(_cells(row, e.n + 2)) == 1 << j
     # with a slot wider than any count, sizes stay apart: (1 + y)**j
     slot_bits = e.n + 2
     y = 1 << slot_bits
@@ -76,10 +84,41 @@ def test_a_fill_continued_from_a_start_row_equals_one_fill(seed):
     split = rng.choice([0] + ends)
     cap = rng.choice([None, rng.randint(0, sum(weights))])
     slot_bits = rng.choice([0, e.n + 2])
-    head = fill_table(weights[:split], sizes[:split], cap, slot_bits)[-1]
-    tail = fill_table(weights[split:], sizes[split:], cap, slot_bits, start=head)
-    whole = fill_table(weights, sizes, cap, slot_bits)
+    cell_bits = e.n + 2  # the packed rows' width, for every part
+    head = fill_table(weights[:split], sizes[:split], cap, slot_bits, cell_bits=cell_bits)[-1]
+    tail = fill_table(
+        weights[split:], sizes[split:], cap, slot_bits, start=head, cell_bits=cell_bits
+    )
+    whole = fill_table(weights, sizes, cap, slot_bits, cell_bits=cell_bits)
     assert tail == whole[split:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_packed_rows_are_the_sized_rows_at_y_equal_1(seed):
+    rng = random.Random(seed)
+    e = random_election(rng, n_min=1, n_max=9)
+    order = postorder(e.forest)
+    weights = [e.weights[v] for v in order]
+    sizes = [e.forest.subtree_size[v] for v in order]
+    ends = [p + 1 for p, v in enumerate(order) if e.forest.guru[v] == v]
+    split = rng.choice([0] + ends)
+    cap = rng.choice([None, rng.randint(0, sum(weights))])
+    bits = e.n + 2  # both the sized rows' slots and the packed rows' cells
+    sized = fill_table(weights[:split], sizes[:split], cap, bits)[-1]
+    sized = fill_table(weights[split:], sizes[split:], cap, bits, start=sized)
+    packed = fill_table(weights[:split], sizes[:split], cap, cell_bits=bits)[-1]
+    packed = fill_table(weights[split:], sizes[split:], cap, start=packed, cell_bits=bits)
+    assert len(packed) == len(sized)
+    for packed_row, sized_row in zip(packed, sized):
+        at_one = [sum(_cells(cell, bits)) for cell in sized_row]
+        cells = _cells(packed_row, bits)
+        assert cells + [0] * (len(at_one) - len(cells)) == at_one
+
+
+def test_a_packed_start_row_needs_its_cell_width():
+    with pytest.raises(ValueError, match="cell_bits"):
+        fill_table([1], [1], start=1)
 
 
 def test_eight_voter_reference_values_via_tables():
@@ -168,6 +207,29 @@ def test_single_voter_route_matches_the_all_voter_walk(seed):
     for v in range(e.n):
         assert banzhaf_dp(e, v) == banzhaf[v]
         assert shapley_dp(e, v) == shapley[v]
+
+
+def test_counts_near_two_to_the_n_fit_their_cells():
+    # 200 equal self-voters: a voter swings the coalitions of exactly q - 1
+    # others, C(199, q - 1) of them, close to 2**199 at the majority quota
+    n = 200
+    e = validate(SocialNetwork.from_arcs(n, []), (1,) * n, DelegationProfile((SELF,) * n), 1)
+    for quota in (1, n // 2 + 1, n):
+        value = Fraction(comb(n - 1, quota - 1), 2 ** (n - 1))
+        e = _with_quota(e, quota)
+        assert all_indices_dp(e, MeasureKind.BANZHAF).values == (value,) * n
+        assert banzhaf_dp(e, n - 1) == value
+
+
+def test_weights_near_a_million_match_enumeration():
+    # about two million cells per row: cheap packed, costly one int per cell
+    weights = (999_983, 1_000_003, 1_000_033, 1_000_037)
+    profile = DelegationProfile((SELF, SELF, SELF, 2))
+    e = validate(SocialNetwork.from_arcs(4, [(3, 2)]), weights, profile, 1_999_990)
+    values = all_indices_dp(e, MeasureKind.BANZHAF).values
+    assert values == tuple(banzhaf_exact(e, v) for v in range(4))
+    assert values == (Fraction(1, 8), Fraction(1, 8), Fraction(7, 8), Fraction(1, 8))
+    assert banzhaf_dp(e, 3) == Fraction(1, 8)
 
 
 def test_scaling_weights_and_quota_changes_no_value():
