@@ -22,6 +22,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, exp, log
 
 import numpy as np
@@ -410,14 +411,25 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
 _NEG = -(1 << 62)
 
 
-def _proper_submasks(mask: int) -> np.ndarray:
-    """The nonempty proper submasks of ``mask``, largest first."""
-    subs = []
-    sub = (mask - 1) & mask
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & mask
-    return np.array(subs, dtype=np.int64)
+@lru_cache(maxsize=None)
+def _splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every set of two or more of ``r`` colors, with the ways to split it.
+
+    Entry ``size - 2`` pairs the masks of ``size`` colors, ascending, with a
+    ``(masks, 2^size - 2)`` array of their nonempty proper submasks, largest
+    first: column ``j`` keeps the colors of a mask at the set bits of
+    ``2^size - 2 - j``, the mask's lowest color standing for bit 0.
+    """
+    levels = []
+    for size in range(2, r + 1):
+        masks = [m for m in range(1 << r) if m.bit_count() == size]
+        bits = np.array([[b for b in range(r) if m >> b & 1] for m in masks])
+        picks = np.arange((1 << size) - 2, 0, -1)[:, None] >> np.arange(size) & 1
+        subs = (picks << bits[:, None, :]).sum(axis=2).astype(np.int64)
+        masks = np.array(masks, dtype=np.int64)
+        masks.flags.writeable = subs.flags.writeable = False  # cached, shared
+        levels.append((masks, subs))
+    return tuple(levels)
 
 
 def _collapsed_graph(problem: WeightMaxProblem):
@@ -456,41 +468,52 @@ def _collapsed_graph(problem: WeightMaxProblem):
     return outside, super_idx, vertex_weights, arcs, representative
 
 
-def _colorful_tables(colorings, wts, arcs, r, cost_cap) -> np.ndarray:
+def _arc_groups(arcs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parent, child and cost arrays of ``arcs``, stably sorted by parent, and
+    the start of each parent's run, so one reduceat folds arcs into parents."""
+    parents, children, costs = np.array(sorted(arcs, key=lambda arc: arc[0])).T
+    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+    return parents, children, costs, starts
+
+
+def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
     """Heaviest colorful trees for one batch of colorings.
 
     ``table[b, v, S, c]`` is the largest weight of a tree rooted at ``v``
     whose vertices carry each color of ``S`` exactly once under coloring
     ``b`` and whose arcs cost ``c`` changes; ``_NEG`` when there is none.  A
     set of two or more colors splits into the part kept at ``v`` and the
-    part hanging below one arc; all splits and arcs of a set are scored at
-    once, in chunks of splits that hold about ``CHUNK_CELLS`` cells.
+    part hanging below one arc.  Sets of one size depend only on smaller
+    ones, so each size is filled in one pass over all its sets, splits and
+    ``arc_groups`` (see ``_arc_groups``).  The pass runs in chunks of whole
+    sets that hold about ``CHUNK_CELLS`` cells; a set too large for that
+    alone is split into chunks of its splits instead.
     """
     colorings = np.array(colorings, dtype=np.int64)
     batch, n_vertices = colorings.shape
     slots = cost_cap + 1
     table = np.full((batch, n_vertices, 1 << r, slots), _NEG, dtype=np.int64)
     table[np.arange(batch)[:, None], np.arange(n_vertices), 1 << colorings, 0] = wts
-    # arcs grouped by parent, so one reduceat folds them into their parents
-    parents, children, costs = np.array(sorted(arcs, key=lambda arc: arc[0])).T
-    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+    parents, children, costs, starts = arc_groups
     shifted = costs == 1
-    step = max(1, CHUNK_CELLS // (batch * len(parents) * slots))
-    for mask in range(3, 1 << r):
-        if not mask & (mask - 1):
-            continue
-        subs = _proper_submasks(mask)
-        best = np.full((batch, len(parents), slots), _NEG, dtype=np.int64)
-        for lo in range(0, len(subs), step):
-            sub = subs[None, lo : lo + step]
-            left = table[:, parents[:, None], mask ^ sub]
-            right = table[:, children[:, None], sub]
-            for c1 in range(slots):  # (max, +) convolution over the costs
-                joined = (left[..., c1, None] + right[..., : slots - c1]).max(axis=2)
-                np.maximum(best[..., c1:], joined, out=best[..., c1:])
-        best[:, shifted, 1:] = best[:, shifted, :-1]  # the arc's own change
-        best[:, shifted, 0] = _NEG
-        table[:, parents[starts], mask] = np.maximum.reduceat(best, starts, axis=1)
+    split_cells = batch * len(parents) * slots
+    for masks, subs in _splits(r):
+        n_masks, n_subs = subs.shape
+        sub_step = min(n_subs, max(1, CHUNK_CELLS // split_cells))
+        mask_step = max(1, CHUNK_CELLS // (split_cells * sub_step))
+        for lo in range(0, n_masks, mask_step):
+            chunk = masks[lo : lo + mask_step]
+            best = np.full((batch, len(parents), len(chunk), slots), _NEG, dtype=np.int64)
+            for sub_lo in range(0, n_subs, sub_step):
+                sub = subs[lo : lo + mask_step, sub_lo : sub_lo + sub_step]
+                left = table[:, parents[:, None, None], chunk[:, None] ^ sub]
+                right = table[:, children[:, None, None], sub]
+                for c1 in range(slots):  # (max, +) convolution over the costs
+                    joined = (left[..., c1, None] + right[..., : slots - c1]).max(axis=3)
+                    np.maximum(best[..., c1:], joined, out=best[..., c1:])
+            best[:, shifted, :, 1:] = best[:, shifted, :, :-1]  # the arc's own change
+            best[:, shifted, :, 0] = _NEG
+            table[:, parents[starts, None], chunk] = np.maximum.reduceat(best, starts, axis=1)
     return table
 
 
@@ -505,7 +528,8 @@ def _first_join(table, arcs, v, mask, c, value=None):
     """
     mine = [arc for arc in arcs if arc[0] == v]
     _, children, costs = np.array(mine).T
-    subs = _proper_submasks(mask)
+    masks, subs = _splits(table.shape[1].bit_length() - 1)[mask.bit_count() - 2]
+    subs = subs[np.searchsorted(masks, mask)]
     c1 = np.arange(c + 1)
     c2 = c - costs[:, None] - c1
     left = table[v, (mask ^ subs)[:, None, None], c1]
@@ -561,10 +585,13 @@ def solve_fpt_colorcoding(
     so false positives cannot occur; "no" may be wrong with probability at
     most ``delta``.
 
-    The witness is read back, in ``_colorful_witness``'s fixed tie-break
-    order, from the first coloring in draw order that reaches ``tau``, so a
-    seed fixes it.  The tables hold int64 sums: a total weight of 2^61 or
-    more is refused with ``ParameterTooLarge``.
+    Colorings are drawn from one seeded stream and scored in batches of 1,
+    2, 4, ..., 128 and then 128 at a time, so a yes-instance usually pays for
+    a few colorings, and a no-instance for all of them, as before.  The
+    witness is read back, in ``_colorful_witness``'s fixed tie-break order,
+    from the first coloring in draw order that validates, so a seed fixes it
+    whatever the batch sizes.  The tables hold int64 sums: a total weight of
+    2^61 or more is refused with ``ParameterTooLarge``.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -609,16 +636,17 @@ def solve_fpt_colorcoding(
     n_vertices = super_idx + 1
     r = problem.req + 1
     cost_cap = min(problem.k_eff, problem.req)
-    rounds = ceil(exp(r) * log(1.0 / delta))
+    rounds = ceil(exp(r) * -log(delta))  # 1 / delta overflows when subnormal
     rng = random.Random(seed)
+    arc_groups = _arc_groups(arcs)
 
     done = 0
     while done < rounds:
-        batch = min(128, rounds - done)
+        batch = min(done + 1, 128, rounds - done)  # 1, 2, 4, ..., 128, 128, ...
         colorings = [
             [rng.randrange(r) for _ in range(n_vertices)] for _ in range(batch)
         ]
-        table = _colorful_tables(colorings, wts, arcs, r, cost_cap)
+        table = _colorful_tables(colorings, wts, arc_groups, r, cost_cap)
         reach = table[:, super_idx].reshape(batch, -1).max(axis=1)
         for b in np.flatnonzero(reach >= problem.tau):
             choices = list(election.profile.choices)

@@ -96,3 +96,30 @@ def min_power(choices, weights, quota, measure):
     """Smallest power value over all voters, by direct enumeration."""
     fn = banzhaf if measure == "banzhaf" else shapley
     return min(fn(choices, weights, quota, v) for v in range(len(choices)))
+
+
+def colorful_trees(coloring, weights, arcs, colors, cost_cap):
+    """Heaviest colorful trees under one coloring, by the plain recurrence.
+
+    Maps ``(v, color_set, cost)`` to the largest weight of a tree rooted at
+    ``v`` whose vertices carry each color of the bitmask ``color_set``
+    exactly once and whose ``(parent, child, cost)`` arcs cost ``cost`` in
+    all, at most ``cost_cap``; absent keys have no such tree.  A tree of two
+    or more vertices is a smaller tree at ``v`` joined by one arc to a tree
+    below it, colored by the rest of the set.
+    """
+    best = {(v, 1 << color, 0): weights[v] for v, color in enumerate(coloring)}
+    for color_set in range(1, 1 << colors):  # every part is a smaller number
+        for parent, child, arc_cost in arcs:
+            below = (color_set - 1) & color_set
+            while below:
+                for kept in range(cost_cap + 1):
+                    top = best.get((parent, color_set ^ below, kept))
+                    for hung in range(cost_cap + 1 - kept - arc_cost):
+                        bottom = best.get((child, below, hung))
+                        if top is None or bottom is None:
+                            continue
+                        key = (parent, color_set, kept + hung + arc_cost)
+                        best[key] = max(best.get(key, 0), top + bottom)
+                below = (below - 1) & color_set
+    return best

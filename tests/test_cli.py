@@ -197,6 +197,16 @@ def test_colorcoding_refuses_weights_beyond_its_tables(capsys, tmp_path):
     assert doc["error"]["type"] == "ParameterTooLarge"
 
 
+def test_colorcoding_takes_a_subnormal_delta(capsys, fixture_path):
+    argv = ["weightmax", fixture_path, "--target", "8", "--budget", "1"]
+    argv += ["--threshold", "8", "--method", "colorcoding", "--delta", "1e-320"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)  # exactly one JSON document
+    assert doc["arguments"]["delta"] == 1e-320
+    assert doc["results"]["decision"] is True
+
+
 def test_only_weightmax_takes_a_seed(capsys, fixture_path):
     argv = ["weightmax", fixture_path, "--target", "8", "--budget", "1"]
     argv += ["--threshold", "8", "--method", "colorcoding", "--seed", "3"]

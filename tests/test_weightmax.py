@@ -4,7 +4,9 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import ceil, exp, log
 
+import numpy as np
 import pytest
 
 import oracle
@@ -18,7 +20,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
-from liquidpower import coalition_table
+from liquidpower import coalition_table, weightmax
 from liquidpower.bribery import enumerate_neighborhood, neighborhood_size
 from liquidpower.weightmax import (
     WeightMaxOutcome,
@@ -411,6 +413,66 @@ def test_colorcoding_witnesses_are_pinned_per_seed():
         rows.append((outcome.decision, choices, outcome.support, outcome.changes))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "069c7ba4e729621e30387f1bceb95ad053b4d220c53fc923d57a5482321ac902"
+
+
+def test_colorcoding_scores_colorings_in_doubling_batches(monkeypatch):
+    sizes = []
+    fill = weightmax._colorful_tables
+
+    def counting(colorings, *args):
+        sizes.append(len(colorings))
+        return fill(colorings, *args)
+
+    monkeypatch.setattr(weightmax, "_colorful_tables", counting)
+    # four unit voters can each join the target, but one change brings in
+    # one of them; the isolated heavy voter passes the subtree refusal
+    network = SocialNetwork.from_arcs(6, [(1, 0), (2, 0), (3, 0), (4, 0)])
+    election = validate(network, (1, 1, 1, 1, 1, 6), DelegationProfile.all_self(6), 1)
+    problem = WeightMaxProblem(election, 0, 1, 5)
+    assert not solve_fpt_colorcoding(problem, delta=0.01).decision
+    r = problem.req + 1
+    assert sum(sizes) == ceil(exp(r) * log(1 / 0.01)) == 684
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 128, 128, 128, 45]
+    # a yes-instance whose first coloring is colorful scores no other
+    network = SocialNetwork.from_arcs(3, [(1, 0), (2, 1)])
+    election = validate(network, (1, 1, 1), DelegationProfile((SELF, 0, SELF)), 2)
+    sizes.clear()
+    assert solve_fpt_colorcoding(WeightMaxProblem(election, 0, 1, 3), seed=4).decision
+    assert sizes == [1]
+
+
+def test_colorcoding_takes_a_subnormal_delta():
+    network = SocialNetwork.from_arcs(3, [(1, 0), (2, 1)])
+    election = validate(network, (1, 1, 1), DelegationProfile((SELF, 0, SELF)), 2)
+    problem = WeightMaxProblem(election, 0, 1, 3)
+    for delta in (1e-320, 5e-324):
+        # the same colorings in the same order: the same witness
+        outcome = solve_fpt_colorcoding(problem, delta=delta, seed=5)
+        assert outcome == solve_fpt_colorcoding(problem, seed=5)
+        _assert_witness_ok(problem, outcome)
+
+
+def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
+    # each color-set size is filled in one chunked pass; the plain per-set
+    # recurrence must give the same tables for every chunk size
+    rng = random.Random(10_012)
+    arcs = [(4, 0, 1), (4, 1, 1), (0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1), (3, 0, 1), (1, 0, 1)]
+    wts = [1, 2, 1, 3, 2]
+    arc_groups = weightmax._arc_groups(arcs)
+    for r, cost_cap in product(range(2, 7), range(4)):
+        # every cap meets a full batch of 128 at one r
+        for batch in (1, 3, 128) if cost_cap == r % 4 else (1, 3):
+            colorings = [[rng.randrange(r) for _ in wts] for _ in range(batch)]
+            want = np.full((batch, len(wts), 1 << r, cost_cap + 1), -1)
+            for b, coloring in enumerate(colorings):
+                trees = oracle.colorful_trees(coloring, wts, arcs, r, cost_cap)
+                for key, weight in trees.items():
+                    want[(b, *key)] = weight
+            for chunk_cells in (weightmax.CHUNK_CELLS, 1 << 12, 1):
+                monkeypatch.setattr(weightmax, "CHUNK_CELLS", chunk_cells)
+                table = weightmax._colorful_tables(colorings, wts, arc_groups, r, cost_cap)
+                monkeypatch.undo()
+                assert np.array_equal(np.where(table >= 0, table, -1), want)
 
 
 # --- budget-relaxed approximation -------------------------------------------
