@@ -21,12 +21,15 @@ from itertools import chain, combinations
 import numpy as np
 
 from .coalition_table import (
+    acyclic_rows,
     best_rank,
+    chain_masks,
     coalition_weight_table,
     measure_key_weights,
     product_blocks,
     reduced_weights,
     swing_counts_from_table,
+    table_rows,
 )
 from .core import SELF, DelegationProfile, LiquidElection, build_forest
 from .dp import banzhaf_dp, shapley_dp
@@ -101,14 +104,42 @@ def _change_options(election: LiquidElection) -> list[tuple]:
     return options
 
 
-def neighborhood_size(election: LiquidElection, k: int) -> int:
+def _free_voters(election: LiquidElection, k: int, voting: int | None):
+    """Base row, free voters, their budget and the changes spent on the base.
+
+    Without ``voting`` that is the current profile's sort key, every voter
+    and ``k``.  With it, only the profiles in which voter ``voting`` votes
+    personally are wanted: a delegating ``voting`` is fixed to itself, which
+    spends one change, and one who votes already keeps its vote.  A negative
+    budget leaves no profile.
+    """
+    base = list(election.profile.sort_key())
+    voters = list(range(election.n))
+    spent = 0
+    if voting is not None:
+        voters.remove(voting)
+        if base[voting] != voting:
+            base[voting] = voting
+            spent = 1
+    return base, voters, k - spent, spent
+
+
+def neighborhood_size(
+    election: LiquidElection, k: int, *, voting: int | None = None
+) -> int:
     """Number of candidate profiles within budget ``k``, before the
-    acyclicity filter (an upper bound on the enumeration effort)."""
+    acyclicity filter (an upper bound on the enumeration effort); with
+    ``voting``, of those in which that voter votes personally (see
+    :func:`enumerate_neighborhood`)."""
+    _, voters, budget, _ = _free_voters(election, k, voting)
+    if budget < 0:
+        return 0
+    options = _change_options(election)
     poly = [1]
-    for opts in _change_options(election):
-        m = len(opts)
-        # multiply poly by (1 + m*x), truncated at degree k
-        nxt = [0] * min(len(poly) + 1, k + 1)
+    for v in voters:
+        m = len(options[v])
+        # multiply poly by (1 + m*x), truncated at degree budget
+        nxt = [0] * min(len(poly) + 1, budget + 1)
         for deg, coeff in enumerate(poly):
             if deg < len(nxt):
                 nxt[deg] += coeff
@@ -118,31 +149,47 @@ def neighborhood_size(election: LiquidElection, k: int) -> int:
     return sum(poly)
 
 
-def enumerate_neighborhood(election: LiquidElection, k: int):
+def enumerate_neighborhood(
+    election: LiquidElection,
+    k: int,
+    *,
+    voting: int | None = None,
+    resolve=chain_masks,
+    block_rows: int | None = None,
+):
     """Yield the acyclic profiles within ``k`` changes of the current one as
-    numpy blocks ``(parents, masks, changes)``.
+    numpy blocks ``(parents, resolved, changes)``.
 
     Each profile differs from the current one in at most ``k`` positions,
     each changed voter taking a genuinely different legal choice, and
-    appears exactly once; the current profile comes first.  ``parents`` is a
-    ``(P, n)`` intp array whose rows are the profiles' sort keys (a
-    self-voter is its own parent), ``masks`` the ``(P, n)`` chain masks of
-    :func:`coalition_table.chain_masks` and ``changes`` the ``(P,)`` change
-    counts.  The neighbourhood is one product per changed-voter subset (the
-    subset's voters range over their changed options), cut into blocks by
-    :func:`coalition_table.product_blocks`.
+    appears exactly once; the first is the current profile (with ``voting``
+    made to vote personally).  ``parents`` is a ``(P, n)`` intp array whose
+    rows are the profiles' sort keys (a self-voter is its own parent),
+    ``resolved`` what ``resolve`` gives for them: the ``(P, n)`` chain masks
+    of :func:`coalition_table.chain_masks` by default, or the roots of
+    :func:`coalition_table.chain_roots`; ``changes`` the ``(P,)`` change
+    counts.  With ``voting``, only the profiles in which that voter votes
+    personally (see :func:`_free_voters`).  The neighbourhood is one product
+    per subset of the free voters (the subset's voters range over their
+    changed options), cut by :func:`coalition_table.product_blocks` into
+    blocks of ``block_rows`` rows, by default :func:`coalition_table.table_rows`.
     """
     n = election.n
-    base = np.array(election.profile.sort_key(), dtype=np.intp)
+    base, voters, budget, spent = _free_voters(election, k, voting)
+    base = np.array(base, dtype=np.intp)
     options = [
         np.array([v if c is SELF else c for c in opts], dtype=np.intp)
         for v, opts in enumerate(_change_options(election))
     ]
     subsets = chain.from_iterable(
-        combinations(range(n), s) for s in range(min(k, n) + 1)
+        combinations(voters, s) for s in range(min(budget, len(voters)) + 1)
     )
     products = ((base, subset, [options[v] for v in subset]) for subset in subsets)
-    yield from product_blocks(products, n)
+    rows = table_rows(n) if block_rows is None else block_rows
+    for parents, resolved, changes in acyclic_rows(
+        product_blocks(products, n, rows), resolve
+    ):
+        yield parents, resolved, changes + spent
 
 
 def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:

@@ -10,10 +10,13 @@ equals :meth:`DelegationProfile.sort_key`):
 
 * :func:`product_blocks` generates the candidate rows of a stream of
   products (a base row whose free voters range over option pools) in blocks
-  of at most :data:`CHUNK_CELLS` table cells, keeping the acyclic rows;
-  bribery's change neighbourhood and maximin's root sets are such streams;
+  of a size the caller picks, :func:`table_rows` for blocks of at most
+  :data:`CHUNK_CELLS` table cells; bribery's change neighbourhood and
+  maximin's root sets are such streams;
 * :func:`chain_masks` resolves every voter's delegation chain, and tells the
   acyclic rows apart, by pointer doubling in ``ceil(log2 n)`` array steps;
+  :func:`chain_roots` is the same loop when only each voter's root is
+  needed, and :func:`acyclic_rows` keeps a block's acyclic rows with either;
 * :func:`coalition_weight_table` computes the active-member weight of every
   coalition mask for all P profiles (a ``(P, 2**n)`` table);
 * :func:`swing_counts_from_table` sums, for any set of voters and all P
@@ -47,30 +50,29 @@ INT32_MAX = (1 << 31) - 1
 MASK_BITS = 63  # voters a non-negative int64 chain mask can hold
 
 
-def product_blocks(products, n: int):
-    """The acyclic rows of a stream of candidate products, in numpy blocks.
+def product_blocks(products, n: int, rows: int):
+    """The candidate rows of a stream of products, in numpy blocks.
 
     Each product is ``(base, free, pools)``: a length-``n`` parent row, a
     sequence of free voters and one option array per free voter; its
     candidates are the base row with every free voter set to each
     combination of its pool's options, in :func:`itertools.product` order
     (the last free voter fastest).  Candidates of consecutive products share
-    blocks of at most ``max(1, CHUNK_CELLS >> n)`` rows, a large product
-    being sliced over several.  Yields ``(parents, masks, free_counts)``
-    for the acyclic rows of each block: the ``(P, n)`` parent rows, their
-    chain masks (see :func:`chain_masks`) and each row's number of free
-    voters; blocks whose candidates are all cyclic are skipped.
+    blocks of at most ``rows`` rows, a large product being sliced over
+    several.  Yields ``(parents, free_counts)``: the ``(P, n)`` parent rows,
+    cyclic ones included, and each row's number of free voters.  Both are
+    views of buffers that the next block overwrites; :func:`acyclic_rows`
+    keeps copies.
     """
-    size = max(1, CHUNK_CELLS >> n)
-    rows = np.empty((size, n), dtype=np.intp)
-    free_counts = np.empty(size, dtype=np.intp)
+    buffer = np.empty((rows, n), dtype=np.intp)
+    free_counts = np.empty(rows, dtype=np.intp)
     filled = 0
     for base, free, pools in products:
         total = prod(len(pool) for pool in pools)
         start = 0
         while start < total:
-            stop = min(total, start + size - filled)
-            block = rows[filled : filled + stop - start]
+            stop = min(total, start + rows - filled)
+            block = buffer[filled : filled + stop - start]
             block[:] = base
             # candidate i of the product: its digits in the pools' mixed
             # radix, the last free voter fastest
@@ -81,20 +83,31 @@ def product_blocks(products, n: int):
             free_counts[filled : filled + stop - start] = len(free)
             filled += stop - start
             start = stop
-            if filled == size:
-                yield from _acyclic_rows(rows, free_counts)
+            if filled == rows:
+                yield buffer, free_counts
                 filled = 0
     if filled:
-        yield from _acyclic_rows(rows[:filled], free_counts[:filled])
+        yield buffer[:filled], free_counts[:filled]
 
 
-def _acyclic_rows(rows, free_counts):
-    """The acyclic rows of a candidate block with their masks and free
-    counts (copies, so the caller may refill its buffers); nothing when all
-    rows are cyclic."""
-    masks, acyclic = chain_masks(rows)
-    if acyclic.any():
-        yield rows[acyclic], masks[acyclic], free_counts[acyclic]
+def table_rows(n: int) -> int:
+    """Rows per block whose ``(rows, 2**n)`` coalition tables hold at most
+    :data:`CHUNK_CELLS` cells (one row when a single table is larger)."""
+    return max(1, CHUNK_CELLS >> n)
+
+
+def acyclic_rows(blocks, resolve):
+    """The acyclic rows of each ``(parents, free_counts)`` candidate block.
+
+    ``resolve`` is :func:`chain_masks` or :func:`chain_roots`; yields
+    ``(parents, resolved, free_counts)`` copies for the acyclic rows of each
+    block, ``resolved`` holding what ``resolve`` gives for them, and skips
+    blocks whose rows are all cyclic.
+    """
+    for parents, free_counts in blocks:
+        resolved, acyclic = resolve(parents)
+        if acyclic.any():
+            yield parents[acyclic], resolved[acyclic], free_counts[acyclic]
 
 
 def chain_masks(parents) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +137,25 @@ def chain_masks(parents) -> tuple[np.ndarray, np.ndarray]:
         jump = jump[jump]
     acyclic = (flat[jump] == jump).reshape(p, n).all(axis=1)
     return masks.reshape(p, n), acyclic
+
+
+def chain_roots(parents) -> tuple[np.ndarray, np.ndarray]:
+    """Root of every voter in every row of a ``(P, n)`` parent array.
+
+    Returns ``(roots, acyclic)``: ``roots[p, v]`` is the voter at the end of
+    ``v``'s delegation chain in row ``p`` (meaningless in cyclic rows) and
+    ``acyclic`` is as in :func:`chain_masks`, whose doubling loop this is
+    without the masks; so it has no voter limit.
+    """
+    parents = np.asarray(parents, dtype=np.intp)
+    p, n = parents.shape
+    offsets = np.arange(0, p * n, n, dtype=np.intp)[:, None]
+    flat = (parents + offsets).ravel()
+    jump = flat
+    for _ in range(max(1, (n - 1).bit_length())):
+        jump = jump[jump]
+    acyclic = (flat[jump] == jump).reshape(p, n).all(axis=1)
+    return jump.reshape(p, n) - offsets, acyclic
 
 
 def reduced_weights(weights) -> tuple[int, np.ndarray]:

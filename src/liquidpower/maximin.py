@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .coalition_table import (
+    acyclic_rows,
     best_rank,
     chain_masks,
     coalition_weight_table,
@@ -24,6 +25,7 @@ from .coalition_table import (
     product_blocks,
     reduced_weights,
     swing_counts_from_table,
+    table_rows,
 )
 from .core import DelegationProfile, LiquidElection, SocialNetwork
 from .dp import all_indices_dp
@@ -79,9 +81,10 @@ def _profiles_with_roots(network: SocialNetwork, root_sets):
     Per root set the candidates are one product: the roots fixed to
     themselves, every other voter ranging over its out-neighbours.  A
     candidate is acyclic exactly when every chain ends at a root, so
-    :func:`coalition_table.product_blocks` keeps the wanted profiles; a
-    block may span root sets.  ``parents`` and ``masks`` are ``(P, n)``
-    arrays of parent rows (sort keys) and chain masks.
+    :func:`coalition_table.acyclic_rows` keeps the wanted profiles of
+    :func:`coalition_table.product_blocks`' blocks; a block may span root
+    sets.  ``parents`` and ``masks`` are ``(P, n)`` arrays of parent rows
+    (sort keys) and chain masks.
     """
     n = network.n
     identity = np.arange(n, dtype=np.intp)
@@ -91,7 +94,8 @@ def _profiles_with_roots(network: SocialNetwork, root_sets):
         free = [v for v in range(n) if v not in roots]
         return identity, free, [pools[v] for v in free]
 
-    for parents, masks, _ in product_blocks(map(rooted, root_sets), n):
+    blocks = product_blocks(map(rooted, root_sets), n, table_rows(n))
+    for parents, masks, _ in acyclic_rows(blocks, chain_masks):
         yield parents, masks
 
 

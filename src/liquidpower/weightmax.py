@@ -5,7 +5,8 @@ here looks for a profile — within a budget of delegation changes — in which
 the target votes personally and the weight of its tree reaches a threshold.
 Five routes cover different parameter regimes:
 
-* ``wmaxp_exact`` — exhaustive over the change neighborhood (small n).
+* ``wmaxp_exact`` — exhaustive over the profiles within budget in which the
+  target votes personally (small neighbourhoods).
 * ``solve_full_support`` — threshold equals the total weight, so the tree
   must span everyone; reduces to a cheapest spanning arborescence.
 * ``solve_xp_reqbar`` — parameterized by the weight *excluded* from the
@@ -27,13 +28,9 @@ from math import ceil, exp, log
 
 import numpy as np
 
-from .bribery import (
-    ENUMERATION_VOTER_LIMIT,
-    NEIGHBORHOOD_CAP,
-    enumerate_neighborhood,
-    neighborhood_size,
-)
-from .coalition_table import CHUNK_CELLS, best_rank, reduced_weights
+from . import coalition_table
+from .bribery import NEIGHBORHOOD_CAP, enumerate_neighborhood, neighborhood_size
+from .coalition_table import best_rank, chain_roots, reduced_weights
 from .core import SELF, DelegationProfile, LiquidElection
 from .errors import (
     InstanceTooLargeForEnumeration,
@@ -145,25 +142,34 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
     """Best reachable support by brute force over the change neighborhood.
 
     Maximizes the weight the target casts; ties prefer fewer changes, then
-    the lexicographically smallest profile.  The target casts the weight of
-    the voters whose chain contains it, read off the blocks' chain masks,
-    when it votes personally, and nothing otherwise.
+    the lexicographically smallest profile.  The target casts weight only
+    in the profiles where it votes personally, and there at least its own
+    (1 or more), so only those are scored (``voting`` of
+    :func:`bribery.enumerate_neighborhood`): the rest cast 0 and lose to
+    any of them.  A delegating target without budget has none, and casts 0.
+    A scored profile's support is the weight of the voters whose root is the
+    target.  Raises :class:`InstanceTooLargeForEnumeration`, before scoring
+    any, when more than ``NEIGHBORHOOD_CAP`` profiles are to be scored.
     """
     election = problem.election
-    if election.n > ENUMERATION_VOTER_LIMIT:
-        raise InstanceTooLargeForEnumeration(
-            f"{election.n} voters exceed the enumeration limit of {ENUMERATION_VOTER_LIMIT}"
-        )
-    if neighborhood_size(election, problem.budget) > NEIGHBORHOOD_CAP:
-        raise InstanceTooLargeForEnumeration(
-            f"change neighborhood exceeds the cap of {NEIGHBORHOOD_CAP}"
-        )
     t = problem.target
+    if problem.k_eff < 0:
+        return WeightMaxOutcome(False, None, 0, 0)
+    count = neighborhood_size(election, problem.budget, voting=t)
+    if count > NEIGHBORHOOD_CAP:
+        raise InstanceTooLargeForEnumeration(
+            f"{count} candidate profiles in which the target votes exceed "
+            f"the cap of {NEIGHBORHOOD_CAP}"
+        )
     g, weights = reduced_weights(election.weights)
+    # blocks of about CHUNK_CELLS / 4 parent entries: larger ones only add
+    # memory, as no coalition table is built here
+    block_rows = max(1, coalition_table.CHUNK_CELLS // (4 * election.n))
     best = None
-    for parents, masks, changes in enumerate_neighborhood(election, problem.budget):
-        support = np.where(parents[:, t] == t, (masks >> t & 1) @ weights, 0)
-        rank = best_rank(support, changes, parents)
+    for parents, roots, changes in enumerate_neighborhood(
+        election, problem.budget, voting=t, resolve=chain_roots, block_rows=block_rows
+    ):
+        rank = best_rank((roots == t) @ weights, changes, parents)
         if best is None or rank < best:
             best = rank
     neg_support, best_changes, best_parents = best
@@ -486,8 +492,9 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
     part hanging below one arc.  Sets of one size depend only on smaller
     ones, so each size is filled in one pass over all its sets, splits and
     ``arc_groups`` (see ``_arc_groups``).  The pass runs in chunks of whole
-    sets that hold about ``CHUNK_CELLS`` cells; a set too large for that
-    alone is split into chunks of its splits instead.
+    sets that hold about ``coalition_table.CHUNK_CELLS`` cells (read at each
+    call); a set too large for that alone is split into chunks of its splits
+    instead.
     """
     colorings = np.array(colorings, dtype=np.int64)
     batch, n_vertices = colorings.shape
@@ -497,10 +504,11 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
     parents, children, costs, starts = arc_groups
     shifted = costs == 1
     split_cells = batch * len(parents) * slots
+    chunk_cells = coalition_table.CHUNK_CELLS
     for masks, subs in _splits(r):
         n_masks, n_subs = subs.shape
-        sub_step = min(n_subs, max(1, CHUNK_CELLS // split_cells))
-        mask_step = max(1, CHUNK_CELLS // (split_cells * sub_step))
+        sub_step = min(n_subs, max(1, chunk_cells // split_cells))
+        mask_step = max(1, chunk_cells // (split_cells * sub_step))
         for lo in range(0, n_masks, mask_step):
             chunk = masks[lo : lo + mask_step]
             best = np.full((batch, len(parents), len(chunk), slots), _NEG, dtype=np.int64)

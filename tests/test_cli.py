@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from liquidpower.cli import main
-from liquidpower.core import election_to_json
+from liquidpower.core import election_from_json, election_to_json
 from support import TRIM_FALLBACK_INSTANCE, eight_voter_election, random_election
 
 
@@ -163,6 +163,24 @@ def test_weightmax_witness_supports_reported_weight(capsys, fixture_path):
     assert doc["results"]["support"] >= 8
     delegations = doc["results"]["witness_instance"]["delegations"]
     assert delegations["8"] == 8  # the target votes personally
+
+
+def test_weightmax_exact_answers_twenty_voters(capsys, monkeypatch, tmp_path):
+    import io
+
+    election = random_election(random.Random(13_004), n_min=20, n_max=20, arc_prob=0.2)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(election_to_json(election))))
+    argv = ["weightmax", "-", "--method", "exact", "--target", "3", "--budget", "2"]
+    code, doc = _run_json(capsys, [*argv, "--threshold", "1"])
+    assert code == 0
+    results = doc["results"]
+    assert results["decision"] is True and results["changes"] <= 2
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(results["witness_instance"]))
+    assert election_from_json(results["witness_instance"]).forest.subtree_weight[2] == results["support"]
+    code, echo = _run_json(capsys, ["index", str(witness), "--voter", "3"])
+    assert code == 0
+    assert "3" in echo["results"]["values"]
 
 
 def test_weightmax_vbamw_needs_epsilon(capsys, fixture_path):

@@ -35,6 +35,7 @@ from liquidpower.weightmax import (
 from support import (
     TRIM_FALLBACK_INSTANCE,
     eight_voter_election,
+    neighborhood_profiles,
     random_election,
     three_voter_line_election,
 )
@@ -158,6 +159,150 @@ def test_exact_with_large_weights_is_exact():
     election = validate(network, weights, DelegationProfile.all_self(3), 1 << 63)
     with pytest.raises(InstanceTooLargeForEnumeration):
         wmaxp_exact(WeightMaxProblem(election, 0, 2, 1))
+
+
+def _reference_exact(problem):
+    """``wmaxp_exact``'s outcome from a scan of the whole change
+    neighbourhood, every forest built in plain Python."""
+    election = problem.election
+    t = problem.target
+    base = election.profile.sort_key()
+    best = None
+    for profile in neighborhood_profiles(election, problem.budget):
+        parents = profile.sort_key()
+        support = 0
+        if parents[t] == t:
+            for v in range(election.n):
+                root = v
+                while parents[root] != root:
+                    root = parents[root]
+                if root == t:
+                    support += election.weights[v]
+        changes = sum(a != b for a, b in zip(parents, base))
+        rank = (-support, changes, parents)
+        if best is None or rank < best:
+            best = rank
+    neg_support, changes, parents = best
+    decision = -neg_support >= problem.tau
+    return WeightMaxOutcome(
+        decision,
+        DelegationProfile.from_parents(parents) if decision else None,
+        -neg_support,
+        changes if decision else 0,
+    )
+
+
+def test_exact_equals_a_scan_of_the_whole_neighbourhood():
+    # wmaxp_exact scores only the profiles in which the target votes; the
+    # rest cast 0, so the winner, ties included, must be the full scan's
+    rng = random.Random(13_001)
+    kinds = set()
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        election = random_election(
+            rng,
+            n_min=n,
+            n_max=n,
+            w_max=rng.choice((1, 1, 2)),  # unit weights: many equal supports
+            arc_prob=rng.choice((0.5, 0.8)),
+            delegate_prob=rng.random(),
+        )
+        target = rng.randrange(n)
+        k = rng.randint(0, 3)
+        tau = rng.randint(1, election.total_weight)
+        problem = WeightMaxProblem(election, target, k, tau)
+        kinds.add((problem.is_follower, k > 0))
+        assert wmaxp_exact(problem) == _reference_exact(problem)
+        # the scored rows are exactly the neighbourhood's rows where the target votes
+        scored = enumerate_neighborhood(election, k, voting=target)
+        voting = [p for p in neighborhood_profiles(election, k) if p.choices[target] is SELF]
+        assert sum(len(parents) for parents, _, _ in scored) == len(voting)
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_exact_follower_without_budget_enumerates_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(weightmax, "enumerate_neighborhood", refuse)
+    monkeypatch.setattr(weightmax, "neighborhood_size", refuse)
+    problem = WeightMaxProblem(eight_voter_election(), 0, 0, 1)
+    assert wmaxp_exact(problem) == WeightMaxOutcome(False, None, 0, 0)
+    monkeypatch.undo()
+    assert _reference_exact(problem) == WeightMaxOutcome(False, None, 0, 0)
+
+
+def _few_tree_election(rng, n):
+    """A random ``n``-voter election of one to three delegation trees, with
+    about two spare out-arcs per voter, so that two changes often gather
+    every ballot."""
+    order = rng.sample(range(n), n)
+    roots = rng.randint(1, 3)
+    choices = [SELF] * n
+    arcs = set()
+    for i in range(roots, n):
+        choices[order[i]] = order[rng.randrange(i)]
+        arcs.add((order[i], choices[order[i]]))
+    for _ in range(2 * n):
+        arcs.add(tuple(rng.sample(range(n), 2)))
+    weights = tuple(rng.randint(1, 3) for _ in range(n))
+    total = sum(weights)
+    profile = DelegationProfile(tuple(choices))
+    network = SocialNetwork.from_arcs(n, arcs)
+    return validate(network, weights, profile, rng.randint(total // 2 + 1, total))
+
+
+def test_exact_beyond_ten_voters_agrees_with_the_other_routes():
+    rng = random.Random(13_002)
+    yes = {"full": 0, "xp": 0, "cc": 0}
+    for n in (12, 16, 20, 24, 30, 40):
+        for _ in range(3):
+            election = _few_tree_election(rng, n)
+            gurus = election.forest.gurus
+            target = rng.choice(gurus) if rng.random() < 0.7 else rng.randrange(n)
+            k = rng.randint(1, 2)
+            total = election.total_weight
+            full = WeightMaxProblem(election, target, k, total)
+            exact, want = wmaxp_exact(full), solve_full_support(full)
+            assert exact.decision == want.decision
+            if want.decision:
+                assert (exact.support, exact.changes) == (total, want.changes)
+            yes["full"] += want.decision
+            problem = WeightMaxProblem(election, target, k, total - rng.randint(0, 3))
+            if problem.req_bar >= 0:
+                want = solve_xp_reqbar(problem)
+                assert wmaxp_exact(problem).decision == want.decision
+                yes["xp"] += want.decision
+            tau = min(total, full.base_support + rng.randint(1, 3))
+            problem = WeightMaxProblem(election, target, k, tau)
+            if solve_fpt_colorcoding(problem, seed=n).decision:
+                assert wmaxp_exact(problem).decision
+                yes["cc"] += 1
+    assert min(yes.values()) > 0
+
+
+def test_exact_beyond_ten_voters_equals_the_full_scan():
+    rng = random.Random(13_003)
+    for _ in range(3):
+        election = _few_tree_election(rng, 12)
+        for target in rng.sample(range(12), 3):
+            tau = rng.randint(1, election.total_weight)
+            problem = WeightMaxProblem(election, target, 2, tau)
+            assert wmaxp_exact(problem) == _reference_exact(problem)
+
+
+def test_exact_refuses_above_the_profile_cap(monkeypatch):
+    election = eight_voter_election()
+    for target in (3, 7):  # a follower and a voter who votes already
+        problem = WeightMaxProblem(election, target, 2, 1)
+        count = neighborhood_size(election, 2, voting=target)
+        monkeypatch.setattr(weightmax, "NEIGHBORHOOD_CAP", count)
+        assert wmaxp_exact(problem) == _reference_exact(problem)
+        monkeypatch.setattr(weightmax, "NEIGHBORHOOD_CAP", count - 1)
+        with pytest.raises(InstanceTooLargeForEnumeration) as refused:
+            wmaxp_exact(problem)
+        assert f"{count} " in str(refused.value) and f"cap of {count - 1}" in str(refused.value)
+        monkeypatch.undo()
 
 
 # --- full support -----------------------------------------------------------
@@ -459,6 +604,15 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
     arcs = [(4, 0, 1), (4, 1, 1), (0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1), (3, 0, 1), (1, 0, 1)]
     wts = [1, 2, 1, 3, 2]
     arc_groups = weightmax._arc_groups(arcs)
+    read = []
+
+    class Cells(int):
+        """A chunk size that records each division the fill makes by it."""
+
+        def __floordiv__(self, other):
+            read.append(int(self))
+            return int(self) // other
+
     for r, cost_cap in product(range(2, 7), range(4)):
         # every cap meets a full batch of 128 at one r
         for batch in (1, 3, 128) if cost_cap == r % 4 else (1, 3):
@@ -468,10 +622,12 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
                 trees = oracle.colorful_trees(coloring, wts, arcs, r, cost_cap)
                 for key, weight in trees.items():
                     want[(b, *key)] = weight
-            for chunk_cells in (weightmax.CHUNK_CELLS, 1 << 12, 1):
-                monkeypatch.setattr(weightmax, "CHUNK_CELLS", chunk_cells)
+            for chunk_cells in (coalition_table.CHUNK_CELLS, 1 << 12, 1):
+                monkeypatch.setattr(coalition_table, "CHUNK_CELLS", Cells(chunk_cells))
+                read.clear()
                 table = weightmax._colorful_tables(colorings, wts, arc_groups, r, cost_cap)
                 monkeypatch.undo()
+                assert read and set(read) == {chunk_cells}  # the size reached the fill
                 assert np.array_equal(np.where(table >= 0, table, -1), want)
 
 
