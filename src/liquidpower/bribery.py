@@ -24,6 +24,7 @@ from .coalition_table import (
     acyclic_rows,
     best_rank,
     chain_masks,
+    check_table_work,
     coalition_weight_table,
     measure_key_weights,
     product_blocks,
@@ -33,11 +34,7 @@ from .coalition_table import (
 )
 from .core import SELF, DelegationProfile, LiquidElection, build_forest
 from .dp import banzhaf_dp, shapley_dp
-from .errors import InstanceTooLargeForEnumeration
 from .exact import MeasureKind
-
-ENUMERATION_VOTER_LIMIT = 10
-NEIGHBORHOOD_CAP = 400_000
 
 
 class BriberyObjective(str, Enum):
@@ -197,19 +194,12 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
 
     Ties broken by fewer changes, then lexicographically smaller profile.
     The decision compares the optimum against the threshold in the
-    objective's direction.
+    objective's direction.  Up to 16 voters while the neighbourhood's table
+    work fits (:func:`coalition_table.check_table_work`, which refuses).
     """
     election = problem.election
     n = election.n
-    if n > ENUMERATION_VOTER_LIMIT:
-        raise InstanceTooLargeForEnumeration(
-            f"{n} voters exceed the bribery enumeration limit of {ENUMERATION_VOTER_LIMIT}"
-        )
-    bound = neighborhood_size(election, problem.budget)
-    if bound > NEIGHBORHOOD_CAP:
-        raise InstanceTooLargeForEnumeration(
-            f"neighborhood of {bound} candidate profiles exceeds the cap of {NEIGHBORHOOD_CAP}"
-        )
+    check_table_work([neighborhood_size(election, problem.budget)], n, 1)
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
     size_weights, denominator = measure_key_weights(
@@ -229,10 +219,7 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
             best = rank
     neg_key, best_changes, best_parents = best
     value = Fraction(-sign * neg_key, denominator)
-    if problem.objective.maximize:
-        decision = value >= problem.threshold
-    else:
-        decision = value <= problem.threshold
+    decision = sign * value >= sign * problem.threshold
     return BriberyOutcome(
         decision=decision,
         profile=DelegationProfile.from_parents(best_parents) if decision else None,

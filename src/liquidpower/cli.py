@@ -29,6 +29,7 @@ from .bribery import BriberyObjective, BriberyProblem, gamw, solve_bribery_exact
 from .core import (
     LiquidElection,
     PartialElection,
+    decimal_id,
     election_from_json,
     election_to_json,
     instance_digest,
@@ -85,10 +86,9 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_voter(text: str, n: int) -> int:
-    try:
-        voter = int(text)
-    except ValueError:
-        raise CliError(f"voter id must be an integer, got {text!r}") from None
+    voter = decimal_id(text)
+    if voter is None:
+        raise CliError(f"voter id must be a decimal integer, got {text!r}")
     if not 1 <= voter <= n:
         raise CliError(f"voter id {voter} out of range 1..{n}")
     return voter - 1

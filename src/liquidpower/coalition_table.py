@@ -18,7 +18,8 @@ equals :meth:`DelegationProfile.sort_key`):
   :func:`chain_roots` is the same loop when only each voter's root is
   needed, and :func:`acyclic_rows` keeps a block's acyclic rows with either;
 * :func:`coalition_weight_table` computes the active-member weight of every
-  coalition mask for all P profiles (a ``(P, 2**n)`` table);
+  coalition mask for all P profiles (a ``(P, 2**n)`` table), and
+  :func:`check_table_work` refuses a search whose tables cost too much;
 * :func:`swing_counts_from_table` sums, for any set of voters and all P
   profiles at once, a per-size weight over the coalitions each voter swings:
   all-ones weights give the swing total, ``s!(n-1-s)!`` the Shapley
@@ -37,6 +38,8 @@ against exact's plain enumeration and an independent oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, prod
 
 import numpy as np
@@ -48,6 +51,7 @@ CHUNK_CELLS = 1 << 16  # table cells per batch: 256 profiles at n=8
 INT64_MAX = (1 << 63) - 1
 INT32_MAX = (1 << 31) - 1
 MASK_BITS = 63  # voters a non-negative int64 chain mask can hold
+WORK_CAP = 400_000 * 11 << 10  # table work of bribery over 400,000 profiles of 10 voters
 
 
 def product_blocks(products, n: int, rows: int):
@@ -177,6 +181,22 @@ def reduced_weights(weights) -> tuple[int, np.ndarray]:
     return g, np.array(reduced, dtype=np.int64)
 
 
+def check_table_work(rows, n: int, scored: int) -> None:
+    """Refuse tables whose work exceeds :data:`WORK_CAP`: a profile scored for
+    ``scored`` voters takes ``n`` subset-sum and ``scored`` swing passes over
+    ``2**n`` cells.  ``rows`` (profile counts) is read after the voter check."""
+    if n > TABLE_LIMIT:
+        raise InstanceTooLargeForEnumeration(
+            f"{n} voters exceed the coalition-table limit of {TABLE_LIMIT}"
+        )
+    for total in accumulate(rows):
+        if (work := total * (n + scored) << n) > WORK_CAP:
+            raise InstanceTooLargeForEnumeration(
+                f"{work}+ units of table work ({total}+ profiles of {n} voters) "
+                f"exceed the cap of {WORK_CAP}"
+            )
+
+
 def coalition_weight_table(masks, weights) -> np.ndarray:
     """Active-member weight of every coalition mask, one row per profile.
 
@@ -188,10 +208,7 @@ def coalition_weight_table(masks, weights) -> np.ndarray:
     """
     masks = np.asarray(masks, dtype=np.int64)
     p, n = masks.shape
-    if n > TABLE_LIMIT:
-        raise InstanceTooLargeForEnumeration(
-            f"{n} voters exceed the coalition-table limit of {TABLE_LIMIT}"
-        )
+    check_table_work([p], n, 0)
     if sum(map(int, weights)) > INT64_MAX:
         raise InstanceTooLargeForEnumeration(
             "total weight overflows the 64-bit coalition tables"
@@ -204,6 +221,14 @@ def coalition_weight_table(masks, weights) -> np.ndarray:
         halves = table.reshape(-1, 2, 1 << b, p)
         halves[:, 1] += halves[:, 0]
     return table.T
+
+
+@lru_cache(maxsize=None)  # counting per call took half of an n=16 search
+def _coalition_sizes(half: int) -> np.ndarray:
+    """Member count of every coalition mask below ``half``."""
+    sizes = np.fromiter(map(int.bit_count, range(half)), np.intp, half)
+    sizes.flags.writeable = False  # cached, shared
+    return sizes
 
 
 def swing_counts_from_table(
@@ -229,8 +254,7 @@ def swing_counts_from_table(
         # Row r of the split is the coalition whose other members are r's bits
         split = wins.reshape(-1, 2, 1 << v, p)
         np.greater(split[:, 1], split[:, 0], out=swing[i].reshape(-1, 1 << v, p))
-    sizes = np.fromiter(map(int.bit_count, range(half)), np.intp, half)
-    weights = np.asarray(size_weights, dtype=np.int64)[sizes]
+    weights = np.asarray(size_weights, dtype=np.int64)[_coalition_sizes(half)]
     # einsum sums in the weights' dtype; no entry exceeds the sum of all
     # weights, and while that fits int32 the sums run about 3x faster
     if int(np.abs(weights).sum()) <= INT32_MAX:

@@ -396,6 +396,17 @@ def apply_changes(
 # Omitted voters in "delegations" vote themselves.
 
 
+def decimal_id(text) -> int | None:
+    """The integer a canonical ASCII decimal string names, else None.
+
+    ``int()`` also reads "1_0" as 10, and " +3 ", "03" and the full-width
+    "３" as 3; none of them is a voter id in a document or on the command line.
+    """
+    if type(text) is str and text.isascii() and text.isdigit() and text == str(int(text)):
+        return int(text)
+    return None
+
+
 def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElection:
     """Parse and validate an election from its JSON document (or parsed dict)."""
     if isinstance(doc, (str, bytes)):
@@ -424,10 +435,9 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
     )
     choices: list[Choice] = [SELF] * n
     for key, target in delegations.items():
-        # only canonical ASCII decimals: int() also reads "1_0", " +1 " and "01"
-        if not (type(key) is str and key.isascii() and key.isdigit() and key == str(int(key))):
+        voter = decimal_id(key)
+        if voter is None:
             raise ValueError(f"delegation key {key!r} is not a voter id")
-        voter = int(key)
         if not (1 <= voter <= n) or type(target) is not int or not (1 <= target <= n):
             raise ValueError(f"bad delegation entry {key!r}: {target!r}")
         choices[voter - 1] = SELF if target == voter else target - 1

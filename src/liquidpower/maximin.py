@@ -20,6 +20,7 @@ from .coalition_table import (
     acyclic_rows,
     best_rank,
     chain_masks,
+    check_table_work,
     coalition_weight_table,
     measure_key_weights,
     product_blocks,
@@ -30,16 +31,12 @@ from .coalition_table import (
 from .core import DelegationProfile, LiquidElection, SocialNetwork
 from .dp import all_indices_dp
 from .errors import (
-    InstanceTooLargeForEnumeration,
     MeasureNotSupported,
     NoFeasibleProfile,
     NonPositiveWeight,
     QuotaOutOfRange,
 )
 from .exact import MeasureKind
-
-BRUTEFORCE_VOTER_LIMIT = 8
-PROFILE_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -138,27 +135,20 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
 
     Ties between equally good profiles break lexicographically.  Raises
     NoFeasibleProfile when no acyclic profile has exactly the requested
-    number of roots (e.g. more voters without out-arcs than roots allowed),
-    and InstanceTooLargeForEnumeration, before scoring anything, when more
-    than ``PROFILE_CAP`` profiles qualify.
+    number of roots (e.g. more voters without out-arcs than roots allowed).
+    Up to 16 voters while the table work of the qualifying profiles, counted
+    by the matrix-tree theorem, fits (:func:`coalition_table.check_table_work`,
+    which refuses before any profile is scored).
     """
-    n = problem.network.n
-    if n > BRUTEFORCE_VOTER_LIMIT:
-        raise InstanceTooLargeForEnumeration(
-            f"{n} voters exceed the maximin enumeration limit of {BRUTEFORCE_VOTER_LIMIT}"
-        )
     network = problem.network
-    root_sets = []
-    total = 0
-    for roots in combinations(range(n), problem.gurus):
-        count = _count_profiles_with_roots(network, roots)
-        if count:
-            root_sets.append(roots)
-            total += count
-    if total > PROFILE_CAP:
-        raise InstanceTooLargeForEnumeration(
-            f"{total} feasible profiles exceed the cap of {PROFILE_CAP}"
-        )
+    n = network.n
+    counts = {}  # profiles per root set, filled as the guard reads them
+    rows = (
+        counts.setdefault(roots, _count_profiles_with_roots(network, roots))
+        for roots in combinations(range(n), problem.gurus)
+    )
+    check_table_work(rows, n, n)
+    root_sets = [roots for roots, count in counts.items() if count]
     if not root_sets:
         raise NoFeasibleProfile(
             f"no acyclic profile with exactly {problem.gurus} personally-voting voters"

@@ -29,7 +29,7 @@ from math import ceil, exp, log
 import numpy as np
 
 from . import coalition_table
-from .bribery import NEIGHBORHOOD_CAP, enumerate_neighborhood, neighborhood_size
+from .bribery import enumerate_neighborhood, neighborhood_size
 from .coalition_table import best_rank, chain_roots, reduced_weights
 from .core import SELF, DelegationProfile, LiquidElection
 from .errors import (
@@ -38,6 +38,7 @@ from .errors import (
     ParameterTooLarge,
 )
 
+NEIGHBORHOOD_CAP = 400_000  # profiles wmaxp_exact scores
 XP_EXCLUSION_LIMIT = 6
 FPT_REQUIREMENT_LIMIT = 8
 EXCLUSION_SET_CAP = 200_000
@@ -332,6 +333,46 @@ def solve_full_support(problem: WeightMaxProblem) -> WeightMaxOutcome:
 # --- XP in the excluded weight ----------------------------------------------
 
 
+def _exclusion_sets(others, weights, req_bar: int):
+    """Every set of ``others`` weighing at most ``req_bar``, by weight, then
+    size, then lexicographically; refuses more than ``EXCLUSION_SET_CAP``
+    of them before yielding the first.
+
+    ``ways[j][w][s]`` counts the sets of ``s`` voters of ``others[j:]`` that
+    weigh exactly ``w`` (every weight is at least 1, so ``s <= w``), and the
+    walk descends only into choices that it says complete a set.
+    """
+    span = range(req_bar + 1)
+    ways = [[[int(w == s == 0) for s in span] for w in span]]
+    for v in reversed(others):
+        after, wv = ways[-1], weights[v]
+        ways.append([
+            [after[w][s] + (s and w >= wv and after[w - wv][s - 1]) for s in span]
+            for w in span
+        ])
+    ways.reverse()
+    count = sum(map(sum, ways[0]))
+    if count > EXCLUSION_SET_CAP:
+        raise InstanceTooLargeForEnumeration(
+            f"{count} exclusion sets exceed the cap of {EXCLUSION_SET_CAP}"
+        )
+
+    def walk(j: int, w: int, s: int):
+        if s == 0:
+            yield ()
+            return
+        for i in range(j, len(others)):
+            wv = weights[others[i]]
+            if wv <= w and ways[i + 1][w - wv][s - 1]:
+                for rest in walk(i + 1, w - wv, s - 1):
+                    yield (others[i], *rest)
+
+    for w in span:
+        for s in span:
+            if ways[0][w][s]:
+                yield from walk(0, w, s)
+
+
 def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
     """Enumerate light exclusion sets; solve full support on the rest.
 
@@ -356,25 +397,7 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
     base_choices = election.profile.choices
     others = [v for v in range(n) if v != problem.target]
 
-    subsets: list[tuple[int, int, tuple[int, ...]]] = []
-
-    def grow(start: int, picked: list[int], weight: int):
-        subsets.append((weight, len(picked), tuple(picked)))
-        if len(subsets) > EXCLUSION_SET_CAP:
-            raise InstanceTooLargeForEnumeration(
-                f"more than {EXCLUSION_SET_CAP} exclusion sets to enumerate"
-            )
-        for j in range(start, len(others)):
-            v = others[j]
-            if weight + weights[v] <= problem.req_bar:
-                picked.append(v)
-                grow(j + 1, picked, weight + weights[v])
-                picked.pop()
-
-    grow(0, [], 0)
-    subsets.sort()
-
-    for _, _, excluded in subsets:
+    for excluded in _exclusion_sets(others, weights, problem.req_bar):
         out = set(excluded)
         kept = [v for v in range(n) if v not in out]
         index = {v: i for i, v in enumerate(kept)}

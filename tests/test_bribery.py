@@ -15,7 +15,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
-from liquidpower import coalition_table
+from liquidpower import bribery, coalition_table
 from liquidpower.bribery import (
     BriberyObjective,
     BriberyProblem,
@@ -25,6 +25,7 @@ from liquidpower.bribery import (
     neighborhood_size,
     solve_bribery_exact,
 )
+from liquidpower.dp import banzhaf_dp, shapley_dp
 from liquidpower.exact import MeasureKind, banzhaf_exact, shapley_exact
 from support import eight_voter_election, neighborhood_profiles, random_election
 
@@ -283,14 +284,81 @@ def test_weights_that_overflow_even_reduced_are_refused():
         solve_bribery_exact(problem)
 
 
-def test_voter_count_guard():
+def _dp_scan(problem):
+    """``(value, changes, sort key)`` of the best neighbourhood profile, each
+    scored on its own by the DP, under the solver's tie-break."""
+    election = problem.election
+    measure = banzhaf_dp if problem.objective.kind is MeasureKind.BANZHAF else shapley_dp
+    sign = 1 if problem.objective.maximize else -1
+    key, changes, row = min(
+        (
+            -sign * measure(election.with_profile(profile), problem.target),
+            len(election.profile.changed_voters(profile)),
+            profile.sort_key(),
+        )
+        for profile in neighborhood_profiles(election, problem.budget)
+    )
+    return -sign * key, changes, row
+
+
+def _assert_like_the_scan(problem):
+    outcome = solve_bribery_exact(problem)
+    assert outcome.decision
+    assert (outcome.value, outcome.changes, outcome.profile.sort_key()) == _dp_scan(problem)
+
+
+def test_eleven_voters_are_searched_like_the_dp_scan():
+    # one change on the complete 11-voter network is 111 profiles
     n = 11
     election = validate(
         SocialNetwork.complete(n), (1,) * n, DelegationProfile.all_self(n), 6
     )
-    with pytest.raises(InstanceTooLargeForEnumeration):
+    assert neighborhood_size(election, 1) == 111
+    _assert_like_the_scan(
+        BriberyProblem(election, 0, 1, Fraction(0), BriberyObjective.MAX_BANZHAF)
+    )
+
+
+def test_sixteen_voters_are_searched_like_the_dp_scan():
+    rng = random.Random(7_311)
+    for n, budget in ((11, 2), (12, 2), (13, 1), (14, 1), (16, 1)):
+        election = random_election(rng, n_min=n, n_max=n, w_max=4, arc_prob=2 / n)
+        target = rng.randrange(n)
+        for objective in BriberyObjective:
+            threshold = Fraction(0) if objective.maximize else Fraction(1)
+            _assert_like_the_scan(
+                BriberyProblem(election, target, budget, threshold, objective)
+            )
+
+
+def test_the_work_cap_is_inclusive(monkeypatch):
+    n = 11
+    election = validate(
+        SocialNetwork.complete(n), (1,) * n, DelegationProfile.all_self(n), 6
+    )
+    problem = BriberyProblem(election, 0, 1, Fraction(0), BriberyObjective.MAX_SHAPLEY)
+    estimate = 111 * (n + 1) << n
+    monkeypatch.setattr(coalition_table, "WORK_CAP", estimate)
+    answered = solve_bribery_exact(problem)
+    assert answered.value == _dp_scan(problem)[0]
+
+    def no_tables(*_args):
+        raise AssertionError("the refusal must come before any table")
+
+    monkeypatch.setattr(coalition_table, "WORK_CAP", estimate - 1)
+    monkeypatch.setattr(bribery, "coalition_weight_table", no_tables)
+    with pytest.raises(InstanceTooLargeForEnumeration, match=str(estimate)):
+        solve_bribery_exact(problem)
+
+
+def test_more_voters_than_a_table_holds_are_refused():
+    n = coalition_table.TABLE_LIMIT + 1
+    election = validate(
+        SocialNetwork.complete(n), (1,) * n, DelegationProfile.all_self(n), n
+    )
+    with pytest.raises(InstanceTooLargeForEnumeration, match="coalition-table limit"):
         solve_bribery_exact(
-            BriberyProblem(election, 0, 1, Fraction(1), BriberyObjective.MAX_BANZHAF)
+            BriberyProblem(election, 0, 0, Fraction(0), BriberyObjective.MAX_BANZHAF)
         )
 
 

@@ -332,3 +332,47 @@ def test_a_delegation_key_that_is_not_a_voter_id_is_refused(capsys, tmp_path):
         error = json.loads(captured.out)["error"]
         assert error["type"] == "CliError"
         assert repr(key) in error["message"]
+
+
+def test_voter_ids_on_the_command_line_are_canonical_decimals(capsys, tmp_path):
+    # int() reads "1_0" and "010" as 10, " +3 " and the full-width "３" as 3
+    doc = election_to_json(random_election(random.Random(12_004), n_min=11, n_max=11))
+    path = tmp_path / "eleven.json"
+    path.write_text(json.dumps(doc))
+    runs = [
+        (["index", str(path), "--voter", text], text)
+        for text in ("1_0", "010", " +3 ", "３")
+    ]
+    weightmax = ["weightmax", str(path), "--threshold", "1", "--budget", "1"]
+    runs.append(([*weightmax, "--target", "1_1"], "1_1"))
+    for argv, text in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "CliError"
+        assert repr(text) in error["message"]
+    code, doc = _run_json(capsys, ["index", str(path), "--voter", "10"])
+    assert code == 0
+    assert list(doc["results"]["values"]) == ["10"]
+
+
+def test_twelve_voter_bribe_witness_feeds_back_through_index(capsys, tmp_path):
+    election = random_election(random.Random(12_005), n_min=12, n_max=12, arc_prob=0.2)
+    path = tmp_path / "twelve.json"
+    path.write_text(json.dumps(election_to_json(election)))
+    argv = ["bribe", str(path), "--objective", "max-shapley", "--target", "12"]
+    code, doc = _run_json(
+        capsys, [*argv, "--budget", "2", "--threshold", "0", "--method", "exact"]
+    )
+    assert code == 0
+    assert doc["results"]["decision"] is True
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps(doc["results"]["witness_instance"]))
+    code, echo = _run_json(
+        capsys,
+        ["index", str(witness), "--kind", "shapley", "--method", "both", "--voter", "12"],
+    )
+    assert code == 0
+    assert echo["results"]["values"]["12"]["exact"] == doc["results"]["value"]["exact"]

@@ -21,6 +21,7 @@ from liquidpower import (
     validate,
 )
 from liquidpower import coalition_table, maximin
+from liquidpower.dp import all_indices_dp
 from liquidpower.exact import MeasureKind, banzhaf_exact
 from liquidpower.maximin import MaximinProblem, mmwp_bruteforce, mmwp_leafmin
 from support import eight_voter_election, random_election, random_profile
@@ -223,6 +224,76 @@ def test_bruteforce_matches_reference_enumeration():
         assert solution.profile.choices == reference[1]
         checked += 1
     assert checked >= 6
+
+
+def _dp_scan(network, weights, quota, gurus, kind):
+    """``(mu, sort key)`` of the best profile with ``gurus`` roots: every
+    candidate of every root set's out-neighbour product, cycles dropped,
+    scored by one DP walk each."""
+    n = network.n
+    best = None
+    for roots in combinations(range(n), gurus):
+        free = [v for v in range(n) if v not in roots]
+        for picks in product(*(network.out_neighbors[v] for v in free)):
+            choices = [SELF] * n
+            for v, u in zip(free, picks):
+                choices[v] = u
+            if find_delegation_cycle(choices) is not None:
+                continue
+            profile = DelegationProfile(tuple(choices))
+            election = validate(network, weights, profile, quota)
+            rank = (-min(all_indices_dp(election, kind).values), profile.sort_key())
+            best = rank if best is None else min(best, rank)
+    return -best[0], best[1]
+
+
+def test_nine_to_twelve_voters_match_the_dp_scan():
+    rng = random.Random(11_006)
+    for n, free in ((9, 3), (10, 2), (11, 2), (12, 2)):
+        election = random_election(rng, n_min=n, n_max=n, w_max=4, arc_prob=2.5 / n)
+        network, weights, quota = election.network, election.weights, election.quota
+        for kind in MeasureKind:
+            solution = mmwp_bruteforce(MaximinProblem(network, weights, quota, n - free, kind))
+            assert (solution.mu, solution.profile.sort_key()) == _dp_scan(
+                network, weights, quota, n - free, kind
+            )
+            assert solution.mu == min(solution.per_voter)
+
+
+def test_the_work_cap_is_inclusive(monkeypatch):
+    rng = random.Random(11_007)
+    election = random_election(rng, n_min=10, n_max=10, w_max=4, arc_prob=0.3)
+    network, weights, quota = election.network, election.weights, election.quota
+    problem = MaximinProblem(network, weights, quota, 7)
+    total = sum(
+        maximin._count_profiles_with_roots(network, roots)
+        for roots in combinations(range(10), 7)
+    )
+    assert total > 0
+    estimate = total * 20 << 10
+    monkeypatch.setattr(coalition_table, "WORK_CAP", estimate)
+    answered = mmwp_bruteforce(problem)
+    assert (answered.mu, answered.profile.sort_key()) == _dp_scan(
+        network, weights, quota, 7, MeasureKind.BANZHAF
+    )
+
+    def no_tables(*_args):
+        raise AssertionError("the refusal must come before any table")
+
+    monkeypatch.setattr(coalition_table, "WORK_CAP", estimate - 1)
+    monkeypatch.setattr(maximin, "coalition_weight_table", no_tables)
+    with pytest.raises(InstanceTooLargeForEnumeration, match=str(estimate)):
+        mmwp_bruteforce(problem)
+
+
+def test_more_voters_than_a_table_holds_are_refused_before_counting(monkeypatch):
+    def no_counting(*_args):
+        raise AssertionError("the refusal must come before any count")
+
+    monkeypatch.setattr(maximin, "_count_profiles_with_roots", no_counting)
+    n = coalition_table.TABLE_LIMIT + 1
+    with pytest.raises(InstanceTooLargeForEnumeration, match="coalition-table limit"):
+        mmwp_bruteforce(MaximinProblem(SocialNetwork.complete(n), (1,) * n, n, 2))
 
 
 def test_leafmin_on_the_fixture():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import ceil, exp, log
@@ -22,6 +23,7 @@ from liquidpower import (
 )
 from liquidpower import coalition_table, weightmax
 from liquidpower.bribery import enumerate_neighborhood, neighborhood_size
+from liquidpower.coalition_table import chain_roots
 from liquidpower.weightmax import (
     WeightMaxOutcome,
     WeightMaxProblem,
@@ -137,8 +139,15 @@ def test_exact_chunk_boundaries_change_no_outcome(monkeypatch):
         for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
             monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
             outcomes.append(wmaxp_exact(problem))
-        blocks = sum(1 for _ in enumerate_neighborhood(election, budget))
-        skipped += neighborhood_size(election, budget) - blocks
+        # wmaxp_exact's own walk, one row a block: each skipped block is a
+        # cyclic row
+        blocks = sum(
+            1
+            for _ in enumerate_neighborhood(
+                election, budget, voting=target, resolve=chain_roots, block_rows=1
+            )
+        )
+        skipped += neighborhood_size(election, budget, voting=target) - blocks
         monkeypatch.undo()
         assert outcomes[1] == outcomes[0]
         assert outcomes[2] == outcomes[0]
@@ -398,6 +407,21 @@ def test_xp_leaves_out_an_unreachable_heavy_voter():
     assert outcome.support == 3
     assert outcome.profile.choices == (SELF, 0, 0, SELF)
     _assert_witness_ok(problem, outcome)
+
+
+def test_xp_counts_its_exclusion_sets_before_building_any():
+    # everyone already delegates to voter 0: the empty exclusion set answers
+    # at slack 5 (146,596 sets), and slack 6 (621,616 sets) is refused at once
+    n = 30
+    election = validate(
+        SocialNetwork.complete(n), (1,) * n, DelegationProfile((SELF, *[0] * (n - 1))), 16
+    )
+    started = time.perf_counter()
+    outcome = solve_xp_reqbar(WeightMaxProblem(election, 0, 1, n - 5))
+    assert (outcome.decision, outcome.support, outcome.changes) == (True, n, 0)
+    with pytest.raises(InstanceTooLargeForEnumeration, match="exclusion sets"):
+        solve_xp_reqbar(WeightMaxProblem(election, 0, 1, n - 6))
+    assert time.perf_counter() - started < 0.2
 
 
 def test_xp_agrees_with_the_exhaustive_answer():
