@@ -199,7 +199,7 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     """
     election = problem.election
     n = election.n
-    check_table_work([neighborhood_size(election, problem.budget)], n, 1)
+    check_table_work([neighborhood_size(election, problem.budget) * (n + 1)], n)
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
     size_weights, denominator = measure_key_weights(

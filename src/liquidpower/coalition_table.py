@@ -181,19 +181,21 @@ def reduced_weights(weights) -> tuple[int, np.ndarray]:
     return g, np.array(reduced, dtype=np.int64)
 
 
-def check_table_work(rows, n: int, scored: int) -> None:
-    """Refuse tables whose work exceeds :data:`WORK_CAP`: a profile scored for
-    ``scored`` voters takes ``n`` subset-sum and ``scored`` swing passes over
-    ``2**n`` cells.  ``rows`` (profile counts) is read after the voter check."""
+def check_table_work(passes, n: int) -> None:
+    """Refuse a search whose table work exceeds :data:`WORK_CAP`, before any
+    of it.  ``passes`` counts passes over ``2**n`` cells: a profile scored
+    for ``s`` voters takes ``n`` subset-sum and ``s`` swing passes, and
+    walking a candidate row costs about one.  It is read lazily after the
+    voter check, so a refusal stops the counting."""
     if n > TABLE_LIMIT:
         raise InstanceTooLargeForEnumeration(
             f"{n} voters exceed the coalition-table limit of {TABLE_LIMIT}"
         )
-    for total in accumulate(rows):
-        if (work := total * (n + scored) << n) > WORK_CAP:
+    for total in accumulate(passes):
+        if (work := total << n) > WORK_CAP:
             raise InstanceTooLargeForEnumeration(
-                f"{work}+ units of table work ({total}+ profiles of {n} voters) "
-                f"exceed the cap of {WORK_CAP}"
+                f"{work}+ units of table work ({total}+ passes over the "
+                f"coalitions of {n} voters) exceed the cap of {WORK_CAP}"
             )
 
 
@@ -208,7 +210,10 @@ def coalition_weight_table(masks, weights) -> np.ndarray:
     """
     masks = np.asarray(masks, dtype=np.int64)
     p, n = masks.shape
-    check_table_work([p], n, 0)
+    if n > TABLE_LIMIT:
+        raise InstanceTooLargeForEnumeration(
+            f"{n} voters exceed the coalition-table limit of {TABLE_LIMIT}"
+        )
     if sum(map(int, weights)) > INT64_MAX:
         raise InstanceTooLargeForEnumeration(
             "total weight overflows the 64-bit coalition tables"

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
+from . import coalition_table
 from .coalition_table import (
     acyclic_rows,
     best_rank,
@@ -81,7 +83,9 @@ def _profiles_with_roots(network: SocialNetwork, root_sets):
     :func:`coalition_table.acyclic_rows` keeps the wanted profiles of
     :func:`coalition_table.product_blocks`' blocks; a block may span root
     sets.  ``parents`` and ``masks`` are ``(P, n)`` arrays of parent rows
-    (sort keys) and chain masks.
+    (sort keys) and chain masks, at most :func:`coalition_table.table_rows`
+    of them; candidates are walked in larger blocks, so that sparse acyclic
+    rows still fill most tables.
     """
     n = network.n
     identity = np.arange(n, dtype=np.intp)
@@ -91,9 +95,13 @@ def _profiles_with_roots(network: SocialNetwork, root_sets):
         free = [v for v in range(n) if v not in roots]
         return identity, free, [pools[v] for v in free]
 
-    blocks = product_blocks(map(rooted, root_sets), n, table_rows(n))
+    rows = table_rows(n)
+    # walk blocks of about CHUNK_CELLS / 4 parent entries, as in wmaxp_exact
+    walk = max(rows, coalition_table.CHUNK_CELLS // (4 * n))
+    blocks = product_blocks(map(rooted, root_sets), n, walk)
     for parents, masks, _ in acyclic_rows(blocks, chain_masks):
-        yield parents, masks
+        for start in range(0, len(parents), rows):
+            yield parents[start : start + rows], masks[start : start + rows]
 
 
 def _count_profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]) -> int:
@@ -136,18 +144,21 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
     Ties between equally good profiles break lexicographically.  Raises
     NoFeasibleProfile when no acyclic profile has exactly the requested
     number of roots (e.g. more voters without out-arcs than roots allowed).
-    Up to 16 voters while the table work of the qualifying profiles, counted
-    by the matrix-tree theorem, fits (:func:`coalition_table.check_table_work`,
-    which refuses before any profile is scored).
+    Up to 16 voters while the work fits: scoring the qualifying profiles,
+    counted by the matrix-tree theorem, and walking every candidate of their
+    root sets' products, cyclic ones included
+    (:func:`coalition_table.check_table_work`, which refuses before either).
     """
     network = problem.network
     n = network.n
     counts = {}  # profiles per root set, filled as the guard reads them
-    rows = (
-        counts.setdefault(roots, _count_profiles_with_roots(network, roots))
-        for roots in combinations(range(n), problem.gurus)
-    )
-    check_table_work(rows, n, n)
+
+    def passes(roots):
+        count = counts[roots] = _count_profiles_with_roots(network, roots)
+        walked = prod(len(network.out_neighbors[v]) for v in range(n) if v not in roots)
+        return count * 2 * n + walked if count else 0
+
+    check_table_work(map(passes, combinations(range(n), problem.gurus)), n)
     root_sets = [roots for roots, count in counts.items() if count]
     if not root_sets:
         raise NoFeasibleProfile(

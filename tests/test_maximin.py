@@ -1,8 +1,10 @@
 """Maximin power distribution: exhaustive search and the leaf shortcut."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -265,12 +267,13 @@ def test_the_work_cap_is_inclusive(monkeypatch):
     election = random_election(rng, n_min=10, n_max=10, w_max=4, arc_prob=0.3)
     network, weights, quota = election.network, election.weights, election.quota
     problem = MaximinProblem(network, weights, quota, 7)
-    total = sum(
-        maximin._count_profiles_with_roots(network, roots)
-        for roots in combinations(range(10), 7)
-    )
-    assert total > 0
-    estimate = total * 20 << 10
+    passes = 0
+    for roots in combinations(range(10), 7):
+        if count := maximin._count_profiles_with_roots(network, roots):
+            free = [v for v in range(10) if v not in roots]
+            passes += count * 20 + prod(len(network.out_neighbors[v]) for v in free)
+    assert passes > 0
+    estimate = passes << 10
     monkeypatch.setattr(coalition_table, "WORK_CAP", estimate)
     answered = mmwp_bruteforce(problem)
     assert (answered.mu, answered.profile.sort_key()) == _dp_scan(
@@ -284,6 +287,25 @@ def test_the_work_cap_is_inclusive(monkeypatch):
     monkeypatch.setattr(maximin, "coalition_weight_table", no_tables)
     with pytest.raises(InstanceTooLargeForEnumeration, match=str(estimate)):
         mmwp_bruteforce(problem)
+
+
+def test_a_walk_of_mostly_cyclic_candidates_is_refused_at_once(monkeypatch):
+    # v0 casts; v_i delegates to v_{i-1} or to any later voter.  Only v0 can
+    # be the one guru, and it roots a single acyclic profile, but the walk
+    # meets 15! candidate rows
+    n = 16
+    arcs = [(v, u) for v in range(1, n) for u in [v - 1, *range(v + 1, n)]]
+    problem = MaximinProblem(SocialNetwork.from_arcs(n, arcs), (1,) * n, n // 2, 1)
+    assert maximin._count_profiles_with_roots(problem.network, (0,)) == 1
+
+    def no_walk(*_args):
+        raise AssertionError("the refusal must come before the walk")
+
+    monkeypatch.setattr(maximin, "product_blocks", no_walk)
+    started = time.perf_counter()
+    with pytest.raises(InstanceTooLargeForEnumeration, match="table work"):
+        mmwp_bruteforce(problem)
+    assert time.perf_counter() - started < 1
 
 
 def test_more_voters_than_a_table_holds_are_refused_before_counting(monkeypatch):
