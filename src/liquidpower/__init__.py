@@ -31,7 +31,6 @@ from .errors import (
     InstanceTooLargeForEnumeration,
     LiquidPowerError,
     MeasureNotSupported,
-    MemberAlreadyInCoalition,
     NoFeasibleProfile,
     NonPositiveWeight,
     NoSpanningArborescence,
@@ -61,7 +60,6 @@ __all__ = [
     "ArcNotInNetwork",
     "QuotaOutOfRange",
     "NonPositiveWeight",
-    "MemberAlreadyInCoalition",
     "IncompatibleOverlap",
     "InstanceTooLargeForEnumeration",
     "ParameterTooLarge",

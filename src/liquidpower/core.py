@@ -88,9 +88,6 @@ class DelegationProfile:
     def n(self) -> int:
         return len(self.choices)
 
-    def is_self_voter(self, voter: int) -> bool:
-        return self.choices[voter] is SELF
-
     def with_choice(self, voter: int, choice: Choice) -> "DelegationProfile":
         updated = list(self.choices)
         updated[voter] = choice

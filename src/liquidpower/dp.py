@@ -75,7 +75,13 @@ from math import gcd
 
 from .core import DelegationForest, LiquidElection
 from .core import build_forest  # noqa: F401  bench/selftest.py patches dp.build_forest
+from .errors import InstanceTooLargeForEnumeration
 from .exact import IndexReport, MeasureKind, shapley_from_counts
+
+# size slots the widest counting table of one walk may hold: a 4-voter game
+# at the cap takes about 1 s and 200 MB for the swing-count measure, and
+# about 4 s and 300 MB for the ordering measure
+TABLE_SLOT_CAP = 150_000_000
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,15 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
     n = election.n
     g = gcd(*election.weights)
     quota = -(-election.quota // g)
+    # a fill of up to n voters keeps n + 1 rows of at most ``quota`` weight
+    # cells, and a cell holds one slot, or one per coalition size
+    per_cell = n + 1 if slot_bits else 1
+    slots = (n + 1) * quota * per_cell
+    if slots > TABLE_SLOT_CAP:
+        raise InstanceTooLargeForEnumeration(
+            f"the counting tables would hold about {slots} size slots ({n + 1} rows "
+            f"x {quota} weight cells x {per_cell} per cell), over the cap of {TABLE_SLOT_CAP}"
+        )
     # voter n is the virtual root: weight 0, the gurus as children, and a
     # block that spans the whole layout plus its own position
     weight = [w // g for w in election.weights] + [0]

@@ -38,10 +38,6 @@ class NonPositiveWeight(LiquidPowerError):
     """Voter weights must be positive integers."""
 
 
-class MemberAlreadyInCoalition(LiquidPowerError):
-    """Swing queries require the queried voter to lie outside the coalition."""
-
-
 class IncompatibleOverlap(LiquidPowerError):
     """Two elections cannot be composed because their shared voters disagree."""
 

@@ -1,9 +1,10 @@
-"""Game semantics on top of elections: coalitions, swings, composition.
+"""Game semantics on top of elections: the game protocol and composition.
 
-A coalition is a subset of voters, held as a bitmask.  The characteristic
-value of a coalition counts only *active* members — voters whose entire
-delegation chain lies inside the coalition — and compares their total weight
-against the quota.
+A game has voters and a 0/1 characteristic function over coalitions held as
+bitmasks.  An election's (``LiquidElection.value_of``) counts only *active*
+members — voters whose entire delegation chain lies inside the coalition —
+and compares their total weight against the quota.  Two elections glued on
+shared voters make a composed game.
 """
 
 from __future__ import annotations
@@ -12,55 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, runtime_checkable
 
 from .core import SELF, LiquidElection
-from .errors import IncompatibleOverlap, MemberAlreadyInCoalition
-
-COALITION_CAPACITY = 64
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """A subset of an ``n``-voter ground set, stored as a bitmask."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        if self.n > COALITION_CAPACITY:
-            raise ValueError(f"coalitions support at most {COALITION_CAPACITY} voters")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
-
-    @classmethod
-    def from_members(cls, n: int, members: Iterable[int]) -> "Coalition":
-        mask = 0
-        for v in members:
-            if not (0 <= v < n):
-                raise ValueError(f"member {v} out of range for n={n}")
-            mask |= 1 << v
-        return cls(n, mask)
-
-    @classmethod
-    def empty(cls, n: int) -> "Coalition":
-        return cls(n, 0)
-
-    @classmethod
-    def full(cls, n: int) -> "Coalition":
-        return cls(n, (1 << n) - 1)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
-
-    def __contains__(self, voter: int) -> bool:
-        return 0 <= voter < self.n and bool(self.mask >> voter & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def with_member(self, voter: int) -> "Coalition":
-        return Coalition(self.n, self.mask | 1 << voter)
-
-    def without_member(self, voter: int) -> "Coalition":
-        return Coalition(self.n, self.mask & ~(1 << voter))
+from .errors import IncompatibleOverlap
 
 
 @runtime_checkable
@@ -71,53 +24,6 @@ class EvaluableGame(Protocol):
     def n_voters(self) -> int: ...
 
     def value_of(self, coalition_mask: int) -> int: ...
-
-
-def active_agents(election: LiquidElection, coalition: Coalition) -> Coalition:
-    """Members of the coalition whose whole delegation chain it contains."""
-    chain_mask = election.forest.chain_mask
-    mask = 0
-    for v in coalition.members():
-        if chain_mask[v] & coalition.mask == chain_mask[v]:
-            mask |= 1 << v
-    return Coalition(coalition.n, mask)
-
-
-def coalition_weight(election: LiquidElection, coalition: Coalition) -> int:
-    """Total weight of the coalition's active members."""
-    return election.coalition_weight_of_mask(coalition.mask)
-
-
-def char_value(election: LiquidElection, coalition: Coalition) -> int:
-    """1 if the coalition wins (active weight reaches the quota), else 0."""
-    return election.value_of(coalition.mask)
-
-
-def is_swing(election: LiquidElection, voter: int, coalition: Coalition) -> bool:
-    """Does adding ``voter`` flip the coalition from losing to winning?
-
-    The voter must not already belong to the coalition.
-    """
-    if voter in coalition:
-        raise MemberAlreadyInCoalition(f"voter {voter} is already in the coalition")
-    return (
-        election.value_of(coalition.mask) == 0
-        and election.value_of(coalition.mask | 1 << voter) == 1
-    )
-
-
-def is_distant(election: LiquidElection, voter: int) -> bool:
-    """True when the voter's proxies alone already win, making the voter a dummy.
-
-    If the coalition of the voter's proper chain (everyone the ballot passes
-    through, excluding the voter) already reaches the quota, no coalition is
-    ever swung by the voter.
-    """
-    proxies = election.forest.proxies_of(voter)
-    mask = 0
-    for u in proxies:
-        mask |= 1 << u
-    return election.coalition_weight_of_mask(mask) >= election.quota
 
 
 # --------------------------------------------------------------------------
@@ -218,13 +124,10 @@ def compose(
         else:
             joint_of_two.append(next_id)
             next_id += 1
-    game = ComposedGame(
+    return ComposedGame(
         mode=mode,
         part_one=part_one,
         part_two=part_two,
         shared=pairs,
         joint_of_two=tuple(joint_of_two),
     )
-    if game.n_voters > COALITION_CAPACITY:
-        raise ValueError(f"composed game exceeds {COALITION_CAPACITY} voters")
-    return game

@@ -7,10 +7,11 @@ Five routes cover different parameter regimes:
 
 * ``wmaxp_exact`` — exhaustive over the profiles within budget in which the
   target votes personally (small neighbourhoods).
-* ``solve_full_support`` — threshold equals the total weight, so the tree
-  must span everyone; reduces to a cheapest spanning arborescence.
 * ``solve_xp_reqbar`` — parameterized by the weight *excluded* from the
-  tree; enumerates light exclusion sets and solves full support on the rest.
+  tree; enumerates light exclusion sets and finds a cheapest spanning
+  arborescence of the rest into the target.
+* ``solve_full_support`` — threshold equals the total weight, so the tree
+  must span everyone: the exclusion route with nothing excluded.
 * ``solve_fpt_colorcoding`` — Monte-Carlo color coding, parameterized by the
   weight still *missing*; answers "yes" only on a verified witness.
 * ``vbamw`` — approximation that may overspend the budget by a (1 + eps)
@@ -127,13 +128,17 @@ def _current_support_no(problem: WeightMaxProblem) -> WeightMaxOutcome:
     return WeightMaxOutcome(False, None, current, 0)
 
 
-def _rebuild(problem: WeightMaxProblem, choices) -> tuple[DelegationProfile, int, int]:
-    """Validate a candidate profile; return it with support and change count."""
+def _outcome(problem: WeightMaxProblem, parents: dict[int, int]) -> WeightMaxOutcome:
+    """The current profile with the target voting and ``{child: parent}``
+    applied, revalidated; a yes when the target's tree reaches ``tau``."""
+    choices = list(problem.election.profile.choices)
+    choices[problem.target] = SELF
+    for child, parent in parents.items():
+        choices[child] = parent
     profile = DelegationProfile(tuple(choices))
-    rebuilt = problem.election.with_profile(profile)
-    support = rebuilt.forest.subtree_weight[problem.target]
+    support = problem.election.with_profile(profile).forest.subtree_weight[problem.target]
     changes = len(problem.election.profile.changed_voters(profile))
-    return profile, support, changes
+    return WeightMaxOutcome(support >= problem.tau, profile, support, changes)
 
 
 # --- exhaustive ------------------------------------------------------------
@@ -285,49 +290,18 @@ def min_cost_root_arborescence(
     return {v: u for u, v in tags}, total
 
 
-def _spanning_parents(
-    n_nodes: int, root: int, arcs, k_eff: int
-) -> tuple[dict[int, int], int] | None:
-    """Parent map of a spanning tree toward ``root`` changing at most
-    ``k_eff`` delegations, or None.
-
-    Arc costs are 1 for a changed delegation and 0 for a kept one, so the
-    cheapest spanning arborescence changes the fewest delegations.
-    """
-    result = min_cost_root_arborescence(range(n_nodes), root, arcs)
-    if result is None:
-        return None
-    parents, changes = result
-    if changes > k_eff:
-        return None
-    return parents, changes
-
-
 def solve_full_support(problem: WeightMaxProblem) -> WeightMaxOutcome:
     """Decide whether every ballot can reach the target within budget.
 
     Only callable when the threshold equals the total weight, i.e. nothing
-    may stay outside the target's tree.
+    may stay outside the target's tree: the exclusion route with the empty
+    set as its only exclusion set.
     """
     if problem.req_bar != 0:
         raise ValueError(
             "full-support solving needs the threshold to equal the total weight"
         )
-    if problem.k_eff < 0:
-        return _current_support_no(problem)
-    election = problem.election
-    cost = build_cost_graph(election)
-    result = _spanning_parents(
-        election.n, problem.target, cost.arcs(), problem.k_eff
-    )
-    if result is None:
-        return _current_support_no(problem)
-    parents, _ = result
-    choices: list = [SELF] * election.n
-    for child, parent in parents.items():
-        choices[child] = parent
-    profile, support, changes = _rebuild(problem, choices)
-    return WeightMaxOutcome(True, profile, support, changes)
+    return solve_xp_reqbar(problem)
 
 
 # --- XP in the excluded weight ----------------------------------------------
@@ -378,10 +352,12 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
 
     A witness tree missing weight ``req_bar`` at most leaves out a set X of
     voters with w(X) <= req_bar.  For each candidate X (lightest first) the
-    remaining voters must form a spanning tree into the target; voters whose
-    current proxy is excluded lose their zero-cost arc, so change counting
-    stays exact.  Excluded voters keep their original delegations, which can
-    never close a cycle with the rebuilt tree.
+    remaining voters must form a spanning tree into the target.  An arc
+    costs 0 where it keeps a delegation and 1 where it redirects one, so the
+    cheapest spanning arborescence changes the fewest delegations; voters
+    whose current proxy is excluded lose their zero-cost arc, so change
+    counting stays exact.  Excluded voters keep their original delegations,
+    which can never close a cycle with the rebuilt tree.
     """
     if problem.req_bar < 0:
         return _current_support_no(problem)
@@ -392,40 +368,21 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
     if problem.k_eff < 0:
         return _current_support_no(problem)
     election = problem.election
-    n = election.n
-    weights = election.weights
-    base_choices = election.profile.choices
-    others = [v for v in range(n) if v != problem.target]
-
-    for excluded in _exclusion_sets(others, weights, problem.req_bar):
+    choices = election.profile.choices
+    others = [v for v in range(election.n) if v != problem.target]
+    for excluded in _exclusion_sets(others, election.weights, problem.req_bar):
         out = set(excluded)
-        kept = [v for v in range(n) if v not in out]
-        index = {v: i for i, v in enumerate(kept)}
-        arcs = []
-        for child in kept:
-            if child == problem.target:
-                continue
-            current = base_choices[child]
-            if current is not SELF and current in out:
-                current = SELF
-            for parent in election.network.out_neighbors[child]:
-                if parent in out:
-                    continue
-                arcs.append(
-                    (index[parent], index[child], 0 if current == parent else 1)
-                )
-        result = _spanning_parents(
-            len(kept), index[problem.target], arcs, problem.k_eff
-        )
-        if result is None:
-            continue
-        parents, _ = result
-        choices = list(base_choices)
-        choices[problem.target] = SELF
-        for child_i, parent_i in parents.items():
-            choices[kept[child_i]] = kept[parent_i]
-        profile, support, changes = _rebuild(problem, choices)
-        return WeightMaxOutcome(True, profile, support, changes)
+        kept = [v for v in range(election.n) if v not in out]
+        arcs = [
+            (parent, child, 0 if choices[child] == parent else 1)
+            for child in kept
+            if child != problem.target
+            for parent in election.network.out_neighbors[child]
+            if parent not in out
+        ]
+        result = min_cost_root_arborescence(kept, problem.target, arcs)
+        if result is not None and result[1] <= problem.k_eff:
+            return _outcome(problem, result[0])
     return _current_support_no(problem)
 
 
@@ -634,10 +591,7 @@ def solve_fpt_colorcoding(
         )
     election = problem.election
     if problem.req <= 0:
-        choices = list(election.profile.choices)
-        choices[problem.target] = SELF
-        profile, support, changes = _rebuild(problem, choices)
-        return WeightMaxOutcome(True, profile, support, changes)
+        return _outcome(problem, {})
     if problem.k_eff == 0:
         return _current_support_no(problem)
 
@@ -680,18 +634,16 @@ def solve_fpt_colorcoding(
         table = _colorful_tables(colorings, wts, arc_groups, r, cost_cap)
         reach = table[:, super_idx].reshape(batch, -1).max(axis=1)
         for b in np.flatnonzero(reach >= problem.tau):
-            choices = list(election.profile.choices)
-            choices[problem.target] = SELF
-            for parent, child in _colorful_witness(
-                table[b], arcs, super_idx, r, problem.tau
-            ):
-                if parent == super_idx:
-                    choices[outside[child]] = representative[child]
-                else:
-                    choices[outside[child]] = outside[parent]
-            profile, support, changes = _rebuild(problem, choices)
-            if support >= problem.tau and changes <= problem.budget:
-                return WeightMaxOutcome(True, profile, support, changes)
+            outcome = _outcome(problem, {
+                outside[child]: (
+                    representative[child] if parent == super_idx else outside[parent]
+                )
+                for parent, child in _colorful_witness(
+                    table[b], arcs, super_idx, r, problem.tau
+                )
+            })
+            if outcome.decision and outcome.changes <= problem.budget:
+                return outcome
         done += batch
     return _current_support_no(problem)
 
@@ -765,26 +717,16 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
         return _current_support_no(problem)
     election = problem.election
     n = election.n
-    base_choices = election.profile.choices
-
-    def finish(kept_parents: dict[int, int]) -> WeightMaxOutcome:
-        choices = list(base_choices)
-        choices[problem.target] = SELF
-        for child, parent in kept_parents.items():
-            choices[child] = parent
-        profile, support, changes = _rebuild(problem, choices)
-        return WeightMaxOutcome(support >= problem.tau, profile, support, changes)
-
     budget = problem.k_eff
     if budget == 0:
-        return finish({})
+        return _outcome(problem, {})
     cost = build_cost_graph(election)
     dist = _zero_one_distances(cost, problem.target)
     reachable = {
         v for v in range(n) if dist[v] is not None and dist[v] <= budget
     }
     if len(reachable) == 1:  # nobody can attach within the budget
-        return finish({})
+        return _outcome(problem, {})
     inside = [
         (parent, child, price)
         for parent, child, price in cost.arcs()
@@ -806,7 +748,7 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
     total_cost = sum(arc_cost.values())
     ceiling = (1 + eps) * budget
     if total_cost <= ceiling:
-        return finish(parent_of)
+        return _outcome(problem, parent_of)
 
     # trim: peel off the subtree with the worst weight-per-change ratio while
     # the remaining cost stays above eps*B/2
@@ -877,4 +819,4 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
         members = set(best_set)
         parent_of = {v: full_parent[v] for v in members if v != problem.target}
 
-    return finish({c: p for c, p in parent_of.items() if c in members})
+    return _outcome(problem, {c: p for c, p in parent_of.items() if c in members})

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
+from liquidpower.errors import InstanceTooLargeForEnumeration
 from liquidpower.dp import (
+    TABLE_SLOT_CAP,
     all_indices_dp,
     banzhaf_dp,
     fill_table,
@@ -230,6 +233,38 @@ def test_weights_near_a_million_match_enumeration():
     assert values == tuple(banzhaf_exact(e, v) for v in range(4))
     assert values == (Fraction(1, 8), Fraction(1, 8), Fraction(7, 8), Fraction(1, 8))
     assert banzhaf_dp(e, 3) == Fraction(1, 8)
+
+
+def _coprime_quartet(w: int):
+    """Four voters of co-prime weights near ``w``, no arcs, quota just past half."""
+    weights = (w, w + 2, w + 6, 2)
+    return validate(
+        SocialNetwork.from_arcs(4, []), weights, DelegationProfile.all_self(4), (3 * w + 10) // 2
+    )
+
+
+def test_tables_too_wide_to_fill_are_refused_at_once():
+    refused = [(24, MeasureKind.SHAPLEY)] + [
+        (bits, kind) for bits in (28, 32, 63) for kind in MeasureKind
+    ]
+    for bits, kind in refused:
+        e = _coprime_quartet(2**bits + 5)
+        started = time.perf_counter()
+        with pytest.raises(InstanceTooLargeForEnumeration, match=f"cap of {TABLE_SLOT_CAP}"):
+            all_indices_dp(e, kind)
+        with pytest.raises(InstanceTooLargeForEnumeration, match="size slots"):
+            (banzhaf_dp if kind is MeasureKind.BANZHAF else shapley_dp)(e, 0)
+        assert time.perf_counter() - started < 0.01
+
+
+def test_tables_within_the_cap_are_filled():
+    # 5 rows of about 1.6M weight cells: 7.9M slots for the swing count and
+    # 39M for the ordering measure, both under the cap
+    e = _coprime_quartet(2**20 + 5)
+    values = all_indices_dp(e, MeasureKind.BANZHAF).values
+    assert values == tuple(banzhaf_exact(e, v) for v in range(4))
+    assert values == (Fraction(1, 2),) * 3 + (Fraction(0),)
+    assert shapley_dp(e, 3) == 0
 
 
 def test_scaling_weights_and_quota_changes_no_value():

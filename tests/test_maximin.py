@@ -81,9 +81,9 @@ def test_problem_validation():
         MaximinProblem(network, (1, 0, 1), 2, 2)
 
 
-def test_voter_limit_guard():
+def test_table_work_cap_refuses_a_complete_nine_voter_search():
     network = SocialNetwork.complete(9)
-    with pytest.raises(InstanceTooLargeForEnumeration):
+    with pytest.raises(InstanceTooLargeForEnumeration, match="units of table work"):
         mmwp_bruteforce(MaximinProblem(network, (1,) * 9, 5, 3))
 
 

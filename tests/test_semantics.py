@@ -4,60 +4,41 @@ from fractions import Fraction
 import pytest
 
 from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
-from liquidpower.errors import IncompatibleOverlap, MemberAlreadyInCoalition
+from liquidpower.errors import IncompatibleOverlap
 from liquidpower.exact import shapley_exact
-from liquidpower.semantics import (
-    Coalition,
-    active_agents,
-    char_value,
-    coalition_weight,
-    compose,
-    is_distant,
-    is_swing,
-)
+from liquidpower.semantics import compose
 
 import oracle
 from support import eight_voter_election, random_composable_pair, random_election
 
 
-def test_coalition_basics():
-    c = Coalition.from_members(5, [0, 3])
-    assert len(c) == 2
-    assert 3 in c and 1 not in c
-    assert c.with_member(1).members() == (0, 1, 3)
-    assert c.without_member(3).members() == (0,)
-    assert Coalition.full(3).mask == 0b111
-    assert len(Coalition.empty(4)) == 0
-    with pytest.raises(ValueError):
-        Coalition(65, 0)
-    with pytest.raises(ValueError):
-        Coalition(2, 0b100)
+def _mask(members) -> int:
+    return sum(1 << v for v in set(members))
 
 
 def test_active_agents_on_eight_voter_fixture():
     e = eight_voter_election()
+    choices = e.profile.choices
     # {3, 5, 7, 8} in 1-based ids
-    c = Coalition.from_members(8, [2, 4, 6, 7])
-    assert active_agents(e, c).members() == (2, 6, 7)
-    assert coalition_weight(e, c) == 3
-    assert char_value(e, c) == 1
+    members = [2, 4, 6, 7]
+    assert oracle.active_members(choices, members) == {2, 6, 7}
+    assert e.coalition_weight_of_mask(_mask(members)) == 3
+    assert e.value_of(_mask(members)) == 1
     # voter 4's chain (4 -> 5 -> 6 -> 7) is cut: only 7 is active
-    c2 = Coalition.from_members(8, [4, 6, 7])
-    assert active_agents(e, c2).members() == (6, 7)
-    assert char_value(e, c2) == 0
+    members = [4, 6, 7]
+    assert oracle.active_members(choices, members) == {6, 7}
+    assert e.coalition_weight_of_mask(_mask(members)) == 2
+    assert e.value_of(_mask(members)) == 0
 
 
-def test_is_swing_and_membership_guard():
+def test_swing_on_eight_voter_fixture():
     e = eight_voter_election()
-    winning = Coalition.from_members(8, [0, 1, 2])  # whole first tree: weight 3 = quota
-    assert char_value(e, winning) == 1
-    assert char_value(e, Coalition.from_members(8, [2, 6])) == 0  # only 2 active
-    c = Coalition.from_members(8, [3, 5, 6])
-    assert char_value(e, c) == 0  # nobody's chain closed without voter 7
-    assert is_swing(e, 7, c)  # adding 7 activates all four members
-    assert not is_swing(e, 7, Coalition.from_members(8, [6]))  # weight 2 < quota
-    with pytest.raises(MemberAlreadyInCoalition):
-        is_swing(e, 6, c)
+    assert e.value_of(_mask([0, 1, 2])) == 1  # whole first tree: weight 3 = quota
+    assert e.value_of(_mask([2, 6])) == 0  # only 2 active
+    c = _mask([3, 5, 6])
+    assert e.value_of(c) == 0  # nobody's chain closed without voter 7
+    assert e.value_of(c | 1 << 7) == 1  # adding 7 activates all four members
+    assert e.value_of(_mask([6, 7])) == 0  # weight 2 < quota
 
 
 def test_swing_matches_oracle_on_randoms():
@@ -67,22 +48,30 @@ def test_swing_matches_oracle_on_randoms():
         voter = rng.randrange(e.n)
         others = [v for v in range(e.n) if v != voter]
         members = [v for v in others if rng.random() < 0.5]
-        c = Coalition.from_members(e.n, members)
         expected = not oracle.wins(
             e.profile.choices, e.weights, e.quota, tuple(members)
         ) and oracle.wins(
             e.profile.choices, e.weights, e.quota, tuple(members) + (voter,)
         )
-        assert is_swing(e, voter, c) == expected
+        c = _mask(members)
+        assert (e.value_of(c) == 0 and e.value_of(c | 1 << voter) == 1) == expected
+        assert e.coalition_weight_of_mask(c) == oracle.coalition_weight(
+            e.profile.choices, e.weights, members
+        )
 
 
 def test_distant_voter_is_a_dummy():
     e = eight_voter_election()
+
+    def proxies_win(voter):
+        return e.coalition_weight_of_mask(_mask(e.forest.proxies_of(voter))) >= e.quota
+
     # voter 4 (0-based): ballot passes through 5, 6, 7 whose weight reaches the quota
-    assert is_distant(e, 4)
-    assert not is_distant(e, 5)
-    assert not is_distant(e, 7)
+    assert proxies_win(4)
+    assert not proxies_win(5)
+    assert not proxies_win(7)
     # distant voters swing nothing
+    assert oracle.swing_sizes(e.profile.choices, e.weights, e.quota, 4) == {}
     for sub in range(1 << 7):
         low = sub & (1 << 4) - 1
         mask = low | sub >> 4 << 5

@@ -442,6 +442,25 @@ def test_xp_agrees_with_the_exhaustive_answer():
     assert checked_yes >= 3
 
 
+def test_xp_witnesses_are_pinned():
+    # the digest of 1,410 outcomes (560 yes) at slack 0-4 and budget 0-4,
+    # built with the arcs in the voters' own ids: a change of arc order or
+    # of witness assembly shows here, not only a change of decision
+    rng = random.Random(10_057)
+    rows = []
+    for _ in range(60):
+        election = random_election(rng, n_min=1, n_max=8, arc_prob=rng.random())
+        target = rng.randrange(election.n)
+        for k in range(5):
+            for tau in range(max(1, election.total_weight - 4), election.total_weight + 1):
+                outcome = solve_xp_reqbar(WeightMaxProblem(election, target, k, tau))
+                choices = None if outcome.profile is None else outcome.profile.choices
+                rows.append((outcome.decision, choices, outcome.support, outcome.changes))
+    assert (len(rows), sum(row[0] for row in rows)) == (1410, 560)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "6ef9c8ab5fbbf05d8201587479a7ab4b23820e9662b26598b96422cc3d9d8940"
+
+
 # --- color coding -----------------------------------------------------------
 
 
