@@ -26,7 +26,6 @@ from .coalition_table import (
     chain_masks,
     check_table_work,
     coalition_weight_table,
-    measure_key_weights,
     product_blocks,
     reduced_weights,
     swing_counts_from_table,
@@ -34,7 +33,7 @@ from .coalition_table import (
 )
 from .core import SELF, DelegationProfile, LiquidElection, build_forest
 from .dp import banzhaf_dp, shapley_dp
-from .exact import MeasureKind
+from .exact import MeasureKind, measure_weights
 
 
 class BriberyObjective(str, Enum):
@@ -73,6 +72,7 @@ class BriberyProblem:
             raise ValueError("threshold must lie in [0, 1]")
         if not 0 <= self.target < self.election.n:
             raise ValueError(f"target {self.target} out of range")
+        object.__setattr__(self, "objective", BriberyObjective(self.objective))
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,7 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     check_table_work([neighborhood_size(election, problem.budget) * (n + 1)], n)
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
-    size_weights, denominator = measure_key_weights(
-        problem.objective.kind is MeasureKind.BANZHAF, n
-    )
+    size_weights, denominator = measure_weights(problem.objective.kind, n)
     g, weights = reduced_weights(election.weights)
     quota = -(-election.quota // g)
 

@@ -23,8 +23,8 @@ equals :meth:`DelegationProfile.sort_key`):
 * :func:`swing_counts_from_table` sums, for any set of voters and all P
   profiles at once, a per-size weight over the coalitions each voter swings:
   all-ones weights give the swing total, ``s!(n-1-s)!`` the Shapley
-  numerator, a unit vector the count of one size;
-* :func:`measure_key_weights` gives those weights for each measure;
+  numerator (:func:`liquidpower.exact.measure_weights`), a unit vector the
+  count of one size;
 * :func:`best_rank` picks a block's winner under the search solvers' shared
   tie-break.
 
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, gcd, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -260,24 +260,11 @@ def swing_counts_from_table(
         split = wins.reshape(-1, 2, 1 << v, p)
         np.greater(split[:, 1], split[:, 0], out=swing[i].reshape(-1, 1 << v, p))
     weights = np.asarray(size_weights, dtype=np.int64)[_coalition_sizes(half)]
-    # einsum sums in the weights' dtype; no entry exceeds the sum of all
-    # weights, and while that fits int32 the sums run about 3x faster
+    # einsum sums in the weights' dtype; no entry exceeds their sum (at most
+    # 16! for Shapley's), and while that fits int32 the sums run about 3x faster
     if int(np.abs(weights).sum()) <= INT32_MAX:
         weights = weights.astype(np.int32)
     return np.einsum("vrp,r...->pv...", swing, weights).astype(np.int64)
-
-
-def measure_key_weights(banzhaf: bool, n: int) -> tuple[list[int], int]:
-    """Size weights and denominator of a measure's integer swing key.
-
-    All-ones weights make the key the swing total, and the Banzhaf value is
-    the key over ``2**(n-1)``; weights ``s!(n-1-s)!`` make it the Shapley
-    numerator, at most ``n!`` (16! under the table limit, so int64 holds
-    it), and the value is the key over ``n!``.
-    """
-    if banzhaf:
-        return [1] * n, 1 << n - 1
-    return [factorial(s) * factorial(n - 1 - s) for s in range(n)], factorial(n)
 
 
 def best_rank(keys, changes, parents) -> tuple[int, int, tuple[int, ...]]:

@@ -267,14 +267,13 @@ class PartialElection:
     def forest(self) -> DelegationForest:
         return build_forest(self.profile, self.weights)
 
-    def with_profile(self, profile: DelegationProfile, *, check_arcs: bool = True):
+    def with_profile(self, profile: DelegationProfile):
         """Same election under a different delegation profile (revalidated)."""
         return validate(
             self.network,
             self.weights,
             profile,
             getattr(self, "quota", None),
-            check_arcs=check_arcs,
         )
 
 
@@ -316,8 +315,6 @@ def validate(
     weights: Sequence[int],
     profile: DelegationProfile,
     quota: int | None = None,
-    *,
-    check_arcs: bool = True,
 ) -> LiquidElection | PartialElection:
     """Validate the pieces of an election and assemble it.
 
@@ -335,10 +332,9 @@ def validate(
     for i, w in enumerate(weights):
         if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
             raise NonPositiveWeight(f"voter {i} has weight {w!r}; weights must be positive integers")
-    if check_arcs:
-        for i, c in enumerate(profile.choices):
-            if c is not SELF and not network.has_arc(i, c):
-                raise ArcNotInNetwork(i, c)
+    for i, c in enumerate(profile.choices):
+        if c is not SELF and not network.has_arc(i, c):
+            raise ArcNotInNetwork(i, c)
     cycle = find_delegation_cycle(profile.choices)
     if cycle is not None:
         raise CycleInDelegations(cycle)

@@ -69,30 +69,18 @@ changes no coalition's outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .core import DelegationForest, LiquidElection
 from .core import build_forest  # noqa: F401  bench/selftest.py patches dp.build_forest
 from .errors import InstanceTooLargeForEnumeration
-from .exact import IndexReport, MeasureKind, shapley_from_counts
+from .exact import IndexReport, MeasureKind, measure_weights, counts_to_power
 
 # size slots the widest counting table of one walk may hold: a 4-voter game
 # at the cap takes about 1 s and 200 MB for the swing-count measure, and
 # about 4 s and 300 MB for the ordering measure
 TABLE_SLOT_CAP = 150_000_000
-
-
-@dataclass(frozen=True)
-class SwingCounts:
-    """Number of swung coalitions of each size for one voter."""
-
-    per_size: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_size)
 
 
 def postorder(forest: DelegationForest) -> list[int]:
@@ -329,35 +317,38 @@ def _per_size(packed: int, n: int, slot_bits: int) -> list[int]:
     return [(packed >> (n - 1 - s) * slot_bits) & mask for s in range(n)]
 
 
-def swing_counts_dp(election: LiquidElection, voter: int) -> SwingCounts:
+def swing_counts_dp(election: LiquidElection, voter: int) -> tuple[int, ...]:
     """Per-size swing counts for any voter, via the counting tables."""
     # counts never exceed 2**n, so n + 2 bits keep every slot apart
     slot_bits = election.n + 2
     packed = _walk(election, slot_bits, voter)[voter]
-    return SwingCounts(tuple(_per_size(packed, election.n, slot_bits)))
+    return tuple(_per_size(packed, election.n, slot_bits))
 
 
 def banzhaf_dp(election: LiquidElection, voter: int) -> Fraction:
     """Penetration power of a voter, computed by the size-free tables."""
-    return Fraction(_walk(election, 0, voter)[voter], 1 << election.n - 1)
+    _, denominator = measure_weights(MeasureKind.BANZHAF, election.n)
+    return Fraction(_walk(election, 0, voter)[voter], denominator)
 
 
 def shapley_dp(election: LiquidElection, voter: int) -> Fraction:
     """Pivotal-order power of a voter, computed by the counting tables."""
-    counts = swing_counts_dp(election, voter)
-    return shapley_from_counts(list(counts.per_size), election.n)
+    weights = measure_weights(MeasureKind.SHAPLEY, election.n)
+    return counts_to_power(swing_counts_dp(election, voter), *weights)
 
 
 def all_indices_dp(election: LiquidElection, kind: MeasureKind) -> IndexReport:
     """Power values of every voter under one measure, in one walk."""
     kind = MeasureKind(kind)
     n = election.n
+    size_weights, denominator = measure_weights(kind, n)
     if kind is MeasureKind.BANZHAF:
-        values = tuple(Fraction(s, 1 << n - 1) for s in _walk(election, 0))
+        # the size-free walk sums the unit size weights itself
+        values = tuple(Fraction(s, denominator) for s in _walk(election, 0))
     else:
         slot_bits = n + 2
         values = tuple(
-            shapley_from_counts(_per_size(s, n, slot_bits), n)
+            counts_to_power(_per_size(s, n, slot_bits), size_weights, denominator)
             for s in _walk(election, slot_bits)
         )
     return IndexReport(kind=kind, values=values)

@@ -4,7 +4,8 @@ Both measures are driven by the same statistic: for a voter ``i``, the number
 of coalitions of each size (drawn from the other voters) that ``i`` swings
 from losing to winning.  The penetration measure divides the total count by
 ``2**(n-1)``; the pivotal-order measure weighs each size ``s`` by
-``s!(n-1-s)!/n!``.  All arithmetic is exact (:class:`fractions.Fraction`).
+``s!(n-1-s)!/n!``; every route takes them from :func:`measure_weights`.
+All arithmetic is exact (:class:`fractions.Fraction`).
 
 An election of at most ``coalition_table.TABLE_LIMIT`` voters is counted
 from one numpy coalition table, all requested voters in one pass.  Every
@@ -106,40 +107,31 @@ def swing_size_counts(game: EvaluableGame, voter: int) -> list[int]:
     return _swing_counts(game, [voter])[0]
 
 
-def banzhaf_from_counts(counts: list[int], n: int) -> Fraction:
-    return Fraction(sum(counts), 1 << n - 1)
+def measure_weights(kind: MeasureKind, n: int) -> tuple[list[int], int]:
+    """Size weights and denominator of a measure over ``n`` voters: a
+    voter's power is ``sum(size_weights[s] * swings of size s)`` over
+    ``denominator``, and that integer sum is the search solvers' key."""
+    if MeasureKind(kind) is MeasureKind.BANZHAF:
+        return [1] * n, 1 << n - 1
+    return [factorial(s) * factorial(n - 1 - s) for s in range(n)], factorial(n)
 
 
-def shapley_from_counts(counts: list[int], n: int) -> Fraction:
-    weighted = sum(factorial(s) * factorial(n - 1 - s) * c for s, c in enumerate(counts) if c)
-    return Fraction(weighted, factorial(n))
-
-
-def banzhaf_exact(game: EvaluableGame, voter: int) -> Fraction:
-    """Fraction of other-voter coalitions that the voter swings."""
-    counts = swing_size_counts(game, voter)
-    return banzhaf_from_counts(counts, game.n_voters)
-
-
-def shapley_exact(game: EvaluableGame, voter: int) -> Fraction:
-    """Probability of being the pivotal voter in a uniformly random order."""
-    counts = swing_size_counts(game, voter)
-    return shapley_from_counts(counts, game.n_voters)
-
-
-def _from_counts(counts: list[int], n: int, kind: MeasureKind) -> Fraction:
-    if kind is MeasureKind.BANZHAF:
-        return banzhaf_from_counts(counts, n)
-    return shapley_from_counts(counts, n)
+def counts_to_power(counts, size_weights: list[int], denominator: int) -> Fraction:
+    """Power of a voter from its swing counts, one for each coalition size."""
+    weighted = sum(w * c for w, c in zip(size_weights, counts, strict=True) if c)
+    return Fraction(weighted, denominator)
 
 
 def power_index(game: EvaluableGame, voter: int, kind: MeasureKind) -> Fraction:
-    return _from_counts(swing_size_counts(game, voter), game.n_voters, MeasureKind(kind))
+    """Power of one voter under one measure, from its swing counts."""
+    weights = measure_weights(kind, game.n_voters)
+    return counts_to_power(swing_size_counts(game, voter), *weights)
 
 
 def all_indices_exact(game: EvaluableGame, kind: MeasureKind) -> IndexReport:
     """Power values of every voter under one measure, from one table."""
     kind = MeasureKind(kind)
     n = game.n_voters
-    values = tuple(_from_counts(c, n, kind) for c in _swing_counts(game, range(n)))
+    weights = measure_weights(kind, n)
+    values = tuple(counts_to_power(c, *weights) for c in _swing_counts(game, range(n)))
     return IndexReport(kind=kind, values=values)

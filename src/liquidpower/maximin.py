@@ -24,7 +24,6 @@ from .coalition_table import (
     chain_masks,
     check_table_work,
     coalition_weight_table,
-    measure_key_weights,
     product_blocks,
     reduced_weights,
     swing_counts_from_table,
@@ -38,7 +37,7 @@ from .errors import (
     NonPositiveWeight,
     QuotaOutOfRange,
 )
-from .exact import MeasureKind
+from .exact import MeasureKind, measure_weights
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,7 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
             f"no acyclic profile with exactly {problem.gurus} personally-voting voters"
         )
     # an integer scoring key per voter avoids per-profile Fractions
-    size_weights, denominator = measure_key_weights(
-        problem.kind is MeasureKind.BANZHAF, n
-    )
+    size_weights, denominator = measure_weights(problem.kind, n)
     g, weights = reduced_weights(problem.weights)
     quota = -(-problem.quota // g)
     voters = range(n)

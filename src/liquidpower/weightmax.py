@@ -316,6 +316,9 @@ def _exclusion_sets(others, weights, req_bar: int):
     weigh exactly ``w`` (every weight is at least 1, so ``s <= w``), and the
     walk descends only into choices that it says complete a set.
     """
+    if req_bar == 0:  # full support: the empty set is the only one
+        yield ()
+        return
     span = range(req_bar + 1)
     ways = [[[int(w == s == 0) for s in span] for w in span]]
     for v in reversed(others):

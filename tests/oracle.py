@@ -67,17 +67,29 @@ def swing_sizes(choices, weights, quota, voter):
     return by_size
 
 
+def banzhaf_term(n):
+    """Worth of one swung coalition: one of the ``2**(n-1)`` coalitions of
+    the other voters."""
+    return Fraction(1, 2 ** (n - 1))
+
+
+def shapley_term(n, size):
+    """Worth of one swung coalition of ``size`` others: the share of the
+    ``n!`` voter orders in which exactly those voters come first."""
+    return Fraction(factorial(size) * factorial(n - 1 - size), factorial(n))
+
+
 def banzhaf(choices, weights, quota, voter):
     n = len(choices)
     total = sum(swing_sizes(choices, weights, quota, voter).values())
-    return Fraction(total, 2 ** (n - 1))
+    return total * banzhaf_term(n)
 
 
 def shapley(choices, weights, quota, voter):
     n = len(choices)
     value = Fraction(0)
     for size, count in swing_sizes(choices, weights, quota, voter).items():
-        value += Fraction(factorial(size) * factorial(n - 1 - size), factorial(n)) * count
+        value += shapley_term(n, size) * count
     return value
 
 

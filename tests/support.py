@@ -10,6 +10,17 @@ from liquidpower.core import (
     validate,
 )
 from liquidpower.bribery import enumerate_neighborhood
+from liquidpower.exact import MeasureKind, power_index
+
+
+def banzhaf_of(game, voter):
+    """Swing-count power of one voter, by enumeration."""
+    return power_index(game, voter, MeasureKind.BANZHAF)
+
+
+def shapley_of(game, voter):
+    """Ordering power of one voter, by enumeration."""
+    return power_index(game, voter, MeasureKind.SHAPLEY)
 
 
 def eight_voter_election() -> LiquidElection:

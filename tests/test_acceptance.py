@@ -21,7 +21,7 @@ from liquidpower import (
 )
 from liquidpower.bribery import BriberyObjective, BriberyProblem, gamw, solve_bribery_exact
 from liquidpower.dp import banzhaf_dp, shapley_dp
-from liquidpower.exact import MeasureKind, _swing_counts_plain, banzhaf_exact, shapley_exact
+from liquidpower.exact import MeasureKind, _swing_counts_plain
 from liquidpower.maximin import mmwp_leafmin
 from liquidpower.semantics import compose
 from liquidpower.weightmax import (
@@ -34,10 +34,12 @@ from liquidpower.weightmax import (
     wmaxp_exact,
 )
 from support import (
+    banzhaf_of,
     eight_voter_election,
     random_composable_pair,
     random_election,
     random_profile,
+    shapley_of,
     three_voter_line_election,
 )
 
@@ -63,8 +65,8 @@ def test_criterion_01_fixture_values_via_both_routes_under_one_second():
     election = eight_voter_election()
     started = time.perf_counter()
     values = {
-        ("enum", 7): banzhaf_exact(election, 7),
-        ("enum", 5): banzhaf_exact(election, 5),
+        ("enum", 7): banzhaf_of(election, 7),
+        ("enum", 5): banzhaf_of(election, 5),
         ("tables", 7): banzhaf_dp(election, 7),
         ("tables", 5): banzhaf_dp(election, 5),
     }
@@ -81,8 +83,8 @@ def test_criterion_02_tables_match_enumeration_on_500_instances(corpus):
     instances = 0
     for election, db, ds in corpus:
         for v in range(election.n):
-            assert db[v] == banzhaf_exact(election, v)
-            assert ds[v] == shapley_exact(election, v)
+            assert db[v] == banzhaf_of(election, v)
+            assert ds[v] == shapley_of(election, v)
         instances += 1
     elapsed = time.perf_counter() - started
     assert instances >= 500
@@ -163,10 +165,10 @@ def test_criterion_05_conjunction_disjunction_sum_identity():
         for joint in range(both.n_voters):
             split = Fraction(0)
             if joint < e1.n:
-                split += shapley_exact(e1, joint)
+                split += shapley_of(e1, joint)
             if joint in back_of:
-                split += shapley_exact(e2, back_of[joint])
-            assert shapley_exact(both, joint) + shapley_exact(either, joint) == split
+                split += shapley_of(e2, back_of[joint])
+            assert shapley_of(both, joint) + shapley_of(either, joint) == split
         pairs += 1
 
 

@@ -26,8 +26,8 @@ from liquidpower.bribery import (
     solve_bribery_exact,
 )
 from liquidpower.dp import banzhaf_dp, shapley_dp
-from liquidpower.exact import MeasureKind, banzhaf_exact, shapley_exact
-from support import eight_voter_election, neighborhood_profiles, random_election
+from liquidpower.exact import MeasureKind, power_index
+from support import banzhaf_of, eight_voter_election, neighborhood_profiles, random_election
 
 
 def _three_self_voters(quota=2):
@@ -130,6 +130,17 @@ def test_objective_enum_wiring():
     assert not BriberyObjective.MIN_BANZHAF.maximize
 
 
+def test_string_objectives_take_the_enum_branch():
+    election = eight_voter_election()
+    for objective in BriberyObjective:
+        problem = BriberyProblem(election, 5, 1, Fraction(1, 2), objective.value)
+        assert problem.objective is objective
+        direct = BriberyProblem(election, 5, 1, Fraction(1, 2), objective)
+        assert solve_bribery_exact(problem) == solve_bribery_exact(direct)
+    with pytest.raises(ValueError):
+        BriberyProblem(election, 5, 1, Fraction(1, 2), "max-penrose")
+
+
 def test_zero_budget_reports_the_current_value():
     election = eight_voter_election()
     problem = BriberyProblem(
@@ -195,7 +206,7 @@ def test_optimum_brackets_the_current_value():
     for _ in range(10):
         election = random_election(rng, n_min=2, n_max=6)
         target = rng.randrange(election.n)
-        current = banzhaf_exact(election, target)
+        current = banzhaf_of(election, target)
         lo = solve_bribery_exact(
             BriberyProblem(election, target, 2, Fraction(0), BriberyObjective.MIN_BANZHAF)
         ).value
@@ -237,7 +248,7 @@ def test_witness_revalidates():
         witness = outcome.profile
         assert len(election.profile.changed_voters(witness)) <= 2
         rebuilt = election.with_profile(witness)  # revalidates arcs + acyclicity
-        assert banzhaf_exact(rebuilt, target) == outcome.value
+        assert banzhaf_of(rebuilt, target) == outcome.value
     assert seen_yes >= 3
 
 
@@ -271,7 +282,7 @@ def test_large_weights_give_the_exact_value():
     election = validate(network, (1 << 62,) * 3, DelegationProfile.all_self(3), 1 << 63)
     problem = BriberyProblem(election, 0, 0, Fraction(1, 2), BriberyObjective.MAX_BANZHAF)
     outcome = solve_bribery_exact(problem)
-    assert outcome.value == banzhaf_exact(election, 0) == Fraction(1, 2)
+    assert outcome.value == banzhaf_of(election, 0) == Fraction(1, 2)
     assert outcome.profile == election.profile
 
 
@@ -411,8 +422,8 @@ def test_greedy_redirects_the_heaviest_root_first():
     assert outcome.changes == 1
     assert outcome.skipped_redirects == ()
     rebuilt = election.with_profile(outcome.profile)
-    assert outcome.value == banzhaf_exact(rebuilt, 8)
-    assert outcome.value > banzhaf_exact(election, 8)
+    assert outcome.value == banzhaf_of(rebuilt, 8)
+    assert outcome.value > banzhaf_of(election, 8)
 
 
 def test_greedy_root_ties_break_to_the_smaller_id():
@@ -474,7 +485,7 @@ def test_greedy_follower_with_two_changes_votes_personally_then_grabs_roots():
     assert outcome.profile.choices[4] is SELF
     assert outcome.profile.choices[0] == 4  # heaviest remaining root
     assert outcome.changes == 2
-    assert outcome.value == banzhaf_exact(election.with_profile(outcome.profile), 4)
+    assert outcome.value == banzhaf_of(election.with_profile(outcome.profile), 4)
 
 
 def test_greedy_follower_two_changes_ranks_roots_after_normalization():
@@ -501,14 +512,11 @@ def test_greedy_value_agrees_with_exact_measures():
         election = random_election(rng, n_min=3, n_max=7, complete=True)
         target = rng.randrange(election.n)
         k = rng.randint(0, 2)
-        for kind, fn in (
-            (MeasureKind.BANZHAF, banzhaf_exact),
-            (MeasureKind.SHAPLEY, shapley_exact),
-        ):
+        for kind in MeasureKind:
             outcome = gamw(election, target, k, kind=kind)
             assert outcome.changes <= k
             rebuilt = election.with_profile(outcome.profile)
-            assert fn(rebuilt, target) == outcome.value
+            assert power_index(rebuilt, target, kind) == outcome.value
 
 
 def test_greedy_guarantee_on_complete_networks():

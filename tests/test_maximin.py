@@ -24,9 +24,9 @@ from liquidpower import (
 )
 from liquidpower import coalition_table, maximin
 from liquidpower.dp import all_indices_dp
-from liquidpower.exact import MeasureKind, banzhaf_exact
+from liquidpower.exact import MeasureKind
 from liquidpower.maximin import MaximinProblem, mmwp_bruteforce, mmwp_leafmin
-from support import eight_voter_election, random_election, random_profile
+from support import banzhaf_of, eight_voter_election, random_election, random_profile
 
 
 def _two_triangle_network() -> SocialNetwork:
@@ -323,19 +323,19 @@ def test_leafmin_on_the_fixture():
     # the distant voter 4 is itself a leaf, so the minimum (zero) shows up
     value = mmwp_leafmin(election.profile, election)
     assert value == 0
-    assert value == min(banzhaf_exact(election, v) for v in range(8))
+    assert value == min(banzhaf_of(election, v) for v in range(8))
 
 
 def test_leafmin_on_a_chain_is_the_tail():
     network = SocialNetwork.from_arcs(3, [(1, 0), (2, 1)])
     election = validate(network, (1, 1, 1), DelegationProfile((SELF, 0, 1)), 2)
-    assert mmwp_leafmin(election.profile, election) == banzhaf_exact(election, 2)
+    assert mmwp_leafmin(election.profile, election) == banzhaf_of(election, 2)
 
 
 def test_leafmin_on_a_star_is_any_spoke():
     network = SocialNetwork.complete(4)
     election = validate(network, (1,) * 4, DelegationProfile((SELF, 0, 0, 0)), 3)
-    assert mmwp_leafmin(election.profile, election) == banzhaf_exact(election, 1)
+    assert mmwp_leafmin(election.profile, election) == banzhaf_of(election, 1)
 
 
 def test_leafmin_rejects_the_ordering_measure():
@@ -352,7 +352,7 @@ def test_leafmin_equals_full_min_on_randoms():
         # the built-in cross-check assertion runs on every call
         value = mmwp_leafmin(profile, election)
         evaluated = election.with_profile(profile)
-        assert value == min(banzhaf_exact(evaluated, v) for v in range(election.n))
+        assert value == min(banzhaf_of(evaluated, v) for v in range(election.n))
 
 
 def test_power_never_drops_along_a_delegation():
@@ -361,4 +361,4 @@ def test_power_never_drops_along_a_delegation():
         election = random_election(rng, n_min=2, n_max=7, w_max=3)
         for v, choice in enumerate(election.profile.choices):
             if choice is not SELF:
-                assert banzhaf_exact(election, v) <= banzhaf_exact(election, choice)
+                assert banzhaf_of(election, v) <= banzhaf_of(election, choice)

@@ -5,11 +5,10 @@ import pytest
 
 from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
 from liquidpower.errors import IncompatibleOverlap
-from liquidpower.exact import shapley_exact
 from liquidpower.semantics import compose
 
 import oracle
-from support import eight_voter_election, random_composable_pair, random_election
+from support import eight_voter_election, random_composable_pair, random_election, shapley_of
 
 
 def _mask(members) -> int:
@@ -129,12 +128,12 @@ def test_conjunction_disjunction_power_sums():
         both = compose(e1, e2, "and", shared)
         either = compose(e1, e2, "or", shared)
         for joint in range(both.n_voters):
-            v_and = shapley_exact(both, joint)
-            v_or = shapley_exact(either, joint)
+            v_and = shapley_of(both, joint)
+            v_or = shapley_of(either, joint)
             part = Fraction(0)
             if joint < e1.n:
-                part += shapley_exact(e1, joint)
+                part += shapley_of(e1, joint)
             back = [j for j, jj in enumerate(both.joint_of_two) if jj == joint]
             if back:
-                part += shapley_exact(e2, back[0])
+                part += shapley_of(e2, back[0])
             assert v_and + v_or == part
