@@ -31,7 +31,7 @@ from .coalition_table import (
     swing_counts_from_table,
     table_rows,
 )
-from .core import SELF, DelegationProfile, LiquidElection, build_forest
+from .core import SELF, DelegationProfile, LiquidElection, build_forest, integer_field
 from .dp import banzhaf_dp, shapley_dp
 from .exact import MeasureKind, measure_weights
 
@@ -66,6 +66,17 @@ class BriberyProblem:
     objective: BriberyObjective
 
     def __post_init__(self):
+        for name in ("target", "budget"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        refusal = f"threshold must be a rational number, got {self.threshold!r}"
+        if isinstance(self.threshold, bool):
+            raise TypeError(refusal)
+        try:
+            object.__setattr__(self, "threshold", Fraction(self.threshold))
+        except TypeError:
+            raise TypeError(refusal) from None
+        except (ValueError, ArithmeticError):
+            raise ValueError(refusal) from None
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         if not 0 <= self.threshold <= 1:

@@ -15,17 +15,21 @@ human-readable table instead).  Exit status is 0 whenever the run produced
 an answer — a "no" decision included — and 1 on any error, which is itself
 reported as a structured JSON document.  Voter ids are 1-based on both
 sides of the interface, matching the instance format.
+
+The solver families that need numpy (bribery, maximin, weight maximization
+and their coalition tables) load on first use, so a process pays only for
+the command it runs: ``index --method dp`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 import time
 from fractions import Fraction
 
-from .bribery import BriberyObjective, BriberyProblem, gamw, solve_bribery_exact
 from .core import (
     LiquidElection,
     PartialElection,
@@ -38,17 +42,37 @@ from .core import (
 from .dp import all_indices_dp, banzhaf_dp, shapley_dp
 from .errors import LiquidPowerError
 from .exact import MeasureKind, all_indices_exact, power_index
-from .maximin import MaximinProblem, mmwp_bruteforce
-from .weightmax import (
-    WeightMaxProblem,
-    solve_fpt_colorcoding,
-    solve_full_support,
-    solve_xp_reqbar,
-    vbamw,
-    wmaxp_exact,
-)
 
 DEFAULT_SEED = 1729
+
+# the values of bribery.BriberyObjective, so the parser loads no bribery
+OBJECTIVES = ("max-banzhaf", "max-shapley", "min-banzhaf", "min-shapley")
+
+
+def _lazy_submodule(name: str):
+    """``liquidpower.<name>``, registered without running its code.
+
+    The module is in ``sys.modules`` and an attribute of the package, as
+    after a normal import, but its code runs on first attribute access.  A
+    module that is already imported is returned as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# bench/tracing.py finds coalition_table in sys.modules after this import
+_lazy_submodule("coalition_table")
+bribery = _lazy_submodule("bribery")
+maximin = _lazy_submodule("maximin")
+weightmax = _lazy_submodule("weightmax")
 
 
 class CliError(LiquidPowerError):
@@ -162,18 +186,20 @@ def _cmd_index(args, instance) -> dict:
 def _cmd_bribe(args, instance) -> dict:
     election = _require_quota(instance)
     target = _parse_voter(args.target, election.n)
-    objective = BriberyObjective(args.objective)
+    objective = bribery.BriberyObjective(args.objective)
     threshold = _parse_fraction(args.threshold) if args.threshold else None
 
     if args.method == "exact":
         if threshold is None:
             raise CliError("--threshold is required with --method exact")
-        problem = BriberyProblem(election, target, args.budget, threshold, objective)
-        outcome = solve_bribery_exact(problem)
+        problem = bribery.BriberyProblem(
+            election, target, args.budget, threshold, objective
+        )
+        outcome = bribery.solve_bribery_exact(problem)
     else:
         if not objective.maximize:
             raise CliError("the greedy method only maximizes; use --method exact")
-        outcome = gamw(
+        outcome = bribery.gamw(
             election,
             target,
             args.budget,
@@ -198,20 +224,22 @@ def _cmd_bribe(args, instance) -> dict:
 def _cmd_weightmax(args, instance) -> dict:
     election = _require_quota(instance)
     target = _parse_voter(args.target, election.n)
-    problem = WeightMaxProblem(election, target, args.budget, args.threshold)
+    problem = weightmax.WeightMaxProblem(election, target, args.budget, args.threshold)
 
     if args.method == "exact":
-        outcome = wmaxp_exact(problem)
+        outcome = weightmax.wmaxp_exact(problem)
     elif args.method == "branching":
-        outcome = solve_full_support(problem)
+        outcome = weightmax.solve_full_support(problem)
     elif args.method == "xp":
-        outcome = solve_xp_reqbar(problem)
+        outcome = weightmax.solve_xp_reqbar(problem)
     elif args.method == "colorcoding":
-        outcome = solve_fpt_colorcoding(problem, delta=args.delta, seed=args.seed)
+        outcome = weightmax.solve_fpt_colorcoding(
+            problem, delta=args.delta, seed=args.seed
+        )
     else:  # vbamw
         if args.epsilon is None:
             raise CliError("--epsilon is required with --method vbamw")
-        outcome = vbamw(problem, _parse_fraction(args.epsilon))
+        outcome = weightmax.vbamw(problem, _parse_fraction(args.epsilon))
 
     results = {
         "decision": outcome.decision,
@@ -225,14 +253,14 @@ def _cmd_weightmax(args, instance) -> dict:
 
 def _cmd_maximin(args, instance) -> dict:
     election = _require_quota(instance)
-    problem = MaximinProblem(
+    problem = maximin.MaximinProblem(
         election.network,
         election.weights,
         election.quota,
         args.gurus,
         MeasureKind(args.kind),
     )
-    solution = mmwp_bruteforce(problem)
+    solution = maximin.mmwp_bruteforce(problem)
     redesigned = validate(
         election.network, election.weights, solution.profile, election.quota
     )
@@ -275,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bribe.add_argument(
         "--objective",
-        choices=[o.value for o in BriberyObjective],
+        choices=OBJECTIVES,
         default="max-banzhaf",
     )
     p_bribe.add_argument("--target", required=True, help="1-based voter id")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -398,6 +399,20 @@ def decimal_id(text) -> int | None:
     if type(text) is str and text.isascii() and text.isdigit() and text == str(int(text)):
         return int(text)
     return None
+
+
+def integer_field(value, field: str) -> int:
+    """``value`` as a plain int, for an integer field of a problem object.
+
+    Anything ``operator.index`` takes passes (numpy ints included); a bool,
+    a float or a string raises ``TypeError`` naming ``field``.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
 def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElection:

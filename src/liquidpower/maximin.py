@@ -29,7 +29,7 @@ from .coalition_table import (
     swing_counts_from_table,
     table_rows,
 )
-from .core import DelegationProfile, LiquidElection, SocialNetwork
+from .core import DelegationProfile, LiquidElection, SocialNetwork, integer_field
 from .dp import all_indices_dp
 from .errors import (
     MeasureNotSupported,
@@ -49,6 +49,10 @@ class MaximinProblem:
     kind: MeasureKind = MeasureKind.BANZHAF
 
     def __post_init__(self):
+        for name in ("quota", "gurus"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        weights = tuple(integer_field(w, "weights") for w in self.weights)
+        object.__setattr__(self, "weights", weights)
         n = self.network.n
         if len(self.weights) != n:
             raise ValueError("one weight per voter required")

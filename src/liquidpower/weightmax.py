@@ -32,7 +32,7 @@ import numpy as np
 from . import coalition_table
 from .bribery import enumerate_neighborhood, neighborhood_size
 from .coalition_table import best_rank, chain_roots, reduced_weights
-from .core import SELF, DelegationProfile, LiquidElection
+from .core import SELF, DelegationProfile, LiquidElection, integer_field
 from .errors import (
     InstanceTooLargeForEnumeration,
     NoSpanningArborescence,
@@ -56,6 +56,8 @@ class WeightMaxProblem:
     tau: int
 
     def __post_init__(self):
+        for name in ("target", "budget", "tau"):
+            object.__setattr__(self, name, integer_field(getattr(self, name), name))
         if self.tau < 1:
             raise ValueError("threshold must be at least 1")
         if self.budget < 0:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 import oracle
@@ -139,6 +140,38 @@ def test_string_objectives_take_the_enum_branch():
         assert solve_bribery_exact(problem) == solve_bribery_exact(direct)
     with pytest.raises(ValueError):
         BriberyProblem(election, 5, 1, Fraction(1, 2), "max-penrose")
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("target", np.int64(5), 5),
+        ("budget", np.int32(1), 1),
+        ("threshold", "1/2", Fraction(1, 2)),
+        ("threshold", 0.25, Fraction(1, 4)),
+        ("target", True, TypeError),
+        ("budget", 1.0, TypeError),
+        ("budget", "1", TypeError),
+        ("threshold", True, TypeError),
+        ("threshold", None, TypeError),
+        ("threshold", "half", ValueError),
+    ],
+)
+def test_problem_fields_are_coerced_or_refused(field, value, expected):
+    fields = {
+        "election": eight_voter_election(),
+        "target": 5,
+        "budget": 1,
+        "threshold": Fraction(1, 2),
+        "objective": "max-banzhaf",
+        field: value,
+    }
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=field):
+            BriberyProblem(**fields)
+    else:
+        coerced = getattr(BriberyProblem(**fields), field)
+        assert coerced == expected and type(coerced) is type(expected)
 
 
 def test_zero_budget_reports_the_current_value():

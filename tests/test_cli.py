@@ -1,11 +1,18 @@
 """End-to-end command-line runs: JSON reports, exit codes, round-trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import liquidpower
+from liquidpower import cli
+from liquidpower.bribery import BriberyObjective
 from liquidpower.cli import main
 from liquidpower.core import election_from_json, election_to_json
 from support import TRIM_FALLBACK_INSTANCE, eight_voter_election, random_election
@@ -101,6 +108,59 @@ def test_bribe_witness_feeds_back_through_index(capsys, fixture_path, tmp_path):
     )
     assert code == 0
     assert Fraction(echo["results"]["values"]["7"]["exact"]) == reported
+
+
+# Run in a fresh interpreter, so imports made earlier in the suite cannot
+# mask what importing and running the CLI loads.
+FRESH_CLI = """
+import contextlib, io, json, sys
+import liquidpower.cli as cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())["results"], "numpy" in sys.modules
+
+solvers = ("coalition_table", "bribery", "maximin", "weightmax")
+doc = {
+    "numpy": "numpy" in sys.modules,
+    "registered": [f"liquidpower.{m}" in sys.modules for m in solvers],
+}
+doc["index"] = run(["index", *sys.argv[1:3]])
+doc["bribe"] = run(["bribe", sys.argv[1], *sys.argv[3:]])
+import liquidpower.bribery
+doc["gamw"] = liquidpower.bribery.gamw.__name__
+print(json.dumps(doc))
+"""
+
+
+def test_a_fresh_cli_loads_numpy_only_for_the_solvers_it_runs(capsys, fixture_path):
+    bribe = ["--target", "7", "--budget", "1", "--threshold", "1/2", "--method", "exact"]
+    root = str(Path(liquidpower.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, fixture_path, "--method=dp", *bribe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    doc = json.loads(out)
+    # the solver modules are registered, as bench/tracing.py needs, not run
+    assert doc["numpy"] is False
+    assert doc["registered"] == [True] * 4
+    code, results, numpy_loaded = doc["index"]
+    assert code == 0 and numpy_loaded is False
+    assert results == _run_json(capsys, ["index", fixture_path])[1]["results"]
+    code, results, numpy_loaded = doc["bribe"]
+    assert code == 0 and numpy_loaded is True
+    assert results == _run_json(capsys, ["bribe", fixture_path, *bribe])[1]["results"]
+    assert doc["gamw"] == "gamw"
+
+
+def test_objective_choices_are_the_enum_values():
+    assert list(cli.OBJECTIVES) == [o.value for o in BriberyObjective]
 
 
 def test_bribe_greedy_refuses_minimization(capsys, fixture_path):

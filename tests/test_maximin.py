@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import prod
 
+import numpy as np
 import pytest
 
 import oracle
@@ -79,6 +80,30 @@ def test_problem_validation():
         MaximinProblem(network, (1, 1, 1), 4, 2)
     with pytest.raises(NonPositiveWeight):
         MaximinProblem(network, (1, 0, 1), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("quota", np.int64(3), 3),
+        ("gurus", np.int16(2), 2),
+        ("gurus", True, TypeError),
+        ("gurus", 2.0, TypeError),
+        ("quota", 3.0, TypeError),
+        ("quota", "3", TypeError),
+        ("weights", (True,) + (1,) * 5, TypeError),
+        ("weights", (1.5,) + (1,) * 5, TypeError),
+    ],
+)
+def test_problem_fields_are_coerced_or_refused(field, value, expected):
+    fields = {"network": _two_triangle_network(), "weights": (1,) * 6, "quota": 3, "gurus": 2}
+    fields[field] = value
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=field):
+            MaximinProblem(**fields)
+    else:
+        coerced = getattr(MaximinProblem(**fields), field)
+        assert coerced == expected and type(coerced) is int
 
 
 def test_table_work_cap_refuses_a_complete_nine_voter_search():

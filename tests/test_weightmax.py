@@ -56,6 +56,29 @@ def _assert_witness_ok(problem, outcome, *, budget=None):
     assert outcome.changes <= (problem.budget if budget is None else budget)
 
 
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("target", np.int64(7), 7),
+        ("budget", np.int32(1), 1),
+        ("tau", np.uint8(3), 3),
+        ("target", True, TypeError),
+        ("budget", 1.5, TypeError),
+        ("tau", 3.5, TypeError),
+        ("tau", "3", TypeError),
+    ],
+)
+def test_problem_fields_are_coerced_or_refused(field, value, expected):
+    fields = {"election": eight_voter_election(), "target": 7, "budget": 1, "tau": 3}
+    fields[field] = value
+    if isinstance(expected, type):
+        with pytest.raises(expected, match=field):
+            WeightMaxProblem(**fields)
+    else:
+        coerced = getattr(WeightMaxProblem(**fields), field)
+        assert coerced == expected and type(coerced) is int
+
+
 # --- cost graph -----------------------------------------------------------
 
 
