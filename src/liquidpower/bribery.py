@@ -5,8 +5,8 @@ profile differing from the current one in at most ``k`` positions, each
 delegation following a network arc — and optimizes the chosen measure of the
 target voter in the chosen direction.  The neighborhood is walked in numpy
 blocks of parent rows: the cycle test and the chain masks of a whole block
-come from one pointer-doubling pass, and each block is scored with one
-coalition table, with no per-profile Python.  The greedy solver redirects the
+come from one pointer-doubling pass, and each block is scored with
+coalition tables of many profiles at once, with no per-profile Python.  The greedy solver redirects the
 heaviest ballot-holders toward the target and comes with a provable (if
 weak) guarantee on complete networks.
 """
@@ -21,17 +21,21 @@ from itertools import chain, combinations
 import numpy as np
 
 from .coalition_table import (
-    acyclic_rows,
-    best_rank,
+    best_row,
     chain_masks,
     check_table_work,
-    coalition_weight_table,
     product_blocks,
     reduced_weights,
-    swing_counts_from_table,
-    table_rows,
+    swing_counts,
 )
-from .core import SELF, DelegationProfile, LiquidElection, build_forest, integer_field
+from .core import (
+    SELF,
+    DelegationProfile,
+    LiquidElection,
+    build_forest,
+    integer_field,
+    rational_field,
+)
 from .dp import banzhaf_dp, shapley_dp
 from .exact import MeasureKind, measure_weights
 
@@ -68,15 +72,7 @@ class BriberyProblem:
     def __post_init__(self):
         for name in ("target", "budget"):
             object.__setattr__(self, name, integer_field(getattr(self, name), name))
-        refusal = f"threshold must be a rational number, got {self.threshold!r}"
-        if isinstance(self.threshold, bool):
-            raise TypeError(refusal)
-        try:
-            object.__setattr__(self, "threshold", Fraction(self.threshold))
-        except TypeError:
-            raise TypeError(refusal) from None
-        except (ValueError, ArithmeticError):
-            raise ValueError(refusal) from None
+        object.__setattr__(self, "threshold", rational_field(self.threshold, "threshold"))
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         if not 0 <= self.threshold <= 1:
@@ -163,7 +159,6 @@ def enumerate_neighborhood(
     *,
     voting: int | None = None,
     resolve=chain_masks,
-    block_rows: int | None = None,
 ):
     """Yield the acyclic profiles within ``k`` changes of the current one as
     numpy blocks ``(parents, resolved, changes)``.
@@ -179,8 +174,7 @@ def enumerate_neighborhood(
     counts.  With ``voting``, only the profiles in which that voter votes
     personally (see :func:`_free_voters`).  The neighbourhood is one product
     per subset of the free voters (the subset's voters range over their
-    changed options), cut by :func:`coalition_table.product_blocks` into
-    blocks of ``block_rows`` rows, by default :func:`coalition_table.table_rows`.
+    changed options), walked by :func:`coalition_table.product_blocks`.
     """
     n = election.n
     base, voters, budget, spent = _free_voters(election, k, voting)
@@ -193,10 +187,7 @@ def enumerate_neighborhood(
         combinations(voters, s) for s in range(min(budget, len(voters)) + 1)
     )
     products = ((base, subset, [options[v] for v in subset]) for subset in subsets)
-    rows = table_rows(n) if block_rows is None else block_rows
-    for parents, resolved, changes in acyclic_rows(
-        product_blocks(products, n, rows), resolve
-    ):
+    for parents, resolved, changes in product_blocks(products, n, resolve):
         yield parents, resolved, changes + spent
 
 
@@ -214,19 +205,14 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
     size_weights, denominator = measure_weights(problem.objective.kind, n)
-    g, weights = reduced_weights(election.weights)
-    quota = -(-election.quota // g)
+    _, weights, quota = reduced_weights(election.weights, election.quota)
 
-    best = None
-    for parents, masks, changes in enumerate_neighborhood(election, problem.budget):
-        gamma = coalition_weight_table(masks, weights)
-        keys = sign * swing_counts_from_table(
-            gamma, n, quota, [problem.target], size_weights
-        )[:, 0]
-        rank = best_rank(keys, changes, parents)
-        if best is None or rank < best:
-            best = rank
-    neg_key, best_changes, best_parents = best
+    def score(masks):
+        keys = swing_counts(masks, weights, quota, [problem.target], size_weights)
+        return sign * keys[:, 0]
+
+    neighborhood = enumerate_neighborhood(election, problem.budget)
+    neg_key, best_changes, best_parents = best_row(neighborhood, score)
     value = Fraction(-sign * neg_key, denominator)
     decision = sign * value >= sign * problem.threshold
     return BriberyOutcome(
@@ -259,8 +245,11 @@ def gamw(
     reported in ``skipped_redirects``.  The achieved value is computed with
     the counting tables, so large instances are fine.
     """
+    budget = integer_field(budget, "budget")
     if budget < 0:
         raise ValueError("budget must be non-negative")
+    if threshold is not None:
+        threshold = rational_field(threshold, "threshold")
     kind = MeasureKind(kind)
     n = election.n
     choices = list(election.profile.choices)

@@ -37,7 +37,6 @@ from .core import (
     election_from_json,
     election_to_json,
     instance_digest,
-    validate,
 )
 from .dp import all_indices_dp, banzhaf_dp, shapley_dp
 from .errors import LiquidPowerError
@@ -261,13 +260,10 @@ def _cmd_maximin(args, instance) -> dict:
         MeasureKind(args.kind),
     )
     solution = maximin.mmwp_bruteforce(problem)
-    redesigned = validate(
-        election.network, election.weights, solution.profile, election.quota
-    )
     return {
         "mu": _fraction_doc(solution.mu),
         "per_voter": _values_doc(solution.per_voter),
-        "witness_instance": election_to_json(redesigned),
+        "witness_instance": _witness_doc(election, solution.profile),
     }
 
 

@@ -8,15 +8,14 @@ all call overhead.  This module therefore works on blocks of P profiles,
 each given as a row of parents (a self-voter is its own parent, so a row
 equals :meth:`DelegationProfile.sort_key`):
 
-* :func:`product_blocks` generates the candidate rows of a stream of
-  products (a base row whose free voters range over option pools) in blocks
-  of a size the caller picks, :func:`table_rows` for blocks of at most
-  :data:`CHUNK_CELLS` table cells; bribery's change neighbourhood and
+* :func:`product_blocks` generates the acyclic candidate rows of a stream
+  of products (a base row whose free voters range over option pools) in
+  blocks of :func:`walk_rows` rows; bribery's change neighbourhood and
   maximin's root sets are such streams;
 * :func:`chain_masks` resolves every voter's delegation chain, and tells the
   acyclic rows apart, by pointer doubling in ``ceil(log2 n)`` array steps;
   :func:`chain_roots` is the same loop when only each voter's root is
-  needed, and :func:`acyclic_rows` keeps a block's acyclic rows with either;
+  needed;
 * :func:`coalition_weight_table` computes the active-member weight of every
   coalition mask for all P profiles (a ``(P, 2**n)`` table), and
   :func:`check_table_work` refuses a search whose tables cost too much;
@@ -24,9 +23,11 @@ equals :meth:`DelegationProfile.sort_key`):
   profiles at once, a per-size weight over the coalitions each voter swings:
   all-ones weights give the swing total, ``s!(n-1-s)!`` the Shapley
   numerator (:func:`liquidpower.exact.measure_weights`), a unit vector the
-  count of one size;
-* :func:`best_rank` picks a block's winner under the search solvers' shared
-  tie-break.
+  count of one size; :func:`swing_counts` runs table and kernel over a block
+  of any size, :func:`table_rows` profiles at a time;
+* :func:`best_row` is every search's winner: the row with the highest
+  score, then the fewest changes, then the smallest parent row, over a
+  stream of ``(parents, resolved, changes)`` blocks.
 
 Results are exact integers; weights are divided by their gcd
 (:func:`reduced_weights`) so that tables stay in int64, and games whose
@@ -54,22 +55,30 @@ MASK_BITS = 63  # voters a non-negative int64 chain mask can hold
 WORK_CAP = 400_000 * 11 << 10  # table work of bribery over 400,000 profiles of 10 voters
 
 
-def product_blocks(products, n: int, rows: int):
-    """The candidate rows of a stream of products, in numpy blocks.
+def product_blocks(products, n: int, resolve):
+    """The acyclic candidate rows of a stream of products, in numpy blocks.
 
     Each product is ``(base, free, pools)``: a length-``n`` parent row, a
     sequence of free voters and one option array per free voter; its
     candidates are the base row with every free voter set to each
     combination of its pool's options, in :func:`itertools.product` order
     (the last free voter fastest).  Candidates of consecutive products share
-    blocks of at most ``rows`` rows, a large product being sliced over
-    several.  Yields ``(parents, free_counts)``: the ``(P, n)`` parent rows,
-    cyclic ones included, and each row's number of free voters.  Both are
-    views of buffers that the next block overwrites; :func:`acyclic_rows`
-    keeps copies.
+    blocks of :func:`walk_rows` rows, a large product being sliced over
+    several, and ``resolve`` (:func:`chain_masks` or :func:`chain_roots`)
+    finds each block's acyclic rows.  Yields ``(parents, resolved,
+    free_counts)`` for them: the ``(P, n)`` parent rows, what ``resolve``
+    gives for them and each row's number of free voters; a block whose
+    rows are all cyclic yields nothing.
     """
+    rows = walk_rows(n)
     buffer = np.empty((rows, n), dtype=np.intp)
     free_counts = np.empty(rows, dtype=np.intp)
+
+    def acyclic(size):  # copies of the acyclic rows among the first ``size``
+        resolved, keep = resolve(buffer[:size])
+        if keep.any():
+            yield buffer[:size][keep], resolved[keep], free_counts[:size][keep]
+
     filled = 0
     for base, free, pools in products:
         total = prod(len(pool) for pool in pools)
@@ -88,10 +97,10 @@ def product_blocks(products, n: int, rows: int):
             filled += stop - start
             start = stop
             if filled == rows:
-                yield buffer, free_counts
+                yield from acyclic(rows)
                 filled = 0
     if filled:
-        yield buffer[:filled], free_counts[:filled]
+        yield from acyclic(filled)
 
 
 def table_rows(n: int) -> int:
@@ -100,18 +109,11 @@ def table_rows(n: int) -> int:
     return max(1, CHUNK_CELLS >> n)
 
 
-def acyclic_rows(blocks, resolve):
-    """The acyclic rows of each ``(parents, free_counts)`` candidate block.
-
-    ``resolve`` is :func:`chain_masks` or :func:`chain_roots`; yields
-    ``(parents, resolved, free_counts)`` copies for the acyclic rows of each
-    block, ``resolved`` holding what ``resolve`` gives for them, and skips
-    blocks whose rows are all cyclic.
-    """
-    for parents, free_counts in blocks:
-        resolved, acyclic = resolve(parents)
-        if acyclic.any():
-            yield parents[acyclic], resolved[acyclic], free_counts[acyclic]
+def walk_rows(n: int) -> int:
+    """Rows per candidate block a search walks: about ``CHUNK_CELLS / 4``
+    parent entries, and at least :func:`table_rows`, so that the acyclic
+    rows left of a block still fill most tables."""
+    return max(table_rows(n), CHUNK_CELLS // (4 * n))
 
 
 def chain_masks(parents) -> tuple[np.ndarray, np.ndarray]:
@@ -162,12 +164,12 @@ def chain_roots(parents) -> tuple[np.ndarray, np.ndarray]:
     return jump.reshape(p, n) - offsets, acyclic
 
 
-def reduced_weights(weights) -> tuple[int, np.ndarray]:
-    """``(g, weights // g)`` with ``g`` the weights' gcd, as int64.
+def reduced_weights(weights, quota: int) -> tuple[int, np.ndarray, int]:
+    """``(g, weights // g, ceil(quota / g))``, ``g`` the weights' gcd.
 
-    Dividing every weight by ``g`` and rounding the quota up to
-    ``ceil(quota / g)`` keeps every comparison of a coalition weight with
-    the quota, and a reduced weight sum times ``g`` is the true sum.  Raises
+    Dividing every weight by ``g`` (into int64) and rounding the quota up
+    keeps every comparison of a coalition weight with the quota, and a
+    reduced weight sum times ``g`` is the true sum.  Raises
     :class:`InstanceTooLargeForEnumeration` when even the reduced total
     weight does not fit int64.
     """
@@ -178,7 +180,7 @@ def reduced_weights(weights) -> tuple[int, np.ndarray]:
             f"total weight {sum(weights)} over the weights' gcd {g} "
             "overflows the 64-bit coalition tables"
         )
-    return g, np.array(reduced, dtype=np.int64)
+    return g, np.array(reduced, dtype=np.int64), -(-quota // g)
 
 
 def check_table_work(passes, n: int) -> None:
@@ -267,15 +269,32 @@ def swing_counts_from_table(
     return np.einsum("vrp,r...->pv...", swing, weights).astype(np.int64)
 
 
-def best_rank(keys, changes, parents) -> tuple[int, int, tuple[int, ...]]:
-    """The smallest ``(-key, changes, parent row)`` over a block's rows.
+def swing_counts(masks, weights, quota: int, voters, size_weights) -> np.ndarray:
+    """:func:`swing_counts_from_table` for every row of a ``(P, n)`` block
+    of chain masks, the tables built :func:`table_rows` rows at a time;
+    ``weights`` and ``quota`` as :func:`reduced_weights` returns them."""
+    n = masks.shape[1]
+    rows = table_rows(n)
+    tables = (
+        coalition_weight_table(masks[start : start + rows], weights)
+        for start in range(0, len(masks), rows)
+    )
+    return np.concatenate(
+        [swing_counts_from_table(t, n, quota, voters, size_weights) for t in tables]
+    )
 
-    That is the row with the highest key, then the fewest changes, then the
-    lexicographically smallest parent row.  The search solvers share this
-    total order, so comparing the ranks of consecutive blocks finds the
-    same winner as a scan over single profiles.
-    """
-    at = np.flatnonzero(keys == keys.max())
-    at = at[changes[at] == changes[at].min()]
-    i = at[np.lexsort(parents[at].T[::-1])[0]]
-    return -int(keys[i]), int(changes[i]), tuple(parents[i].tolist())
+
+def best_row(blocks, score) -> tuple[int, int, tuple[int, ...]]:
+    """The winner of a search over a non-empty stream of ``(parents,
+    resolved, changes)`` blocks, as ``(-key, changes, parent row)``: the row
+    with the highest key ``score(resolved)``, then the fewest changes, then
+    the lexicographically smallest parent row, as a scan would find it."""
+
+    def rank(parents, resolved, changes):
+        keys = score(resolved)
+        at = np.flatnonzero(keys == keys.max())
+        at = at[changes[at] == changes[at].min()]
+        i = at[np.lexsort(parents[at].T[::-1])[0]]
+        return -int(keys[i]), int(changes[i]), tuple(parents[i].tolist())
+
+    return min(rank(*block) for block in blocks)

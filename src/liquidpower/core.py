@@ -17,6 +17,7 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Final, Iterable, Mapping, Sequence
@@ -413,6 +414,23 @@ def integer_field(value, field: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{field} must be an integer, got {value!r}")
+
+
+def rational_field(value, field: str) -> Fraction:
+    """``value`` as a :class:`Fraction`, for a rational field or argument.
+
+    Anything ``Fraction`` takes passes (``"1/2"`` and floats included); a
+    bool raises ``TypeError`` as a non-number does, naming ``field``.
+    """
+    refusal = f"{field} must be a rational number, got {value!r}"
+    if isinstance(value, bool):
+        raise TypeError(refusal)
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise TypeError(refusal) from None
+    except (ValueError, ArithmeticError):
+        raise ValueError(refusal) from None
 
 
 def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElection:

@@ -86,16 +86,14 @@ def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
 
         if n <= ct.TABLE_LIMIT:
             try:
-                g, weights = ct.reduced_weights(game.weights)
+                _, weights, quota = ct.reduced_weights(game.weights, game.quota)
             except InstanceTooLargeForEnumeration:
                 pass  # the total weight overflows int64: enumerate instead
             else:
                 masks, _ = ct.chain_masks([game.profile.sort_key()])
-                gamma = ct.coalition_weight_table(masks, weights)
-                quota = -(-game.quota // g)
                 # unit size weights keep one count per coalition size
-                counts = ct.swing_counts_from_table(
-                    gamma, n, quota, voters, np.eye(n, dtype=np.int64)
+                counts = ct.swing_counts(
+                    masks, weights, quota, voters, np.eye(n, dtype=np.int64)
                 )
                 return counts[0].tolist()
     return [_swing_counts_plain(game, v) for v in voters]

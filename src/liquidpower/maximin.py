@@ -17,17 +17,13 @@ from math import prod
 
 import numpy as np
 
-from . import coalition_table
 from .coalition_table import (
-    acyclic_rows,
-    best_rank,
+    best_row,
     chain_masks,
     check_table_work,
-    coalition_weight_table,
     product_blocks,
     reduced_weights,
-    swing_counts_from_table,
-    table_rows,
+    swing_counts,
 )
 from .core import DelegationProfile, LiquidElection, SocialNetwork, integer_field
 from .dp import all_indices_dp
@@ -78,17 +74,16 @@ class MaximinSolution:
 
 def _profiles_with_roots(network: SocialNetwork, root_sets):
     """Acyclic profiles whose personally-voting voters are exactly one of
-    ``root_sets``, as numpy blocks ``(parents, masks)``.
+    ``root_sets``, as numpy blocks ``(parents, masks, free)``.
 
     Per root set the candidates are one product: the roots fixed to
     themselves, every other voter ranging over its out-neighbours.  A
-    candidate is acyclic exactly when every chain ends at a root, so
-    :func:`coalition_table.acyclic_rows` keeps the wanted profiles of
-    :func:`coalition_table.product_blocks`' blocks; a block may span root
-    sets.  ``parents`` and ``masks`` are ``(P, n)`` arrays of parent rows
-    (sort keys) and chain masks, at most :func:`coalition_table.table_rows`
-    of them; candidates are walked in larger blocks, so that sparse acyclic
-    rows still fill most tables.
+    candidate is acyclic exactly when every chain ends at a root, so the
+    acyclic rows of :func:`coalition_table.product_blocks` are the wanted
+    profiles; a block may span root sets.  ``parents`` and ``masks`` are
+    ``(P, n)`` arrays of parent rows (sort keys) and chain masks, ``free``
+    each row's count of non-roots (the same for every row of one search, so
+    it leaves the tie-break to the rows).
     """
     n = network.n
     identity = np.arange(n, dtype=np.intp)
@@ -98,13 +93,7 @@ def _profiles_with_roots(network: SocialNetwork, root_sets):
         free = [v for v in range(n) if v not in roots]
         return identity, free, [pools[v] for v in free]
 
-    rows = table_rows(n)
-    # walk blocks of about CHUNK_CELLS / 4 parent entries, as in wmaxp_exact
-    walk = max(rows, coalition_table.CHUNK_CELLS // (4 * n))
-    blocks = product_blocks(map(rooted, root_sets), n, walk)
-    for parents, masks, _ in acyclic_rows(blocks, chain_masks):
-        for start in range(0, len(parents), rows):
-            yield parents[start : start + rows], masks[start : start + rows]
+    yield from product_blocks(map(rooted, root_sets), n, chain_masks)
 
 
 def _count_profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]) -> int:
@@ -169,24 +158,18 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
         )
     # an integer scoring key per voter avoids per-profile Fractions
     size_weights, denominator = measure_weights(problem.kind, n)
-    g, weights = reduced_weights(problem.weights)
-    quota = -(-problem.quota // g)
+    _, weights, quota = reduced_weights(problem.weights, problem.quota)
     voters = range(n)
-    # the winner minimizes (-min key, parent row); every profile has the
-    # same (zero) change count in the shared rank
-    best = None
-    for parents, masks in _profiles_with_roots(network, root_sets):
-        gamma = coalition_weight_table(masks, weights)
-        keys = swing_counts_from_table(gamma, n, quota, voters, size_weights)
-        rank = best_rank(keys.min(axis=1), np.zeros(len(parents), np.intp), parents)
-        if best is None or rank < best:
-            best = rank
-    best_profile = DelegationProfile.from_parents(best[2])
-    masks, _ = chain_masks([best[2]])
-    gamma = coalition_weight_table(masks, weights)
-    keys = swing_counts_from_table(gamma, n, quota, voters, size_weights)[0]
-    per_voter = tuple(Fraction(int(key), denominator) for key in keys)
-    return MaximinSolution(best_profile, min(per_voter), per_voter)
+
+    def keys(masks):
+        return swing_counts(masks, weights, quota, voters, size_weights)
+
+    # the highest minimum key wins, ties going to the smallest parent row
+    stream = _profiles_with_roots(network, root_sets)
+    _, _, parents = best_row(stream, lambda masks: keys(masks).min(axis=1))
+    winner_keys = keys(chain_masks([parents])[0])[0]
+    per_voter = tuple(Fraction(int(key), denominator) for key in winner_keys)
+    return MaximinSolution(DelegationProfile.from_parents(parents), min(per_voter), per_voter)
 
 
 def mmwp_leafmin(

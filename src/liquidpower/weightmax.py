@@ -31,8 +31,8 @@ import numpy as np
 
 from . import coalition_table
 from .bribery import enumerate_neighborhood, neighborhood_size
-from .coalition_table import best_rank, chain_roots, reduced_weights
-from .core import SELF, DelegationProfile, LiquidElection, integer_field
+from .coalition_table import best_row, chain_roots, reduced_weights
+from .core import SELF, DelegationProfile, LiquidElection, integer_field, rational_field
 from .errors import (
     InstanceTooLargeForEnumeration,
     NoSpanningArborescence,
@@ -169,18 +169,11 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
             f"{count} candidate profiles in which the target votes exceed "
             f"the cap of {NEIGHBORHOOD_CAP}"
         )
-    g, weights = reduced_weights(election.weights)
-    # blocks of about CHUNK_CELLS / 4 parent entries: larger ones only add
-    # memory, as no coalition table is built here
-    block_rows = max(1, coalition_table.CHUNK_CELLS // (4 * election.n))
-    best = None
-    for parents, roots, changes in enumerate_neighborhood(
-        election, problem.budget, voting=t, resolve=chain_roots, block_rows=block_rows
-    ):
-        rank = best_rank((roots == t) @ weights, changes, parents)
-        if best is None or rank < best:
-            best = rank
-    neg_support, best_changes, best_parents = best
+    g, weights, _ = reduced_weights(election.weights, election.quota)
+    neg_support, best_changes, best_parents = best_row(
+        enumerate_neighborhood(election, problem.budget, voting=t, resolve=chain_roots),
+        lambda roots: (roots == t) @ weights,
+    )
     best_support = -neg_support * g
     decision = best_support >= problem.tau
     return WeightMaxOutcome(
@@ -715,7 +708,7 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
     [eps*B/2, (1+eps)B], preserving a weight of at least (eps^2*B/(8n))
     times the optimum.  Total changes never exceed (1+eps) times the budget.
     """
-    eps = Fraction(epsilon)
+    eps = rational_field(epsilon, "epsilon")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
     if problem.k_eff < 0:

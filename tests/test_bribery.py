@@ -16,7 +16,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
-from liquidpower import bribery, coalition_table
+from liquidpower import coalition_table
 from liquidpower.bribery import (
     BriberyObjective,
     BriberyProblem,
@@ -109,7 +109,7 @@ def test_blocks_stay_within_the_row_bound(monkeypatch):
             monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
             profiles = []
             for parents, masks, changes in enumerate_neighborhood(election, k):
-                assert 1 <= len(parents) <= max(1, chunk_cells >> n)
+                assert 1 <= len(parents) <= coalition_table.walk_rows(n)
                 assert masks.shape == parents.shape == (len(changes), n)
                 for row, row_masks, row_changes in zip(parents, masks, changes):
                     profile = DelegationProfile.from_parents(row)
@@ -172,6 +172,55 @@ def test_problem_fields_are_coerced_or_refused(field, value, expected):
     else:
         coerced = getattr(BriberyProblem(**fields), field)
         assert coerced == expected and type(coerced) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("budget", -1, "budget must be non-negative"),
+        ("threshold", Fraction(-1, 8), r"threshold must lie in \[0, 1\]"),
+        ("threshold", "9/8", r"threshold must lie in \[0, 1\]"),
+        ("target", -1, "target -1 out of range"),
+        ("target", 8, "target 8 out of range"),
+    ],
+)
+def test_problem_fields_out_of_range_are_refused(field, value, message):
+    fields = {
+        "election": eight_voter_election(),
+        "target": 5,
+        "budget": 1,
+        "threshold": Fraction(1, 2),
+        "objective": "max-banzhaf",
+        field: value,
+    }
+    with pytest.raises(ValueError, match=message):
+        BriberyProblem(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("budget", np.int64(2), None),
+        ("threshold", "1/2", None),
+        ("threshold", 0.5, None),
+        ("budget", 2.0, TypeError),
+        ("budget", 2.5, TypeError),
+        ("budget", True, TypeError),
+        ("budget", -1, ValueError),
+        ("threshold", True, TypeError),
+        ("threshold", "half", ValueError),
+    ],
+)
+def test_gamw_arguments_are_coerced_or_refused(field, value, expected):
+    election = eight_voter_election()
+    arguments = {"budget": 2, "threshold": Fraction(1, 2)}
+    want = gamw(election, 4, **arguments)
+    arguments[field] = value
+    if expected is None:
+        assert gamw(election, 4, **arguments) == want
+    else:
+        with pytest.raises(expected, match=field):
+            gamw(election, 4, **arguments)
 
 
 def test_zero_budget_reports_the_current_value():
@@ -390,7 +439,7 @@ def test_the_work_cap_is_inclusive(monkeypatch):
         raise AssertionError("the refusal must come before any table")
 
     monkeypatch.setattr(coalition_table, "WORK_CAP", estimate - 1)
-    monkeypatch.setattr(bribery, "coalition_weight_table", no_tables)
+    monkeypatch.setattr(coalition_table, "coalition_weight_table", no_tables)
     with pytest.raises(InstanceTooLargeForEnumeration, match=str(estimate)):
         solve_bribery_exact(problem)
 

@@ -13,10 +13,13 @@ from liquidpower import (
     build_forest,
     find_delegation_cycle,
 )
+from liquidpower import coalition_table
 from liquidpower.coalition_table import (
     TABLE_LIMIT,
     chain_masks,
     coalition_weight_table,
+    reduced_weights,
+    swing_counts,
     swing_counts_from_table,
 )
 from liquidpower.core import SocialNetwork, validate
@@ -188,3 +191,36 @@ def test_swing_kernel_weights_every_voter_like_the_single_profile_counts():
         voters = rng.sample(range(n), rng.randint(1, n))
         subset = swing_counts_from_table(gamma, n, election.quota, voters, [1] * n)
         assert (subset == ones[:, voters]).all()
+
+
+def test_swing_counts_scores_a_block_in_tables_of_table_rows(monkeypatch):
+    # a block of any size is scored as its rows' own tables would score it,
+    # over the gcd-reduced game, with no table above table_rows(n) rows
+    rng = random.Random(20_406)
+    real_table = coalition_table.coalition_weight_table
+    built = []
+
+    def recording_table(masks, weights):
+        built.append(len(masks))
+        return real_table(masks, weights)
+
+    for _ in range(10):
+        n = rng.randint(2, 7)
+        election = random_election(rng, n_min=n, n_max=n)
+        scale = rng.randint(1, 4)
+        weights = [w * scale for w in election.weights]
+        quota = election.quota * scale - rng.randrange(scale)
+        rows = [random_profile(rng, election.network).choices for _ in range(rng.randint(1, 9))]
+        masks = _masks(rows)
+        g, reduced, reduced_quota = reduced_weights(weights, quota)
+        assert g % scale == 0 and reduced_quota == -(-quota // g)
+        want = swing_counts_from_table(
+            coalition_weight_table(masks, weights), n, quota, range(n), [1] * n
+        )
+        monkeypatch.setattr(coalition_table, "CHUNK_CELLS", 2 << n)
+        monkeypatch.setattr(coalition_table, "coalition_weight_table", recording_table)
+        built.clear()
+        got = swing_counts(masks, reduced, reduced_quota, range(n), [1] * n)
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        assert sum(built) == len(rows) and max(built) <= 2

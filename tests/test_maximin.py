@@ -106,6 +106,12 @@ def test_problem_fields_are_coerced_or_refused(field, value, expected):
         assert coerced == expected and type(coerced) is int
 
 
+@pytest.mark.parametrize("weights", [(1,) * 5, (1,) * 7])
+def test_a_weight_count_other_than_the_voter_count_is_refused(weights):
+    with pytest.raises(ValueError, match="one weight per voter required"):
+        MaximinProblem(_two_triangle_network(), weights, 3, 2)
+
+
 def test_table_work_cap_refuses_a_complete_nine_voter_search():
     network = SocialNetwork.complete(9)
     with pytest.raises(InstanceTooLargeForEnumeration, match="units of table work"):
@@ -121,7 +127,7 @@ def test_profile_count_matches_the_enumeration():
             for roots in combinations(range(network.n), k):
                 expected = sum(
                     len(parents)
-                    for parents, _ in maximin._profiles_with_roots(network, [roots])
+                    for parents, _, _ in maximin._profiles_with_roots(network, [roots])
                 )
                 assert maximin._count_profiles_with_roots(network, roots) == expected
 
@@ -138,9 +144,10 @@ def test_root_set_blocks_hold_each_rooted_profile_once(monkeypatch):
             every_row = []
             for roots in root_sets:
                 rows = []
-                for parents, masks in maximin._profiles_with_roots(network, [roots]):
-                    assert 1 <= len(parents) <= max(1, chunk_cells >> n)
+                for parents, masks, free in maximin._profiles_with_roots(network, [roots]):
+                    assert 1 <= len(parents) <= coalition_table.walk_rows(n)
                     assert masks.shape == parents.shape == (len(parents), n)
+                    assert free.tolist() == [n - k] * len(parents)
                     for row, row_masks in zip(parents.tolist(), masks.tolist()):
                         assert [v for v in range(n) if row[v] == v] == list(roots)
                         forest = build_forest(DelegationProfile.from_parents(row), (1,) * n)
@@ -152,7 +159,7 @@ def test_root_set_blocks_hold_each_rooted_profile_once(monkeypatch):
             # blocks may span root sets but hold the same rows in the same order
             spanning = [
                 tuple(row)
-                for parents, _ in maximin._profiles_with_roots(network, root_sets)
+                for parents, _, _ in maximin._profiles_with_roots(network, root_sets)
                 for row in parents.tolist()
             ]
             assert spanning == every_row
@@ -183,7 +190,7 @@ def test_oversized_search_is_refused_before_scoring(monkeypatch):
     def no_scoring(*_args):
         raise AssertionError("the refusal must come before any scoring")
 
-    monkeypatch.setattr(maximin, "coalition_weight_table", no_scoring)
+    monkeypatch.setattr(coalition_table, "coalition_weight_table", no_scoring)
     network = SocialNetwork.complete(8)
     assert sum(
         maximin._count_profiles_with_roots(network, roots)
@@ -309,7 +316,7 @@ def test_the_work_cap_is_inclusive(monkeypatch):
         raise AssertionError("the refusal must come before any table")
 
     monkeypatch.setattr(coalition_table, "WORK_CAP", estimate - 1)
-    monkeypatch.setattr(maximin, "coalition_weight_table", no_tables)
+    monkeypatch.setattr(coalition_table, "coalition_weight_table", no_tables)
     with pytest.raises(InstanceTooLargeForEnumeration, match=str(estimate)):
         mmwp_bruteforce(problem)
 

@@ -79,6 +79,50 @@ def test_problem_fields_are_coerced_or_refused(field, value, expected):
         assert coerced == expected and type(coerced) is int
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tau", 0, "threshold must be at least 1"),
+        ("budget", -1, "budget must be non-negative"),
+        ("target", -1, "target -1 out of range"),
+        ("target", 8, "target 8 out of range"),
+    ],
+)
+def test_problem_fields_out_of_range_are_refused(field, value, message):
+    fields = {"election": eight_voter_election(), "target": 7, "budget": 1, "tau": 3}
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        WeightMaxProblem(**fields)
+
+
+@pytest.mark.parametrize("delta", [0, 1, -0.5, 1.5])
+def test_colour_coding_refuses_a_delta_outside_the_unit_interval(delta):
+    problem = WeightMaxProblem(eight_voter_election(), 7, 1, 3)
+    with pytest.raises(ValueError, match="delta must lie strictly between 0 and 1"):
+        solve_fpt_colorcoding(problem, delta=delta)
+
+
+@pytest.mark.parametrize(
+    "epsilon, expected",
+    [
+        ("1/2", None),
+        (0.5, None),
+        (True, TypeError),
+        (None, TypeError),
+        ("half", ValueError),
+        (0, ValueError),
+        (Fraction(-1, 2), ValueError),
+    ],
+)
+def test_vbamw_epsilon_is_coerced_or_refused(epsilon, expected):
+    problem = WeightMaxProblem(eight_voter_election(), 2, 2, 6)
+    if expected is None:
+        assert vbamw(problem, epsilon) == vbamw(problem, Fraction(1, 2))
+    else:
+        with pytest.raises(expected, match="epsilon"):
+            vbamw(problem, epsilon)
+
+
 # --- cost graph -----------------------------------------------------------
 
 
@@ -162,12 +206,13 @@ def test_exact_chunk_boundaries_change_no_outcome(monkeypatch):
         for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
             monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
             outcomes.append(wmaxp_exact(problem))
-        # wmaxp_exact's own walk, one row a block: each skipped block is a
-        # cyclic row
+        # wmaxp_exact's own walk at one cell a chunk, so one row a block:
+        # each skipped block is a cyclic row
+        monkeypatch.setattr(coalition_table, "CHUNK_CELLS", 1)
         blocks = sum(
             1
             for _ in enumerate_neighborhood(
-                election, budget, voting=target, resolve=chain_roots, block_rows=1
+                election, budget, voting=target, resolve=chain_roots
             )
         )
         skipped += neighborhood_size(election, budget, voting=target) - blocks
