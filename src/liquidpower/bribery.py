@@ -35,6 +35,7 @@ from .core import (
     build_forest,
     integer_field,
     rational_field,
+    voter_field,
 )
 from .dp import banzhaf_dp, shapley_dp
 from .exact import MeasureKind, measure_weights
@@ -70,15 +71,13 @@ class BriberyProblem:
     objective: BriberyObjective
 
     def __post_init__(self):
-        for name in ("target", "budget"):
-            object.__setattr__(self, name, integer_field(getattr(self, name), name))
+        object.__setattr__(self, "target", voter_field(self.target, self.election.n, "target"))
+        object.__setattr__(self, "budget", integer_field(self.budget, "budget"))
         object.__setattr__(self, "threshold", rational_field(self.threshold, "threshold"))
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
         if not 0 <= self.threshold <= 1:
             raise ValueError("threshold must lie in [0, 1]")
-        if not 0 <= self.target < self.election.n:
-            raise ValueError(f"target {self.target} out of range")
         object.__setattr__(self, "objective", BriberyObjective(self.objective))
 
 
@@ -245,6 +244,7 @@ def gamw(
     reported in ``skipped_redirects``.  The achieved value is computed with
     the counting tables, so large instances are fine.
     """
+    target = voter_field(target, election.n, "target")
     budget = integer_field(budget, "budget")
     if budget < 0:
         raise ValueError("budget must be non-negative")

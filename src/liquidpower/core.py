@@ -416,6 +416,15 @@ def integer_field(value, field: str) -> int:
     raise TypeError(f"{field} must be an integer, got {value!r}")
 
 
+def voter_field(value, n: int, field: str) -> int:
+    """``value`` as a voter index of an ``n``-voter election: an integer, as
+    :func:`integer_field` takes it, in ``0..n-1``; else ``ValueError``."""
+    voter = integer_field(value, field)
+    if not 0 <= voter < n:
+        raise ValueError(f"{field} {voter} out of range")
+    return voter
+
+
 def rational_field(value, field: str) -> Fraction:
     """``value`` as a :class:`Fraction`, for a rational field or argument.
 

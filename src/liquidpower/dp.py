@@ -72,7 +72,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .core import DelegationForest, LiquidElection
+from .core import DelegationForest, LiquidElection, voter_field
 from .core import build_forest  # noqa: F401  bench/selftest.py patches dp.build_forest
 from .errors import InstanceTooLargeForEnumeration
 from .exact import IndexReport, MeasureKind, measure_weights, counts_to_power
@@ -185,6 +185,8 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
     """
     forest = election.forest
     n = election.n
+    if target is not None:
+        target = voter_field(target, n, "voter")
     g = gcd(*election.weights)
     quota = -(-election.quota // g)
     # a fill of up to n voters keeps n + 1 rows of at most ``quota`` weight

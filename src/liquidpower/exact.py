@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial
 
-from .core import LiquidElection
+from .core import LiquidElection, voter_field
 from .errors import InstanceTooLargeForEnumeration
 from .semantics import EvaluableGame
 
@@ -78,6 +78,7 @@ def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
     """Per-size swing counts of some voters: one coalition table for an
     election that fits one, plain enumeration for any other game."""
     n = _check_size(game)
+    voters = [voter_field(v, n, "voter") for v in voters]
     if isinstance(game, LiquidElection):
         # numpy loads on the first table, not at import: dp imports this module
         import numpy as np

@@ -67,9 +67,6 @@ class ComposedGame:
             return a & b
         return a | b
 
-    def joint_id_of_one(self, voter: int) -> int:
-        return voter
-
     def joint_id_of_two(self, voter: int) -> int:
         return self.joint_of_two[voter]
 

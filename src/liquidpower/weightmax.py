@@ -32,7 +32,14 @@ import numpy as np
 from . import coalition_table
 from .bribery import enumerate_neighborhood, neighborhood_size
 from .coalition_table import best_row, chain_roots, reduced_weights
-from .core import SELF, DelegationProfile, LiquidElection, integer_field, rational_field
+from .core import (
+    SELF,
+    DelegationProfile,
+    LiquidElection,
+    integer_field,
+    rational_field,
+    voter_field,
+)
 from .errors import (
     InstanceTooLargeForEnumeration,
     NoSpanningArborescence,
@@ -56,14 +63,13 @@ class WeightMaxProblem:
     tau: int
 
     def __post_init__(self):
-        for name in ("target", "budget", "tau"):
+        object.__setattr__(self, "target", voter_field(self.target, self.election.n, "target"))
+        for name in ("budget", "tau"):
             object.__setattr__(self, name, integer_field(getattr(self, name), name))
         if self.tau < 1:
             raise ValueError("threshold must be at least 1")
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
-        if not 0 <= self.target < self.election.n:
-            raise ValueError(f"target {self.target} out of range")
 
     @property
     def is_follower(self) -> bool:
@@ -596,9 +602,8 @@ def solve_fpt_colorcoding(
     # sound refusals: a witness tree holds only voters within k_eff changes
     # of the target, and k_eff redirections bring at most k_eff current
     # subtrees from outside the target's tree
-    dist = _zero_one_distances(build_cost_graph(election), problem.target)
-    near = [d is not None and d <= problem.k_eff for d in dist]
-    if sum(w for w, ok in zip(election.weights, near) if ok) < problem.tau:
+    near = _reachable(build_cost_graph(election), problem.target, problem.k_eff)
+    if sum(election.weights[v] for v in near) < problem.tau:
         return _current_support_no(problem)
     forest = election.forest
     tree = set(forest.subtree[problem.target])
@@ -649,37 +654,35 @@ def solve_fpt_colorcoding(
 # --- budget-relaxed approximation -------------------------------------------
 
 
-def _zero_one_distances(cost: CostedDigraph, source: int) -> list[int | None]:
-    dist: list[int | None] = [None] * cost.n
-    dist[source] = 0
+def _reachable(cost: CostedDigraph, source: int, bound: int) -> set[int]:
+    """The vertices within ``bound`` changes of ``source`` (0-1 BFS)."""
+    dist = {source: 0}
     queue: deque[int] = deque([source])
     while queue:
         v = queue.popleft()
         for child, price in cost.out[v]:
             cand = dist[v] + price
-            if dist[child] is None or cand < dist[child]:
+            if cand < dist.get(child, bound + 1):
                 dist[child] = cand
                 if price:
                     queue.append(child)
                 else:
                     queue.appendleft(child)
-    return dist
+    return set(sorted(dist))  # filled in id order: the tree's arc order follows the set's
 
 
-def _subtree_stats(root, children, arc_cost, prize):
-    """Prize and cost of each subtree of an arborescence (arc into the root
-    of a subtree included in its cost)."""
+def _subtree_stats(root, children, weights, moved):
+    """Weight and change count of each subtree of an arborescence; a voter
+    in ``moved`` pays one change for the arc into it."""
     p_total: dict[int, int] = {}
     c_total: dict[int, int] = {}
-    order = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children.get(v, ()))
+    order = [root]
+    for v in order:  # breadth first: every child after its parent
+        order.extend(children.get(v, ()))
     for v in reversed(order):
-        p_total[v] = prize[v] + sum(p_total[c] for c in children.get(v, ()))
-        c_total[v] = arc_cost.get(v, 0) + sum(c_total[c] for c in children.get(v, ()))
+        below = children.get(v, ())
+        p_total[v] = weights[v] + sum(p_total[c] for c in below)
+        c_total[v] = (v in moved) + sum(c_total[c] for c in below)
     return p_total, c_total
 
 
@@ -706,7 +709,11 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
     (1+eps)B it is returned whole, guaranteeing at least the optimum weight.
     Otherwise low-value subtrees are peeled off until the cost lands in
     [eps*B/2, (1+eps)B], preserving a weight of at least (eps^2*B/(8n))
-    times the optimum.  Total changes never exceed (1+eps) times the budget.
+    times the optimum.  Should the peel end with too poor a weight-per-change
+    ratio, every parent-closed subset of the tree is searched for the best
+    ratio in that window instead; a tree of more than ``TRIM_FALLBACK_LIMIT``
+    voters is refused there with :class:`InstanceTooLargeForEnumeration`.
+    Total changes never exceed (1+eps) times the budget.
     """
     eps = rational_field(epsilon, "epsilon")
     if eps <= 0:
@@ -714,84 +721,60 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
     if problem.k_eff < 0:
         return _current_support_no(problem)
     election = problem.election
-    n = election.n
+    target = problem.target
     budget = problem.k_eff
     if budget == 0:
         return _outcome(problem, {})
     cost = build_cost_graph(election)
-    dist = _zero_one_distances(cost, problem.target)
-    reachable = {
-        v for v in range(n) if dist[v] is not None and dist[v] <= budget
-    }
+    reachable = _reachable(cost, target, budget)
     if len(reachable) == 1:  # nobody can attach within the budget
         return _outcome(problem, {})
-    inside = [
-        (parent, child, price)
-        for parent, child, price in cost.arcs()
-        if parent in reachable and child in reachable
-    ]
-    result = min_cost_root_arborescence(reachable, problem.target, inside)
+    result = min_cost_root_arborescence(reachable, target, cost.arcs())
     if result is None:  # the BFS construction prevents this
         raise NoSpanningArborescence("no tree spans the budget-reachable voters")
-    parent_of, _total = result
-    price_of = {(parent, child): price for parent, child, price in inside}
-    arc_cost = {
-        child: price_of[parent, child] for child, parent in parent_of.items()
-    }
-    children: dict[int, list[int]] = {}
-    for child, parent in parent_of.items():
-        children.setdefault(parent, []).append(child)
-    prize = {v: election.weights[v] for v in reachable}
-    total_prize = sum(prize.values())
-    total_cost = sum(arc_cost.values())
+    parent_of, tree_cost = result
     ceiling = (1 + eps) * budget
-    if total_cost <= ceiling:
+    if tree_cost <= ceiling:
         return _outcome(problem, parent_of)
 
     # trim: peel off the subtree with the worst weight-per-change ratio while
-    # the remaining cost stays above eps*B/2
+    # the remaining cost stays above eps*B/2.  The tree never changes: the
+    # members stay closed under subtrees, so a peel changes only the totals
+    # of the peeled subtree's ancestors.
+    children: dict[int, list[int]] = {}
+    for child, parent in parent_of.items():
+        children.setdefault(parent, []).append(child)
+    choices = election.profile.choices
+    moved = {child for child, parent in parent_of.items() if choices[child] != parent}
+    p_total, c_total = _subtree_stats(target, children, election.weights, moved)
     floor = eps * Fraction(budget) / 2
-    ratio_start = Fraction(total_prize, total_cost)
+    ratio_start = Fraction(p_total[target], c_total[target])
     members = set(reachable)
-    full_parent = dict(parent_of)
-    full_cost = dict(arc_cost)
-    while total_cost > ceiling:
-        p_total, c_total = _subtree_stats(
-            problem.target, children, arc_cost, prize
-        )
-        candidate = None
-        candidate_ratio = None
-        for v in sorted(members):
-            if v == problem.target or c_total[v] < 1:
-                continue
-            if total_cost - c_total[v] < floor:
-                continue
-            ratio = Fraction(p_total[v], c_total[v])
-            if candidate_ratio is None or ratio < candidate_ratio:
-                candidate = v
-                candidate_ratio = ratio
-        if candidate is None:
+    while c_total[target] > ceiling:
+        peelable = [
+            v
+            for v in sorted(members)
+            if v != target and c_total[v] >= 1 and c_total[target] - c_total[v] >= floor
+        ]
+        if not peelable:
             break
-        drop = set()
-        stack = [candidate]
-        while stack:
-            u = stack.pop()
-            drop.add(u)
-            stack.extend(children.get(u, ()))
-        members -= drop
-        children[parent_of[candidate]].remove(candidate)
-        for u in drop:
-            children.pop(u, None)
-            parent_of.pop(u, None)
-            arc_cost.pop(u, None)
-        total_prize -= sum(prize[u] for u in drop)
-        total_cost = sum(arc_cost.values())
+        candidate = min(peelable, key=lambda v: Fraction(p_total[v], c_total[v]))
+        prize, price = p_total[candidate], c_total[candidate]
+        v = candidate
+        while v != target:
+            v = parent_of[v]
+            p_total[v] -= prize
+            c_total[v] -= price
+        dropped = [candidate]
+        for v in dropped:
+            dropped.extend(children.get(v, ()))
+        members.difference_update(dropped)
 
-    contract_ok = (
+    total_prize, total_cost = p_total[target], c_total[target]
+    if not (
         floor <= total_cost <= ceiling
         and Fraction(total_prize, total_cost) >= eps * ratio_start / 4
-    )
-    if not contract_ok:
+    ):
         # the peel always ends inside the cost window, so it seeds an
         # exhaustive search over the tree's parent-closed subsets for the best
         # weight-per-change ratio in that window
@@ -800,21 +783,12 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
                 f"{len(reachable)} reachable voters exceed the trim fallback "
                 f"limit of {TRIM_FALLBACK_LIMIT}"
             )
-        full_children: dict[int, list[int]] = {}
-        for child, parent in full_parent.items():
-            full_children.setdefault(parent, []).append(child)
-        best_set = members
         best_ratio = Fraction(total_prize, total_cost)
-        for subset in _parent_closed_subsets(problem.target, full_children):
-            c = sum(full_cost[v] for v in subset if v != problem.target)
-            if not floor <= c <= ceiling or c == 0:
+        for subset in _parent_closed_subsets(target, children):
+            c = len(subset & moved)
+            if not floor <= c <= ceiling:
                 continue
-            p = sum(prize[v] for v in subset)
-            ratio = Fraction(p, c)
+            ratio = Fraction(sum(election.weights[v] for v in subset), c)
             if ratio > best_ratio:
-                best_set = subset
-                best_ratio = ratio
-        members = set(best_set)
-        parent_of = {v: full_parent[v] for v in members if v != problem.target}
-
-    return _outcome(problem, {c: p for c, p in parent_of.items() if c in members})
+                members, best_ratio = subset, ratio
+    return _outcome(problem, {v: parent_of[v] for v in members if v != target})

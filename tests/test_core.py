@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liquidpower import bribery, dp, exact
 from liquidpower.core import (
     SELF,
     DelegationProfile,
@@ -26,6 +27,7 @@ from liquidpower.errors import (
     NonPositiveWeight,
     QuotaOutOfRange,
 )
+from liquidpower.exact import MeasureKind
 
 import oracle
 from support import eight_voter_election, random_election, random_network, random_profile
@@ -179,3 +181,22 @@ def test_random_profile_respects_network_arcs():
         prof = random_profile(rng, net)
         for v, c in enumerate(prof.choices):
             assert c is SELF or net.has_arc(v, c)
+
+
+VOTER_ENTRY_POINTS = {
+    "banzhaf_dp": dp.banzhaf_dp,
+    "shapley_dp": dp.shapley_dp,
+    "swing_counts_dp": dp.swing_counts_dp,
+    "power_index": lambda e, v: exact.power_index(e, v, MeasureKind.BANZHAF),
+    "swing_size_counts": exact.swing_size_counts,
+    "gamw": lambda e, v: bribery.gamw(e, v, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VOTER_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "voter, error", [(-1, ValueError), (8, ValueError), (True, TypeError), (1.5, TypeError)]
+)
+def test_voter_indices_outside_the_election_are_refused(entry, voter, error):
+    with pytest.raises(error, match="out of range" if error is ValueError else "integer"):
+        VOTER_ENTRY_POINTS[entry](eight_voter_election(), voter)

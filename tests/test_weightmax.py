@@ -824,6 +824,51 @@ def test_vbamw_keeps_its_guarantees_on_randoms():
     assert tested == 30
 
 
+def _reachable_weight(problem):
+    """Weight of the voters within ``k_eff`` changes of the target, by
+    relaxing every arc until no distance shrinks (a change costs one)."""
+    election = problem.election
+    choices = election.profile.choices
+    dist = {problem.target: 0}
+    changed = True
+    while changed:
+        changed = False
+        for child in range(election.n):
+            for parent in election.network.out_neighbors[child]:
+                if parent in dist and child != problem.target:
+                    d = dist[parent] + (choices[child] != parent)
+                    if d < dist.get(child, d + 1):
+                        dist[child] = d
+                        changed = True
+    return sum(election.weights[v] for v, d in dist.items() if d <= problem.k_eff)
+
+
+def test_vbamw_outcomes_are_pinned():
+    # the digest of 1,501 outcomes: 300 seeded problems under five epsilons,
+    # at least 100 of them trimmed below the weight reachable within budget,
+    # plus the instance whose peel falls back to the subset search
+    rng = random.Random(19)
+    rows = []
+    trimmed = 0
+    for _ in range(300):
+        election = random_election(
+            rng, n_min=4, n_max=10, w_max=rng.choice((3, 8, 50)),
+            arc_prob=rng.choice((0.3, 0.6, 0.9)),
+        )
+        problem = WeightMaxProblem(election, rng.randrange(election.n), rng.randint(1, 6), 1)
+        reachable = _reachable_weight(problem)
+        for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3)):
+            outcome = vbamw(problem, eps)
+            trimmed += outcome.support < reachable
+            rows.append((outcome.decision, outcome.profile.choices, outcome.support, outcome.changes))
+    assert trimmed >= 100, trimmed
+    fallback = WeightMaxProblem(election_from_json(TRIM_FALLBACK_INSTANCE), 1, 2, 1)
+    outcome = vbamw(fallback, Fraction(2, 3))
+    rows.append((outcome.decision, outcome.profile.choices, outcome.support, outcome.changes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "2d16df111c7859389fac2e21b167bae4e6600dc32574272babc1a4fd90cb0a1e"
+
+
 # --- cheapest rooted spanning tree ------------------------------------------
 
 
