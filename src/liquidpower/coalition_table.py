@@ -17,8 +17,9 @@ equals :meth:`DelegationProfile.sort_key`):
   :func:`chain_roots` is the same loop when only each voter's root is
   needed;
 * :func:`coalition_weight_table` computes the active-member weight of every
-  coalition mask for all P profiles (a ``(P, 2**n)`` table), and
-  :func:`check_table_work` refuses a search whose tables cost too much;
+  coalition mask for all P profiles (a ``(P, 2**n)`` table, in the type
+  :func:`table_dtype` picks), and :func:`check_table_work` refuses a search
+  whose tables cost too much;
 * :func:`swing_counts_from_table` sums, for any set of voters and all P
   profiles at once, a per-size weight over the coalitions each voter swings:
   all-ones weights give the swing total, ``s!(n-1-s)!`` the Shapley
@@ -29,12 +30,14 @@ equals :meth:`DelegationProfile.sort_key`):
   score, then the fewest changes, then the smallest parent row, over a
   stream of ``(parents, resolved, changes)`` blocks.
 
-Results are exact integers; weights are divided by their gcd
-(:func:`reduced_weights`) so that tables stay in int64, and games whose
-reduced total weight still overflows are refused.  The same table and
-kernel, on a single profile, are :mod:`liquidpower.exact`'s route for
-elections of up to :data:`TABLE_LIMIT` voters; the test suite checks them
-against exact's plain enumeration and an independent oracle.
+Results are exact integers.  No table cell exceeds the total weight, so a
+table is filled in the narrowest signed integer type that holds it, int8 up
+to int64; weights are divided by their gcd (:func:`reduced_weights`) so
+that totals stay small, and games whose reduced total weight still
+overflows int64 are refused.  The same table and kernel, on a single
+profile, are :mod:`liquidpower.exact`'s route for elections of up to
+:data:`TABLE_LIMIT` voters; the test suite checks them against exact's
+plain enumeration and an independent oracle.
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ from .errors import InstanceTooLargeForEnumeration
 
 TABLE_LIMIT = 16  # 2^16 coalition masks is the comfort ceiling for this path
 CHUNK_CELLS = 1 << 16  # table cells per batch: 256 profiles at n=8
-INT64_MAX = (1 << 63) - 1
 INT32_MAX = (1 << 31) - 1
+# the table types, narrowest first, each with the largest total it holds
+TABLE_DTYPES = [
+    (np.iinfo(t).max, np.dtype(t)) for t in (np.int8, np.int16, np.int32, np.int64)
+]
 MASK_BITS = 63  # voters a non-negative int64 chain mask can hold
 WORK_CAP = 400_000 * 11 << 10  # table work of bribery over 400,000 profiles of 10 voters
 
@@ -167,19 +173,15 @@ def chain_roots(parents) -> tuple[np.ndarray, np.ndarray]:
 def reduced_weights(weights, quota: int) -> tuple[int, np.ndarray, int]:
     """``(g, weights // g, ceil(quota / g))``, ``g`` the weights' gcd.
 
-    Dividing every weight by ``g`` (into int64) and rounding the quota up
-    keeps every comparison of a coalition weight with the quota, and a
-    reduced weight sum times ``g`` is the true sum.  Raises
-    :class:`InstanceTooLargeForEnumeration` when even the reduced total
-    weight does not fit int64.
+    Dividing every weight by ``g`` and rounding the quota up keeps every
+    comparison of a coalition weight with the quota, and a reduced weight
+    sum times ``g`` is the true sum.  The array is int64 however small the
+    total, as callers sum over it; a reduced total weight that int64 does
+    not hold is refused (:func:`table_dtype`).
     """
     g = gcd(*weights)
     reduced = [w // g for w in weights]
-    if sum(reduced) > INT64_MAX:
-        raise InstanceTooLargeForEnumeration(
-            f"total weight {sum(weights)} over the weights' gcd {g} "
-            "overflows the 64-bit coalition tables"
-        )
+    table_dtype(reduced)  # refuses a reduced total past int64
     return g, np.array(reduced, dtype=np.int64), -(-quota // g)
 
 
@@ -201,14 +203,33 @@ def check_table_work(passes, n: int) -> None:
             )
 
 
+def table_dtype(weights) -> np.dtype:
+    """The narrowest signed integer type of :data:`TABLE_DTYPES` that holds
+    the total of the (positive) ``weights``.
+
+    A table cell, and every partial sum the subset-sum transform writes, is
+    the weight of a set of distinct voters, so none exceeds that total.
+    Raises :class:`InstanceTooLargeForEnumeration` when not even int64
+    holds it.
+    """
+    total = sum(map(int, weights))
+    for top, dtype in TABLE_DTYPES:
+        if total <= top:
+            return dtype
+    raise InstanceTooLargeForEnumeration(
+        f"total weight {total} overflows the 64-bit coalition tables"
+    )
+
+
 def coalition_weight_table(masks, weights) -> np.ndarray:
     """Active-member weight of every coalition mask, one row per profile.
 
     ``masks`` is a ``(P, n)`` array of chain masks of acyclic profiles (see
-    :func:`chain_masks`); the result is a ``(P, 2**n)`` int64 array.  A
-    voter is active in a coalition when its whole chain is in it, so a
-    coalition's weight is the sum over its subsets of the weight of the
-    voters whose chain is exactly that subset (a subset-sum transform).
+    :func:`chain_masks`); the result is a ``(P, 2**n)`` array of the type
+    :func:`table_dtype` picks for ``weights``.  A voter is active in a
+    coalition when its whole chain is in it, so a coalition's weight is the
+    sum over its subsets of the weight of the voters whose chain is exactly
+    that subset (a subset-sum transform).
     """
     masks = np.asarray(masks, dtype=np.int64)
     p, n = masks.shape
@@ -216,14 +237,11 @@ def coalition_weight_table(masks, weights) -> np.ndarray:
         raise InstanceTooLargeForEnumeration(
             f"{n} voters exceed the coalition-table limit of {TABLE_LIMIT}"
         )
-    if sum(map(int, weights)) > INT64_MAX:
-        raise InstanceTooLargeForEnumeration(
-            "total weight overflows the 64-bit coalition tables"
-        )
+    dtype = table_dtype(weights)
     # one column per profile, so each transform step adds contiguous blocks;
     # the voters of one profile have distinct chains, so no cell is set twice
-    table = np.zeros((1 << n, p), dtype=np.int64)
-    table[masks, np.arange(p)[:, None]] = np.asarray(weights, dtype=np.int64)
+    table = np.zeros((1 << n, p), dtype=dtype)
+    table[masks, np.arange(p)[:, None]] = np.asarray(weights, dtype=dtype)
     for b in range(n):
         halves = table.reshape(-1, 2, 1 << b, p)
         halves[:, 1] += halves[:, 0]
@@ -243,12 +261,13 @@ def swing_counts_from_table(
 ) -> np.ndarray:
     """Size-weighted swing counts of some voters for every row of a table.
 
-    ``gamma`` is a ``(P, 2**n)`` table of :func:`coalition_weight_table`;
-    the result is a ``(P, len(voters))`` int64 array whose entry ``[p, i]``
-    sums ``size_weights[|C|]`` over the coalitions ``C`` without
-    ``voters[i]`` that the voter turns from losing to winning under profile
-    ``p``.  Size weights with a trailing axis give a trailing result axis:
-    the ``n x n`` identity yields ``[p, i, s]``, the count of size ``s``.
+    ``gamma`` is a ``(P, 2**n)`` table of :func:`coalition_weight_table`,
+    compared with ``quota`` in its own type; the result is a
+    ``(P, len(voters))`` int64 array whose entry ``[p, i]`` sums
+    ``size_weights[|C|]`` over the coalitions ``C`` without ``voters[i]``
+    that the voter turns from losing to winning under profile ``p``.  Size
+    weights with a trailing axis give a trailing result axis: the ``n x n``
+    identity yields ``[p, i, s]``, the count of size ``s``.
     """
     # the table's columns are contiguous (one per profile)
     wins = gamma.T >= quota

@@ -1,6 +1,7 @@
 """Vectorized coalition-weight tables against the reference oracle."""
 
 import random
+from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -10,10 +11,12 @@ import oracle
 from liquidpower import (
     DelegationProfile,
     InstanceTooLargeForEnumeration,
+    NoFeasibleProfile,
     build_forest,
     find_delegation_cycle,
 )
 from liquidpower import coalition_table
+from liquidpower.bribery import BriberyObjective, BriberyProblem, solve_bribery_exact
 from liquidpower.coalition_table import (
     TABLE_LIMIT,
     chain_masks,
@@ -21,9 +24,12 @@ from liquidpower.coalition_table import (
     reduced_weights,
     swing_counts,
     swing_counts_from_table,
+    table_dtype,
 )
-from liquidpower.core import SocialNetwork, validate
-from liquidpower.exact import _swing_counts_plain, swing_size_counts
+from liquidpower.core import SELF, SocialNetwork, validate
+from liquidpower.dp import swing_counts_dp
+from liquidpower.exact import MeasureKind, _swing_counts_plain, measure_weights, swing_size_counts
+from liquidpower.maximin import MaximinProblem, mmwp_bruteforce
 from support import eight_voter_election, random_election, random_profile
 
 
@@ -224,3 +230,122 @@ def test_swing_counts_scores_a_block_in_tables_of_table_rows(monkeypatch):
         monkeypatch.undo()
         assert np.array_equal(got, want)
         assert sum(built) == len(rows) and max(built) <= 2
+
+
+# one total on each side of every table type's edge: four small co-prime
+# weights and one that brings the total to the edge
+TYPE_EDGES = [
+    (127, np.int8),
+    (128, np.int16),
+    ((1 << 15) - 1, np.int16),
+    (1 << 15, np.int32),
+    ((1 << 31) - 1, np.int32),
+    (1 << 31, np.int64),
+    ((1 << 63) - 1, np.int64),
+]
+
+
+@pytest.mark.parametrize("total, dtype", TYPE_EDGES)
+def test_tables_take_the_narrowest_type_that_holds_the_total(total, dtype):
+    weights = (1, 2, 4, 8, total - 15)
+    # the heavy voter delegates to voter 0 and voter 1 to voter 2, so the
+    # heavy weight counts only in coalitions with voters 0 and 4
+    profile = DelegationProfile((SELF, 2, SELF, SELF, 0))
+    assert table_dtype(weights) == dtype
+    gamma = coalition_weight_table(_masks([profile.choices]), weights)
+    assert gamma.dtype == dtype and int(gamma[0, -1]) == total
+    assert int(gamma.min()) == 0
+    network = SocialNetwork.complete(5)
+    # the DP's tables grow with the quota, so it checks the small quotas
+    for quota in (1, 16, 17, total - 8, total):
+        election = validate(network, weights, profile, quota)
+        counts = swing_counts_from_table(gamma, 5, quota, range(5), np.eye(5, dtype=int))[0]
+        assert counts.dtype == np.int64
+        for voter in range(5):
+            assert counts[voter].tolist() == _swing_counts_plain(election, voter)
+            if quota <= 1 << 16:
+                assert tuple(counts[voter].tolist()) == swing_counts_dp(election, voter)
+
+
+def test_a_total_past_int64_is_refused_by_the_type_choice():
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        table_dtype((1 << 62, 1 << 62))
+    with pytest.raises(InstanceTooLargeForEnumeration):
+        coalition_weight_table(_masks([(SELF,) * 2]), (1 << 62, 1 << 62))
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind))
+def test_swing_count_keys_stay_int64_at_sixteen_voters(kind):
+    # byte tables, but Shapley's keys reach 15! per swing
+    rng = random.Random(20_407)
+    election = random_election(rng, n_min=16, n_max=16, w_max=4)
+    _, weights, quota = reduced_weights(election.weights, election.quota)
+    masks = _masks([election.profile.choices])
+    assert table_dtype(weights) == np.int8
+    size_weights, _ = measure_weights(kind, 16)
+    keys = swing_counts(masks, weights, quota, range(16), size_weights)
+    assert keys.dtype == np.int64
+    assert keys[0].tolist() == [
+        sum(w * c for w, c in zip(size_weights, swing_counts_dp(election, v)))
+        for v in range(16)
+    ]
+
+
+def _search_problems(rng, count):
+    """Seeded exact-bribery and maximin problems of 5-8 voters, both
+    measures; weights up to 4, 40, 1000, 10**4 or 2**16 put the tables in
+    int8, int16 and int32, with totals on both sides of the int8 and int16
+    edges."""
+    objectives = {
+        MeasureKind.BANZHAF: (BriberyObjective.MAX_BANZHAF, BriberyObjective.MIN_BANZHAF),
+        MeasureKind.SHAPLEY: (BriberyObjective.MAX_SHAPLEY, BriberyObjective.MIN_SHAPLEY),
+    }
+    for i in range(count):
+        kind = list(MeasureKind)[i // 2 % 2]
+        w_max = (4, 40, 1000, 10**4, 1 << 16)[i % 5]
+        if i % 2:
+            election = random_election(rng, n_min=5, n_max=8, w_max=w_max, arc_prob=0.4)
+            yield solve_bribery_exact, BriberyProblem(
+                election,
+                rng.randrange(election.n),
+                rng.randint(1, 2),
+                Fraction(rng.randint(0, 4), 4),
+                rng.choice(objectives[kind]),
+            )
+        else:
+            election = random_election(rng, n_min=5, n_max=7, w_max=w_max, arc_prob=0.3)
+            yield mmwp_bruteforce, MaximinProblem(
+                election.network, election.weights, election.quota, rng.randint(1, 2), kind
+            )
+
+
+def _answers(problems, monkeypatch, pick_type):
+    """Each problem's outcome (or refusal type) with tables typed by
+    ``pick_type``, and the set of types the tables took."""
+    used = set()
+
+    def recording_type(weights):
+        dtype = pick_type(weights)
+        used.add(dtype)
+        return dtype
+
+    monkeypatch.setattr(coalition_table, "table_dtype", recording_type)
+    answers = []
+    for solve, problem in problems:
+        try:
+            answers.append(solve(problem))
+        except NoFeasibleProfile as error:
+            answers.append(type(error))
+    monkeypatch.undo()
+    return answers, used
+
+
+def test_narrow_tables_answer_every_search_like_int64_tables(monkeypatch):
+    # every outcome field, witness profile included, equals what int64
+    # tables give
+    problems = list(_search_problems(random.Random(20_408), 540))
+    narrow, used = _answers(problems, monkeypatch, table_dtype)
+    assert used == {np.dtype(t) for t in (np.int8, np.int16, np.int32)}
+    wide, used = _answers(problems, monkeypatch, lambda weights: np.dtype(np.int64))
+    assert used == {np.dtype(np.int64)}
+    assert narrow == wide
