@@ -200,7 +200,8 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     """
     election = problem.election
     n = election.n
-    check_table_work([neighborhood_size(election, problem.budget) * (n + 1)], n)
+    # lazy, so the voter limit refuses before the neighbourhood is counted
+    check_table_work((neighborhood_size(election, k) * (n + 1) for k in [problem.budget]), n)
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
     size_weights, denominator = measure_weights(problem.objective.kind, n)
@@ -260,7 +261,7 @@ def gamw(
     skipped: list[tuple[int, int]] = []
 
     if k == 1 and choices[target] is not SELF:
-        proxies = forest.chain[target][1:]
+        proxies = forest.proxies_of(target)
         if election.quota - sum(weights[p] for p in proxies) <= 0:
             choices[target] = SELF
             k -= 1

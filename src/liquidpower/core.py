@@ -143,28 +143,35 @@ def find_delegation_cycle(choices: Sequence[Choice]) -> list[int] | None:
 class DelegationForest:
     """The in-forest induced by an acyclic delegation profile.
 
-    For each voter ``i``:
+    Stored, for each voter ``i``:
 
+    * ``parent[i]`` — the voter ``i`` delegates to, or ``i`` itself when
+      ``i`` votes personally;
     * ``guru[i]`` — the root of ``i``'s tree (the voter who casts ``i``'s vote);
-    * ``chain[i]`` — the delegation path from ``i`` up to ``guru[i]``,
-      inclusive at both ends, so ``chain[i][0] == i``;
-    * ``subtree[i]`` — all voters whose chain passes through ``i`` (including
-      ``i``), sorted ascending;
     * ``subtree_size[i]`` / ``subtree_weight[i]`` — size and total weight of
-      that subtree;
-    * ``acc_weight[i]`` — ``subtree_weight[i]`` if ``i`` is a guru, else 0
-      (delegating voters wield no weight of their own);
-    * ``delegators[i]`` — direct delegators of ``i``, sorted ascending.
+      ``i``'s subtree, the voters whose chain passes through ``i``
+      (including ``i``);
+    * ``delegators[i]`` — direct delegators of ``i``, sorted ascending;
+    * ``end[i]`` — one past ``i``'s position in ``order``.
 
-    ``gurus`` lists the roots in ascending order.
+    ``order`` lays every voter out in post-order, trees by ascending root
+    id and children in ascending id, so voter ``i``'s subtree is the block
+    ``order[end[i] - subtree_size[i] : end[i]]``.  ``gurus`` lists the roots
+    in ascending order.
+
+    Derived on demand: :meth:`chain_of` (the path from ``i`` up to
+    ``guru[i]``, inclusive at both ends), :meth:`proxies_of` and
+    :meth:`subtree_of` (sorted ascending); and, cached, ``chain``,
+    ``subtree``, ``acc_weight`` (``subtree_weight[i]`` for a guru, else 0:
+    delegating voters wield no weight of their own) and ``chain_mask``.
     """
 
+    parent: tuple[int, ...]
     guru: tuple[int, ...]
-    chain: tuple[tuple[int, ...], ...]
-    subtree: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
+    end: tuple[int, ...]
     subtree_size: tuple[int, ...]
     subtree_weight: tuple[int, ...]
-    acc_weight: tuple[int, ...]
     delegators: tuple[tuple[int, ...], ...]
     gurus: tuple[int, ...]
 
@@ -172,80 +179,96 @@ class DelegationForest:
     def n(self) -> int:
         return len(self.guru)
 
+    def chain_of(self, voter: int) -> tuple[int, ...]:
+        """The delegation path from ``voter`` up to its guru, both included."""
+        parent = self.parent
+        chain = [voter]
+        while parent[voter] != voter:
+            voter = parent[voter]
+            chain.append(voter)
+        return tuple(chain)
+
     def proxies_of(self, voter: int) -> tuple[int, ...]:
         """The voters ``voter``'s ballot passes through: chain minus the voter."""
-        return self.chain[voter][1:]
+        return self.chain_of(voter)[1:]
+
+    def subtree_of(self, voter: int) -> tuple[int, ...]:
+        """The voters whose chain passes through ``voter``, sorted ascending."""
+        end = self.end[voter]
+        return tuple(sorted(self.order[end - self.subtree_size[voter] : end]))
+
+    @cached_property
+    def chain(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.chain_of, range(self.n)))
+
+    @cached_property
+    def subtree(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.subtree_of, range(self.n)))
+
+    @cached_property
+    def acc_weight(self) -> tuple[int, ...]:
+        return tuple(
+            w if g == v else 0 for v, (g, w) in enumerate(zip(self.guru, self.subtree_weight))
+        )
 
     @cached_property
     def chain_mask(self) -> tuple[int, ...]:
         """Bitmask of each voter's chain; ``chain_mask[i] & C == chain_mask[i]``
         tests whether voter ``i`` is active in coalition mask ``C``."""
-        masks = []
-        for ch in self.chain:
-            m = 0
-            for v in ch:
-                m |= 1 << v
-            masks.append(m)
+        parent = self.parent
+        masks = [0] * self.n
+        # parents come first; a guru is its own parent, whose entry is still 0
+        for v in reversed(self.order):
+            masks[v] = 1 << v | masks[parent[v]]
         return tuple(masks)
 
 
 def build_forest(profile: DelegationProfile, weights: Sequence[int]) -> DelegationForest:
-    """Resolve an acyclic profile into its delegation forest.
+    """Resolve an acyclic profile into its delegation forest, in O(n).
 
-    Raises :class:`CycleInDelegations` if the profile is cyclic.
+    One depth-first walk down from the gurus lays the voters out; it reaches
+    every voter exactly when the profile is acyclic.  Raises
+    :class:`CycleInDelegations`, naming a cycle, when it does not.
     """
     n = profile.n
     choices = profile.choices
-    cycle = find_delegation_cycle(choices)
-    if cycle is not None:
-        raise CycleInDelegations(cycle)
-
-    chain: list[tuple[int, ...] | None] = [None] * n
-
-    def chain_of(v: int) -> tuple[int, ...]:
-        # iterative with memoization; path lengths can reach n
-        stack = []
-        u = v
-        while chain[u] is None:
-            stack.append(u)
-            if choices[u] is SELF:
-                chain[u] = (u,)
-                break
-            u = choices[u]
-        for w in reversed(stack):
-            if chain[w] is None:
-                chain[w] = (w,) + chain[choices[w]]
-        return chain[v]
-
-    for v in range(n):
-        chain_of(v)
-
-    guru = tuple(chain[v][-1] for v in range(n))
-    subtree_members: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for anc in chain[v]:
-            subtree_members[anc].append(v)
-    subtree = tuple(tuple(sorted(members)) for members in subtree_members)
-    subtree_size = tuple(len(s) for s in subtree)
-    subtree_weight = tuple(sum(weights[m] for m in s) for s in subtree)
-    acc_weight = tuple(
-        subtree_weight[v] if guru[v] == v else 0 for v in range(n)
-    )
-    delegators_raw: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if choices[v] is not SELF:
-            delegators_raw[choices[v]].append(v)
-    delegators = tuple(tuple(sorted(d)) for d in delegators_raw)
-    gurus = tuple(v for v in range(n) if guru[v] == v)
+    delegators: list[list[int]] = [[] for _ in range(n)]
+    for v, c in enumerate(choices):
+        if c is not SELF:
+            delegators[c].append(v)
+    gurus = [v for v, c in enumerate(choices) if c is SELF]
+    # pre-order, trees and children visited in descending id: its reverse
+    # is the post-order with trees and children in ascending id
+    down = []
+    stack = gurus.copy()
+    while stack:
+        u = stack.pop()
+        down.append(u)
+        stack += delegators[u]
+    if len(down) < n:  # the voters never reached sit on a cycle or lead into one
+        raise CycleInDelegations(find_delegation_cycle(choices))
+    parent = profile.sort_key()
+    guru = list(range(n))
+    for v in down:
+        guru[v] = guru[parent[v]]
+    order = down[::-1]
+    end = [0] * n
+    size = [1] * n
+    weight = list(weights)
+    for p, v in enumerate(order):
+        end[v] = p + 1
+        if parent[v] != v:
+            size[parent[v]] += size[v]
+            weight[parent[v]] += weight[v]
     return DelegationForest(
-        guru=guru,
-        chain=tuple(chain),  # type: ignore[arg-type]
-        subtree=subtree,
-        subtree_size=subtree_size,
-        subtree_weight=subtree_weight,
-        acc_weight=acc_weight,
-        delegators=delegators,
-        gurus=gurus,
+        parent=parent,
+        guru=tuple(guru),
+        order=tuple(order),
+        end=tuple(end),
+        subtree_size=tuple(size),
+        subtree_weight=tuple(weight),
+        delegators=tuple(map(tuple, delegators)),
+        gurus=tuple(gurus),
     )
 
 

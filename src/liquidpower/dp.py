@@ -4,10 +4,10 @@ The enumeration in :mod:`liquidpower.exact` is exponential in the number of
 voters.  This module instead counts swing coalitions with counting tables,
 in time polynomial in the number of voters and the total weight.
 
-Layout.  Every tree of the delegation forest is laid out in post-order
-(children visited in ascending id), trees by ascending root id, so each
-voter's subtree occupies the contiguous block of positions ending at the
-voter's own position (:func:`postorder`).
+Layout.  The forest's ``DelegationForest.order`` lays every tree out in
+post-order (children visited in ascending id), trees by ascending root id,
+so each voter's subtree occupies the contiguous block of positions ending
+at the voter's own position, ``DelegationForest.end``.
 
 Tables.  ``F[j][w]`` is the counting polynomial, in ``y``, of the subsets
 of the first ``j`` voters of a run of whole blocks that have *settled
@@ -72,7 +72,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .core import DelegationForest, LiquidElection, voter_field
+from .core import LiquidElection, voter_field
 from .core import build_forest  # noqa: F401  bench/selftest.py patches dp.build_forest
 from .errors import InstanceTooLargeForEnumeration
 from .exact import IndexReport, MeasureKind, measure_weights, counts_to_power
@@ -81,21 +81,6 @@ from .exact import IndexReport, MeasureKind, measure_weights, counts_to_power
 # at the cap takes about 1 s and 200 MB for the swing-count measure, and
 # about 4 s and 300 MB for the ordering measure
 TABLE_SLOT_CAP = 150_000_000
-
-
-def postorder(forest: DelegationForest) -> list[int]:
-    """Every voter, trees by ascending root id, each tree in post-order with
-    children in ascending id: voter ``v``'s subtree is the block of
-    ``forest.subtree_size[v]`` positions ending at ``v``."""
-    children = forest.delegators
-    out = []
-    stack = list(forest.gurus)
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        stack.extend(children[u])  # ascending push -> descending visit
-    out.reverse()
-    return out
 
 
 def fill_table(
@@ -203,13 +188,10 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
     weight = [w // g for w in election.weights] + [0]
     size = list(forest.subtree_size) + [n + 1]
     children = list(forest.delegators) + [forest.gurus]
-    seq = postorder(forest)
-    end = [0] * n + [n + 1]  # v's block is seq[end[v] - size[v] : end[v]]
-    for p, v in enumerate(seq):
-        end[v] = p + 1
-    w_seq = [weight[v] for v in seq]
-    t_seq = [size[v] for v in seq]
-    on_path = None if target is None else set(forest.chain[target]) | {n}
+    end = list(forest.end) + [n + 1]  # v's block is order[end[v] - size[v] : end[v]]
+    w_seq = [weight[v] for v in forest.order]
+    t_seq = [size[v] for v in forest.order]
+    on_path = None if target is None else set(forest.chain_of(target)) | {n}
 
     def span(member: int) -> tuple[int, int]:
         if member < 0:  # ~u: the empty block after u's children

@@ -434,7 +434,7 @@ def _collapsed_graph(problem: WeightMaxProblem):
     election = problem.election
     forest = election.forest
     choices = election.profile.choices
-    tree = set(forest.subtree[problem.target])
+    tree = set(forest.subtree_of(problem.target))
     outside = [v for v in range(election.n) if v not in tree]
     index = {v: i for i, v in enumerate(outside)}
     super_idx = len(outside)
@@ -606,7 +606,7 @@ def solve_fpt_colorcoding(
     if sum(election.weights[v] for v in near) < problem.tau:
         return _current_support_no(problem)
     forest = election.forest
-    tree = set(forest.subtree[problem.target])
+    tree = set(forest.subtree_of(problem.target))
     outside_weights = sorted(
         (forest.subtree_weight[v] for v in range(election.n) if v not in tree),
         reverse=True,

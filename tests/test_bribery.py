@@ -16,7 +16,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
-from liquidpower import coalition_table
+from liquidpower import bribery, coalition_table
 from liquidpower.bribery import (
     BriberyObjective,
     BriberyProblem,
@@ -452,6 +452,23 @@ def test_more_voters_than_a_table_holds_are_refused():
     with pytest.raises(InstanceTooLargeForEnumeration, match="coalition-table limit"):
         solve_bribery_exact(
             BriberyProblem(election, 0, 0, Fraction(0), BriberyObjective.MAX_BANZHAF)
+        )
+
+
+def test_the_voter_limit_refuses_before_the_neighbourhood_is_counted(monkeypatch):
+    n = coalition_table.TABLE_LIMIT + 1
+    election = validate(
+        SocialNetwork.complete(n), (1,) * n, DelegationProfile.all_self(n), n
+    )
+
+    def no_count(*_args, **_kwargs):
+        raise AssertionError("the voter limit must refuse before the count")
+
+    monkeypatch.setattr(bribery, "neighborhood_size", no_count)
+    limit = f"coalition-table limit of {coalition_table.TABLE_LIMIT}"
+    with pytest.raises(InstanceTooLargeForEnumeration, match=limit):
+        solve_bribery_exact(
+            BriberyProblem(election, 0, n, Fraction(0), BriberyObjective.MAX_BANZHAF)
         )
 
 

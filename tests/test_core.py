@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -51,10 +52,50 @@ def test_eight_voter_forest_structure():
 
 
 def test_cycle_detection_reports_the_cycle():
-    profile = DelegationProfile((1, 2, 0, SELF))
-    with pytest.raises(CycleInDelegations) as err:
-        build_forest(profile, (1, 1, 1, 1))
-    assert sorted(err.value.cycle) == [0, 1, 2]
+    for choices, cycle in (
+        ((1, 2, 0, SELF), [0, 1, 2]),
+        ((1, 2, 1, SELF), [1, 2]),  # voter 0 hangs into the cycle
+        ((1, 0, 3, 2), [0, 1]),  # no guru at all: two cycles
+        ((2, 2, 3, 4, 2), [2, 3, 4]),  # no guru: two tails into one cycle
+        ((SELF, 1), [1]),  # a voter delegating to itself
+    ):
+        with pytest.raises(CycleInDelegations) as err:
+            build_forest(DelegationProfile(choices), (1,) * len(choices))
+        assert sorted(err.value.cycle) == cycle
+
+
+def _traced_forest(network, profile):
+    """The forest of a unit-weight election, and the tracemalloc peak of
+    validating it and building the forest."""
+    tracemalloc.start()
+    try:
+        forest = validate(network, (1,) * network.n, profile).forest
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return forest, peak
+
+
+def test_deep_chain_and_wide_star_forests_stay_small():
+    # the forest is O(n): no per-voter chain or subtree is stored
+    n = 8000
+    chain_net = SocialNetwork.from_arcs(n, [(i, i + 1) for i in range(n - 1)])
+    chain_profile = DelegationProfile(tuple(range(1, n)) + (SELF,))
+    forest, peak = _traced_forest(chain_net, chain_profile)
+    assert peak < 8 << 20
+    assert forest.subtree_size == tuple(range(1, n + 1))
+    assert forest.guru == (n - 1,) * n
+    assert len(forest.chain_of(0)) == n
+    assert forest.order == tuple(range(n))
+
+    n = 2000
+    star_net = SocialNetwork.from_arcs(n, [(i, 0) for i in range(1, n)])
+    star_profile = DelegationProfile((SELF,) + (0,) * (n - 1))
+    forest, peak = _traced_forest(star_net, star_profile)
+    assert peak < 8 << 20
+    assert forest.subtree_size[0] == n
+    assert forest.subtree_size[1:] == (1,) * (n - 1)
+    assert forest.delegators[0] == tuple(range(1, n))
 
 
 def test_self_loop_free_cycle_finder():

@@ -15,7 +15,6 @@ from liquidpower.dp import (
     all_indices_dp,
     banzhaf_dp,
     fill_table,
-    postorder,
     shapley_dp,
     swing_counts_dp,
 )
@@ -32,7 +31,7 @@ def _cells(row, cell_bits):
 
 def test_ordering_on_the_eight_voter_fixture():
     e = eight_voter_election()
-    order = postorder(e.forest)
+    order = list(e.forest.order)
     assert order == [0, 1, 2, 3, 4, 5, 6, 7]
     assert [e.forest.subtree_size[v] for v in order] == [1, 1, 3, 1, 1, 2, 4, 5]
 
@@ -42,12 +41,14 @@ def test_ordering_on_the_eight_voter_fixture():
 def test_every_subtree_is_a_contiguous_block(seed):
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=10)
-    order = postorder(e.forest)
+    order = list(e.forest.order)
     assert sorted(order) == list(range(e.n))
     for p, v in enumerate(order):
         t = e.forest.subtree_size[v]
         block = set(order[p - t + 1 : p + 1])
         assert block == set(e.forest.subtree[v])
+        assert order[e.forest.end[v] - 1] == v
+        assert e.forest.subtree_of(v) == e.forest.subtree[v]
 
 
 @settings(max_examples=30, deadline=None)
@@ -55,7 +56,7 @@ def test_every_subtree_is_a_contiguous_block(seed):
 def test_uncapped_rows_count_all_subsets(seed):
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=8)
-    order = postorder(e.forest)
+    order = list(e.forest.order)
     weights = [e.weights[v] for v in order]
     sizes = [e.forest.subtree_size[v] for v in order]
     rows = fill_table(weights, sizes)
@@ -74,7 +75,7 @@ def test_uncapped_rows_count_all_subsets(seed):
 def test_a_fill_continued_from_a_start_row_equals_one_fill(seed):
     rng = random.Random(seed)
     e = random_election(rng, n_min=2, n_max=9)
-    order = postorder(e.forest)
+    order = list(e.forest.order)
     weights = [e.weights[v] for v in order]
     sizes = [e.forest.subtree_size[v] for v in order]
     # split between whole trees, so both parts are runs of whole blocks
@@ -96,7 +97,7 @@ def test_a_fill_continued_from_a_start_row_equals_one_fill(seed):
 def test_packed_rows_are_the_sized_rows_at_y_equal_1(seed):
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=9)
-    order = postorder(e.forest)
+    order = list(e.forest.order)
     weights = [e.weights[v] for v in order]
     sizes = [e.forest.subtree_size[v] for v in order]
     ends = [p + 1 for p, v in enumerate(order) if e.forest.guru[v] == v]
