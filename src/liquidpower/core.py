@@ -116,8 +116,22 @@ class DelegationProfile:
         return cls((SELF,) * n)
 
 
+def _check_choices(choices: Sequence[Choice]) -> None:
+    """Refuse a choice outside ``0..n-1`` with ``ValueError``, naming the
+    voter and the choice, before a walk reads a negative one from the end
+    of a list or fails on a larger one."""
+    n = len(choices)
+    for v, c in enumerate(choices):
+        if c is not SELF and not 0 <= c < n:
+            raise ValueError(f"voter {v}'s choice {c} out of range")
+
+
 def find_delegation_cycle(choices: Sequence[Choice]) -> list[int] | None:
-    """Return one delegation cycle as a list of voter ids, or None if acyclic."""
+    """Return one delegation cycle as a list of voter ids, or None if acyclic.
+
+    Raises ``ValueError`` on a choice outside ``0..n-1``.
+    """
+    _check_choices(choices)
     state = [0] * len(choices)  # 0 unvisited, 1 on current walk, 2 done
     for start in range(len(choices)):
         if state[start]:
@@ -228,10 +242,12 @@ def build_forest(profile: DelegationProfile, weights: Sequence[int]) -> Delegati
 
     One depth-first walk down from the gurus lays the voters out; it reaches
     every voter exactly when the profile is acyclic.  Raises
-    :class:`CycleInDelegations`, naming a cycle, when it does not.
+    :class:`CycleInDelegations`, naming a cycle, when it does not, and
+    ``ValueError`` on a choice outside ``0..n-1``.
     """
     n = profile.n
     choices = profile.choices
+    _check_choices(choices)
     delegators: list[list[int]] = [[] for _ in range(n)]
     for v, c in enumerate(choices):
         if c is not SELF:

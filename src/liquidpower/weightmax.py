@@ -397,7 +397,8 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
 # larger total weights), to either zero (a real tree) or the sentinel that
 # every maximum starts from.  So missing entries lie in [_NEG, _NEG + 2^61),
 # and the sum of two entries of disjoint color sets fits in int64 and is
-# negative exactly when one side is missing.
+# negative exactly when one side is missing.  No split fills a set without
+# its root's color, nor the empty set, so those entries stay exactly _NEG.
 _NEG = -(1 << 62)
 
 
@@ -408,7 +409,9 @@ def _splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     Entry ``size - 2`` pairs the masks of ``size`` colors, ascending, with a
     ``(masks, 2^size - 2)`` array of their nonempty proper submasks, largest
     first: column ``j`` keeps the colors of a mask at the set bits of
-    ``2^size - 2 - j``, the mask's lowest color standing for bit 0.
+    ``2^size - 2 - j``, the mask's lowest color standing for bit 0.  This is
+    the order in which ``_first_join`` tries hanging parts; the fill joins
+    only the splits that ``_pair_splits`` picks from these.
     """
     levels = []
     for size in range(2, r + 1):
@@ -459,11 +462,51 @@ def _collapsed_graph(problem: WeightMaxProblem):
 
 
 def _arc_groups(arcs) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parent, child and cost arrays of ``arcs``, stably sorted by parent, and
-    the start of each parent's run, so one reduceat folds arcs into parents."""
-    parents, children, costs = np.array(sorted(arcs, key=lambda arc: arc[0])).T
-    starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-    return parents, children, costs, starts
+    """The ``(parent, child)`` rows of ``arcs``, stably sorted by parent,
+    whether each arc costs a change (an ``(arcs, 1, 1)`` mask), and the
+    start of each parent's run and that parent, so one reduceat folds arcs
+    into parents."""
+    arcs = np.array(sorted(arcs, key=lambda arc: arc[0]))
+    parents = arcs[:, 0]
+    starts = np.flatnonzero(np.concatenate(([True], parents[1:] != parents[:-1])))
+    return arcs[:, :2], arcs[:, 2, None, None] == 1, starts, parents[starts]
+
+
+@lru_cache(maxsize=None)
+def _pair_splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The splits of each size that an arc can join, per color pair.
+
+    An arc from a vertex of color ``a`` to one of color ``b`` joins a tree
+    at its parent, whose colors hold ``a``, to one hanging below its child,
+    whose colors hold ``b``; every other split has a ``_NEG`` side.  Entry
+    ``size - 2`` is ``(ends, place, masks)``: ``masks`` as in ``_splits``;
+    ``ends[a * r + b]`` is a ``(2, C(r - 2, size - 2), 2^(size - 2))``
+    array of the kept and the hanging part of each split of the sets that
+    hold ``a`` and ``b``, sets ascending, hanging parts holding ``b`` and
+    not ``a``; and ``place[a * r + b]`` gives each of those sets' index in
+    ``masks``.  A pair ``a == b`` joins nothing: its parts are the empty
+    set, where no tree is.
+    """
+    colors = np.arange(r)
+    other = ~np.eye(r, dtype=bool)
+    levels = []
+    for masks, subs in _splits(r):
+        held = (masks >> colors[:, None] & 1).astype(bool)  # (color, set)
+        hung = (subs >> colors[:, None, None] & 1).astype(bool)  # (color, set, split)
+        sets = held[:, None] & held & other[..., None]  # (a, b, set)
+        splits = sets[..., None] & hung & ~hung[:, None]  # (a, b, set, split)
+        m = np.count_nonzero(sets[0, 1])
+        h = np.count_nonzero(splits[0, 1]) // m
+        place = np.zeros((r, r, m), dtype=np.int64)
+        place[other] = np.nonzero(sets)[2].reshape(-1, m)
+        place[~other] = np.arange(m)  # distinct, so each arc writes a set once
+        ends = np.zeros((r, r, 2, m, h), dtype=np.int64)
+        ends[other, 1] = np.broadcast_to(subs, splits.shape)[splits].reshape(-1, m, h)
+        ends[other, 0] = ends[other, 1] ^ masks[place[other], None]
+        ends, place = ends.reshape(r * r, 2, m, h), place.reshape(r * r, m)
+        ends.flags.writeable = place.flags.writeable = False  # cached, shared
+        levels.append((ends, place, masks))
+    return tuple(levels)
 
 
 def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
@@ -471,41 +514,60 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
 
     ``table[b, v, S, c]`` is the largest weight of a tree rooted at ``v``
     whose vertices carry each color of ``S`` exactly once under coloring
-    ``b`` and whose arcs cost ``c`` changes; ``_NEG`` when there is none.  A
-    set of two or more colors splits into the part kept at ``v`` and the
-    part hanging below one arc.  Sets of one size depend only on smaller
-    ones, so each size is filled in one pass over all its sets, splits and
-    ``arc_groups`` (see ``_arc_groups``).  The pass runs in chunks of whole
-    sets that hold about ``coalition_table.CHUNK_CELLS`` cells (read at each
-    call); a set too large for that alone is split into chunks of its splits
-    instead.
+    ``b`` and whose arcs cost ``c`` changes; a negative entry means there is
+    none, and it is exactly ``_NEG`` when ``S`` lacks ``v``'s color.  A set
+    of two or more colors splits into the part kept at ``v`` and the part
+    hanging below one arc; an arc joins only the splits that ``_pair_splits``
+    lists for its ends' colors, 3^(r-2) in all, and none when they share a
+    color.  Sets of one size depend only on smaller ones, so each size is
+    filled in one pass over all its splits and ``arc_groups`` (see
+    ``_arc_groups``).  The pass runs in chunks of whole colorings that hold
+    about ``coalition_table.CHUNK_CELLS`` cells (read at each call); a
+    coloring too large for that alone is split into chunks of its sets, and
+    a set too large alone into chunks of its hanging parts.
     """
     colorings = np.array(colorings, dtype=np.int64)
     batch, n_vertices = colorings.shape
     slots = cost_cap + 1
     table = np.full((batch, n_vertices, 1 << r, slots), _NEG, dtype=np.int64)
-    table[np.arange(batch)[:, None], np.arange(n_vertices), 1 << colorings, 0] = wts
-    parents, children, costs, starts = arc_groups
-    shifted = costs == 1
-    split_cells = batch * len(parents) * slots
+    rows = table.reshape(-1, slots)
+    ids = np.arange(batch * n_vertices).reshape(batch, n_vertices) << r
+    rows[ids + (1 << colorings), 0] = wts
+    ends, shifted, starts, tops = arc_groups
+    n_arcs = len(ends)
+    pairs = colorings.take(ends, axis=1) @ np.array((r, 1))  # a * r + b per arc
+    end_rows, top_rows = ids.take(ends, axis=1), ids.take(tops, axis=1)
     chunk_cells = coalition_table.CHUNK_CELLS
-    for masks, subs in _splits(r):
-        n_masks, n_subs = subs.shape
-        sub_step = min(n_subs, max(1, chunk_cells // split_cells))
-        mask_step = max(1, chunk_cells // (split_cells * sub_step))
-        for lo in range(0, n_masks, mask_step):
-            chunk = masks[lo : lo + mask_step]
-            best = np.full((batch, len(parents), len(chunk), slots), _NEG, dtype=np.int64)
-            for sub_lo in range(0, n_subs, sub_step):
-                sub = subs[lo : lo + mask_step, sub_lo : sub_lo + sub_step]
-                left = table[:, parents[:, None, None], chunk[:, None] ^ sub]
-                right = table[:, children[:, None, None], sub]
-                for c1 in range(slots):  # (max, +) convolution over the costs
-                    joined = (left[..., c1, None] + right[..., : slots - c1]).max(axis=3)
-                    np.maximum(best[..., c1:], joined, out=best[..., c1:])
-            best[:, shifted, :, 1:] = best[:, shifted, :, :-1]  # the arc's own change
-            best[:, shifted, :, 0] = _NEG
-            table[:, parents[starts, None], chunk] = np.maximum.reduceat(best, starts, axis=1)
+    for split_ends, place, masks in _pair_splits(r):
+        _, _, m, h = split_ends.shape
+        width = len(masks)
+        step = max(1, chunk_cells // (n_arcs * slots * max(m * h, width)))
+        for lo in range(0, batch, step):
+            part = slice(lo, lo + step)
+            pair = pairs[part]
+            index = end_rows[part, ..., None, None] + split_ends.take(pair, axis=0)
+            split_cells = len(pair) * n_arcs * slots
+            h_step = min(h, max(1, chunk_cells // split_cells))
+            m_step = max(1, chunk_cells // (split_cells * h_step))
+            if width > m:  # each arc fills its own sets of the size
+                folded = np.full((len(pair), n_arcs, width, slots), _NEG, dtype=np.int64)
+            for m_lo in range(0, m, m_step):
+                sets = slice(m_lo, m_lo + m_step)
+                best = np.full((len(pair), n_arcs, min(m_step, m - m_lo), slots), _NEG, dtype=np.int64)
+                for h_lo in range(0, h, h_step):
+                    both = rows.take(index[..., sets, h_lo : h_lo + h_step], axis=0)
+                    left, right = both[:, :, 0], both[:, :, 1]
+                    for c1 in range(slots):  # (max, +) convolution over the costs
+                        joined = np.maximum.reduce(left[..., c1, None] + right[..., : slots - c1], axis=3)
+                        np.maximum(best[..., c1:], joined, out=best[..., c1:])
+                np.copyto(best[..., 1:], best[..., :-1], where=shifted)  # the arc's own change
+                np.copyto(best[..., 0], _NEG, where=shifted[..., 0])
+                if width > m:
+                    at = np.arange(len(pair))[:, None, None], np.arange(n_arcs)[:, None]
+                    folded[(*at, place[pair, sets])] = best
+                else:  # the one set of all r colors
+                    folded = best
+            rows[top_rows[part, :, None] + masks] = np.maximum.reduceat(folded, starts, axis=1)
     return table
 
 

@@ -103,6 +103,23 @@ def test_self_loop_free_cycle_finder():
     assert find_delegation_cycle((1, 0)) == [0, 1] or find_delegation_cycle((1, 0)) == [1, 0]
 
 
+@pytest.mark.parametrize(
+    "choices, voter, choice",
+    [((-1, SELF), 0, -1), ((SELF, 5), 1, 5), ((SELF, 0, 3), 2, 3), ((1, -3, SELF), 1, -3)],
+)
+def test_choices_outside_the_election_are_refused(choices, voter, choice):
+    # a negative choice once read from the end of a list, a large one raised
+    # a bare IndexError; validate refuses both first, as arcs off the network
+    message = f"voter {voter}'s choice {choice} out of range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_forest(DelegationProfile(choices), (1,) * len(choices))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        find_delegation_cycle(choices)
+    network = SocialNetwork.complete(len(choices))
+    with pytest.raises(ArcNotInNetwork):
+        validate(network, (1,) * len(choices), DelegationProfile(choices))
+
+
 def test_validate_rejects_offnetwork_delegation():
     network = SocialNetwork.from_arcs(3, [(0, 1)])
     profile = DelegationProfile((SELF, 0, SELF))

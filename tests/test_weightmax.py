@@ -708,6 +708,38 @@ def test_colorcoding_takes_a_subnormal_delta():
         _assert_witness_ok(problem, outcome)
 
 
+def test_pair_splits_are_exactly_the_splits_an_arc_can_join():
+    # an arc from color a to color b joins a tree at its parent, holding a,
+    # to one below its child, holding b and not a: 3^(r-2) splits per pair
+    for r in range(2, 10):
+        splits = [
+            (whole, part)
+            for whole in range(1 << r)
+            for part in range(1, whole)
+            if part & whole == part
+        ]
+        levels = weightmax._pair_splits(r)
+        assert [len(masks) for _, _, masks in levels] == [
+            sum(m.bit_count() == size for m in range(1 << r)) for size in range(2, r + 1)
+        ]
+        for a, b in product(range(r), repeat=2):
+            listed = []
+            for size, (ends, place, masks) in enumerate(levels, 2):
+                kept, hung = ends[a * r + b]
+                if a == b:  # the empty set on both sides: no tree
+                    assert not kept.any() and not hung.any()
+                    continue
+                assert not (kept & hung).any()
+                sets = kept | hung
+                assert (masks[place[a * r + b], None] == sets).all()
+                assert all(s.bit_count() == size for s in sets[:, 0].tolist())
+                listed += zip(sets.ravel().tolist(), hung.ravel().tolist())
+            if a != b:
+                want = [(s, t) for s, t in splits if s >> a & 1 and t >> b & 1 and not t >> a & 1]
+                assert len(listed) == 3 ** (r - 2)
+                assert sorted(listed) == sorted(want)
+
+
 def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
     # each color-set size is filled in one chunked pass; the plain per-set
     # recurrence must give the same tables for every chunk size
@@ -740,6 +772,20 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
                 monkeypatch.undo()
                 assert read and set(read) == {chunk_cells}  # the size reached the fill
                 assert np.array_equal(np.where(table >= 0, table, -1), want)
+    # one coloring each for the largest color counts, up to the requirement
+    # limit's nine; each colors the ends of one arc alike
+    for r, coloring, cost_cap in ((7, [2, 2, 5, 0, 6], 3), (8, [1, 7, 4, 4, 0], 2), (9, [8, 3, 0, 5, 8], 3)):
+        want = np.full((1, len(wts), 1 << r, cost_cap + 1), -1)
+        for key, weight in oracle.colorful_trees(coloring, wts, arcs, r, cost_cap).items():
+            want[(0, *key)] = weight
+        for chunk_cells in (coalition_table.CHUNK_CELLS, 1):
+            monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+            table = weightmax._colorful_tables([coloring], wts, arc_groups, r, cost_cap)
+            monkeypatch.undo()
+            assert np.array_equal(np.where(table >= 0, table, -1), want)
+            masks = np.arange(1 << r)
+            for v, color in enumerate(coloring):  # no tree at v lacks v's color
+                assert (table[0, v, masks >> color & 1 == 0] == weightmax._NEG).all()
 
 
 # --- budget-relaxed approximation -------------------------------------------
