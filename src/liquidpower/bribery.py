@@ -108,23 +108,18 @@ def _change_options(election: LiquidElection) -> list[tuple]:
 
 
 def _free_voters(election: LiquidElection, k: int, voting: int | None):
-    """Base row, free voters, their budget and the changes spent on the base.
+    """The voters a candidate profile may change, and their budget.
 
-    Without ``voting`` that is the current profile's sort key, every voter
-    and ``k``.  With it, only the profiles in which voter ``voting`` votes
-    personally are wanted: a delegating ``voting`` is fixed to itself, which
-    spends one change, and one who votes already keeps its vote.  A negative
-    budget leaves no profile.
+    Without ``voting`` that is every voter and ``k``.  With it, only the
+    profiles in which voter ``voting`` votes personally are wanted: a
+    delegating ``voting`` is fixed to itself, which spends one change, and
+    one who votes already keeps its vote.  A negative budget leaves no
+    profile.
     """
-    base = list(election.profile.sort_key())
-    voters = list(range(election.n))
-    spent = 0
-    if voting is not None:
-        voters.remove(voting)
-        if base[voting] != voting:
-            base[voting] = voting
-            spent = 1
-    return base, voters, k - spent, spent
+    if voting is None:
+        return range(election.n), k
+    voters = [v for v in range(election.n) if v != voting]
+    return voters, k - (election.profile.choices[voting] is not SELF)
 
 
 def neighborhood_size(
@@ -133,8 +128,8 @@ def neighborhood_size(
     """Number of candidate profiles within budget ``k``, before the
     acyclicity filter (an upper bound on the enumeration effort); with
     ``voting``, of those in which that voter votes personally (see
-    :func:`enumerate_neighborhood`)."""
-    _, voters, budget, _ = _free_voters(election, k, voting)
+    :func:`_free_voters`)."""
+    voters, budget = _free_voters(election, k, voting)
     if budget < 0:
         return 0
     options = _change_options(election)
@@ -152,42 +147,29 @@ def neighborhood_size(
     return sum(poly)
 
 
-def enumerate_neighborhood(
-    election: LiquidElection,
-    k: int,
-    *,
-    voting: int | None = None,
-    resolve=chain_masks,
-):
+def enumerate_neighborhood(election: LiquidElection, k: int):
     """Yield the acyclic profiles within ``k`` changes of the current one as
-    numpy blocks ``(parents, resolved, changes)``.
+    numpy blocks ``(parents, masks, changes)``.
 
     Each profile differs from the current one in at most ``k`` positions,
     each changed voter taking a genuinely different legal choice, and
-    appears exactly once; the first is the current profile (with ``voting``
-    made to vote personally).  ``parents`` is a ``(P, n)`` intp array whose
-    rows are the profiles' sort keys (a self-voter is its own parent),
-    ``resolved`` what ``resolve`` gives for them: the ``(P, n)`` chain masks
-    of :func:`coalition_table.chain_masks` by default, or the roots of
-    :func:`coalition_table.chain_roots`; ``changes`` the ``(P,)`` change
-    counts.  With ``voting``, only the profiles in which that voter votes
-    personally (see :func:`_free_voters`).  The neighbourhood is one product
-    per subset of the free voters (the subset's voters range over their
-    changed options), walked by :func:`coalition_table.product_blocks`.
+    appears exactly once; the first is the current profile.  ``parents`` is
+    a ``(P, n)`` intp array whose rows are the profiles' sort keys (a
+    self-voter is its own parent), ``masks`` their ``(P, n)`` chain masks
+    (:func:`coalition_table.chain_masks`) and ``changes`` the ``(P,)``
+    change counts.  The neighbourhood is one product per subset of the
+    voters (the subset's voters range over their changed options), walked
+    by :func:`coalition_table.product_blocks`.
     """
     n = election.n
-    base, voters, budget, spent = _free_voters(election, k, voting)
-    base = np.array(base, dtype=np.intp)
+    base = np.array(election.profile.sort_key(), dtype=np.intp)
     options = [
         np.array([v if c is SELF else c for c in opts], dtype=np.intp)
         for v, opts in enumerate(_change_options(election))
     ]
-    subsets = chain.from_iterable(
-        combinations(voters, s) for s in range(min(budget, len(voters)) + 1)
-    )
+    subsets = chain.from_iterable(combinations(range(n), s) for s in range(min(k, n) + 1))
     products = ((base, subset, [options[v] for v in subset]) for subset in subsets)
-    for parents, resolved, changes in product_blocks(products, n, resolve):
-        yield parents, resolved, changes + spent
+    yield from product_blocks(products, n, chain_masks)
 
 
 def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:

@@ -87,7 +87,8 @@ def product_blocks(products, n: int, resolve):
 
     filled = 0
     for base, free, pools in products:
-        total = prod(len(pool) for pool in pools)
+        shape = [len(pool) for pool in pools]
+        total = prod(shape)
         start = 0
         while start < total:
             stop = min(total, start + rows - filled)
@@ -95,10 +96,10 @@ def product_blocks(products, n: int, resolve):
             block[:] = base
             # candidate i of the product: its digits in the pools' mixed
             # radix, the last free voter fastest
-            index = np.arange(start, stop)
-            for v, pool in zip(reversed(free), reversed(pools)):
-                index, digit = np.divmod(index, len(pool))
-                block[:, v] = pool[digit]
+            if shape:
+                digits = np.unravel_index(np.arange(start, stop), shape)
+                for v, pool, digit in zip(free, pools, digits):
+                    block[:, v] = pool[digit]
             free_counts[filled : filled + stop - start] = len(free)
             filled += stop - start
             start = stop
@@ -303,11 +304,12 @@ def swing_counts(masks, weights, quota: int, voters, size_weights) -> np.ndarray
     )
 
 
-def best_row(blocks, score) -> tuple[int, int, tuple[int, ...]]:
-    """The winner of a search over a non-empty stream of ``(parents,
-    resolved, changes)`` blocks, as ``(-key, changes, parent row)``: the row
-    with the highest key ``score(resolved)``, then the fewest changes, then
-    the lexicographically smallest parent row, as a scan would find it."""
+def best_row(blocks, score) -> tuple[int, int, tuple[int, ...]] | None:
+    """The winner of a search over a stream of ``(parents, resolved,
+    changes)`` blocks, as ``(-key, changes, parent row)``: the row with the
+    highest key ``score(resolved)``, then the fewest changes, then the
+    lexicographically smallest parent row, as a scan would find it; None
+    when the stream is empty."""
 
     def rank(parents, resolved, changes):
         keys = score(resolved)
@@ -316,4 +318,4 @@ def best_row(blocks, score) -> tuple[int, int, tuple[int, ...]]:
         i = at[np.lexsort(parents[at].T[::-1])[0]]
         return -int(keys[i]), int(changes[i]), tuple(parents[i].tolist())
 
-    return min(rank(*block) for block in blocks)
+    return min((rank(*block) for block in blocks), default=None)

@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import ceil, exp, log
+from math import ceil, exp, log, prod
 
 import numpy as np
 import pytest
@@ -21,9 +21,8 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
-from liquidpower import coalition_table, weightmax
-from liquidpower.bribery import enumerate_neighborhood, neighborhood_size
-from liquidpower.coalition_table import chain_roots
+from liquidpower import build_forest, coalition_table, weightmax
+from liquidpower.bribery import neighborhood_size
 from liquidpower.weightmax import (
     WeightMaxOutcome,
     WeightMaxProblem,
@@ -189,6 +188,25 @@ def test_exact_matches_brute_force_support():
         assert outcome.support == best
 
 
+def _spy_walks(monkeypatch):
+    """Record every walk ``wmaxp_exact`` makes: per run of classes, its
+    products ``(free voters, candidates)`` and the rows and blocks kept."""
+    walks = []
+
+    def spy(products, n, resolve):
+        products = [(base, tuple(free), pools) for base, free, pools in products]
+        sizes = [(free, prod(map(len, pools))) for _, free, pools in products]
+        walk = {"products": sizes, "rows": [], "blocks": 0}
+        walks.append(walk)
+        for block in coalition_table.product_blocks(products, n, resolve):
+            walk["rows"] += map(tuple, block[0].tolist())
+            walk["blocks"] += 1
+            yield block
+
+    monkeypatch.setattr(weightmax, "product_blocks", spy)
+    return walks
+
+
 def test_exact_chunk_boundaries_change_no_outcome(monkeypatch):
     # equal supports must resolve the same way whether the candidates share
     # a block or not; one-row blocks also meet all-cyclic (skipped) blocks
@@ -205,17 +223,12 @@ def test_exact_chunk_boundaries_change_no_outcome(monkeypatch):
         outcomes = []
         for chunk_cells in (coalition_table.CHUNK_CELLS, 3 << n, 1):
             monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
+            walks = _spy_walks(monkeypatch)
             outcomes.append(wmaxp_exact(problem))
         # wmaxp_exact's own walk at one cell a chunk, so one row a block:
-        # each skipped block is a cyclic row
-        monkeypatch.setattr(coalition_table, "CHUNK_CELLS", 1)
-        blocks = sum(
-            1
-            for _ in enumerate_neighborhood(
-                election, budget, voting=target, resolve=chain_roots
-            )
-        )
-        skipped += neighborhood_size(election, budget, voting=target) - blocks
+        # each skipped block is a row that is cyclic or leaves a redirected
+        # voter outside the target's tree
+        skipped += sum(sum(c for _, c in w["products"]) - w["blocks"] for w in walks)
         monkeypatch.undo()
         assert outcomes[1] == outcomes[0]
         assert outcomes[2] == outcomes[0]
@@ -269,11 +282,12 @@ def _reference_exact(problem):
     )
 
 
-def test_exact_equals_a_scan_of_the_whole_neighbourhood():
-    # wmaxp_exact scores only the profiles in which the target votes; the
-    # rest cast 0, so the winner, ties included, must be the full scan's
+def test_exact_equals_a_scan_of_the_whole_neighbourhood(monkeypatch):
+    # wmaxp_exact walks only redirect sets of the best classes; the winner,
+    # ties included, must be the full scan's
     rng = random.Random(13_001)
     kinds = set()
+    several = 0
     for _ in range(300):
         n = rng.randint(1, 8)
         election = random_election(
@@ -289,19 +303,92 @@ def test_exact_equals_a_scan_of_the_whole_neighbourhood():
         tau = rng.randint(1, election.total_weight)
         problem = WeightMaxProblem(election, target, k, tau)
         kinds.add((problem.is_follower, k > 0))
+        walks = _spy_walks(monkeypatch)
         assert wmaxp_exact(problem) == _reference_exact(problem)
-        # the scored rows are exactly the neighbourhood's rows where the target votes
-        scored = enumerate_neighborhood(election, k, voting=target)
-        voting = [p for p in neighborhood_profiles(election, k) if p.choices[target] is SELF]
-        assert sum(len(parents) for parents, _, _ in scored) == len(voting)
+        monkeypatch.undo()
+        # each run of classes walked yields exactly, and once each, the
+        # neighbourhood's rows where the target votes, the redirected voters
+        # form one of the run's sets, and all of them end under the target
+        choices = election.profile.choices
+        kept = {}  # the redirect set of each such row
+        for p in neighborhood_profiles(election, k):
+            moved = tuple(v for v in range(n) if v != target and p.choices[v] != choices[v])
+            guru = build_forest(p, election.weights).guru
+            if p.choices[target] is SELF and all(guru[v] == target for v in moved):
+                kept[p.sort_key()] = moved
+        for walk in walks:
+            sets = {free for free, _ in walk["products"]}
+            want = [row for row, moved in kept.items() if moved in sets]
+            assert sorted(walk["rows"]) == sorted(want)
+        several += len(walks) > 1
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+    assert several > 0  # some searches walk past a class that keeps no row
+
+
+def test_reference_winners_redirect_only_outside_voters_into_the_target():
+    # the exchange facts wmaxp_exact rests on, checked on the full scan alone:
+    # a winner redirects no voter of the target's tree, every voter it
+    # redirects ends under the target, and its support is the target's tree
+    # plus the subtrees, with the target voting, of the voters it redirects
+    rng = random.Random(13_004)
+    redirected = delegating = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        election = random_election(
+            rng,
+            n_min=n,
+            n_max=n,
+            w_max=rng.choice((1, 1, 3)),
+            arc_prob=rng.choice((0.5, 0.8)),
+            delegate_prob=rng.random(),
+        )
+        target = rng.randrange(n)
+        choices = election.profile.choices
+        follower = choices[target] is not SELF
+        problem = WeightMaxProblem(election, target, rng.randint(follower, 3), 1)
+        winner = _reference_exact(problem).profile
+        moved = [v for v in range(n) if v != target and winner.choices[v] != choices[v]]
+        tree = set(election.forest.subtree_of(target))
+        assert tree.isdisjoint(moved)
+        forest = build_forest(winner, election.weights)
+        assert all(forest.guru[v] == target for v in moved)
+        base = build_forest(election.profile.with_choice(target, SELF), election.weights)
+        pulled = tree.union(*(base.subtree_of(v) for v in moved))
+        assert forest.subtree_weight[target] == sum(election.weights[v] for v in pulled)
+        redirected += bool(moved)
+        delegating += follower and bool(moved)
+    assert redirected > 100 and delegating > 20
+
+
+# Voter 1 delegates to 2, behind whom 3 also votes; voter 4 votes alone and
+# may delegate to 3 (the CI console-script fixture)
+PULLED_SUBTREE_INSTANCE = {
+    "n": 4,
+    "weights": [1, 2, 3, 4],
+    "arcs": [[1, 2], [3, 2], [2, 1], [4, 3]],
+    "delegations": {"1": 2, "3": 2},
+    "quota": 6,
+}
+
+
+def test_exact_redirects_the_former_proxy_and_into_a_pulled_subtree():
+    # budget 2: the target votes and its former proxy joins it, bringing
+    # voter 3; budget 3: voter 4 joins under 3, inside the pulled-in subtree
+    election = election_from_json(PULLED_SUBTREE_INSTANCE)
+    cases = {(2, 6): (6, 2, (SELF, 0, 1, SELF)), (3, 10): (10, 3, (SELF, 0, 1, 2))}
+    for (budget, tau), (support, changes, choices) in cases.items():
+        problem = WeightMaxProblem(election, 0, budget, tau)
+        outcome = wmaxp_exact(problem)
+        assert outcome == _reference_exact(problem)
+        assert outcome == WeightMaxOutcome(True, DelegationProfile(choices), support, changes)
 
 
 def test_exact_follower_without_budget_enumerates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(weightmax, "enumerate_neighborhood", refuse)
+    monkeypatch.setattr(weightmax, "_redirect_runs", refuse)
+    monkeypatch.setattr(weightmax, "product_blocks", refuse)
     monkeypatch.setattr(weightmax, "neighborhood_size", refuse)
     problem = WeightMaxProblem(eight_voter_election(), 0, 0, 1)
     assert wmaxp_exact(problem) == WeightMaxOutcome(False, None, 0, 0)
