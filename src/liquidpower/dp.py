@@ -57,19 +57,27 @@ The walk.  The gurus hang under a virtual root of weight 0 whose outside row
 is the empty subset alone, ``[1]``, and whose reduced quota is the quota.
 A child's outside row is its parent's, capped one level lower (``rq`` drops
 by the parent's weight), with every sibling's block filled in.  All ``d``
-children get theirs by halving: fill the right half's blocks from the
-parent's row and recurse into the left half, then the mirror image, for
-``O(m log d)`` row steps instead of ``O(m d)``.  A node's own complement
-table is the leave-one-out row of an empty extra member after its children,
-so the same halving yields it.  A single voter's query walks its chain
-only, filling each level's siblings in one run.  The weights are first
-divided by their gcd ``g`` and the quota becomes ``ceil(quota / g)``, which
-changes no coalition's outcome.
+children get theirs by leave-one-out over a binary tree of the siblings:
+at each pair, either half starts from the row both share and fills the
+other half's blocks.  A block then costs one fill step per level of the
+tree above it, so the siblings are merged in Huffman order, the two
+lightest groups of blocks first (Huffman, 1952): that minimises the sum of
+block size x depth, the walk's fill steps (Uno, ISAAC 2012).  On criterion
+10's 120-voter game that is 808 steps; splitting the siblings in halves
+by count takes 1,185.  A node's own complement table is the leave-one-out
+row of an empty extra member after its children, so the same tree yields
+it.  A leaf has ``t = 1`` and no children: its swing count is the sum of
+its outside row's cells above ``rq(u) - w_u - 1``, with no complement
+table.  A single voter's query walks its chain only, filling each level's
+siblings in one run.  The weights are first divided by their gcd ``g``
+and the quota becomes ``ceil(quota / g)``, which changes no coalition's
+outcome.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .core import LiquidElection, voter_field
@@ -208,6 +216,9 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         def cut(row, cap: int):
             return row[: cap + 1]
 
+        def above(row, cap: int):
+            return row[cap + 1 :]
+
     else:
         empty = 1
 
@@ -216,6 +227,9 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
 
         def cut(row, cap: int):
             return row & (1 << (cap + 1) * c) - 1
+
+        def above(row: int, cap: int) -> int:
+            return row >> (cap + 1) * c
 
     def fill(ranges: list[tuple[int, int]], row, cap: int):
         ws: list[int] = []
@@ -235,23 +249,40 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
             pads[t] = (1 + y) ** (t - 1)
         return pads[t]
 
+    def pair_up(members: list[int]):
+        """The members as a tree of ``(ranges_a, a, ranges_b, b)`` pairs, a
+        member at each leaf: blocks merged in Huffman order, two lightest
+        first, ties by first appearance (see the module docs)."""
+        if len(members) == 1:
+            return members[0]
+        groups = []
+        for i, m in enumerate(members):
+            lo, hi = span(m)
+            groups.append((hi - lo, i, [(lo, hi)], m))
+        if len(groups) > 2:  # two groups merge in either order: no heap needed
+            heapify(groups)
+        for key in range(len(groups), 2 * len(groups) - 1):
+            size_a, _, ranges_a, a = heappop(groups)
+            size_b, _, ranges_b, b = heappop(groups)
+            pair = (ranges_a, a, ranges_b, b)
+            heappush(groups, (size_a + size_b, key, ranges_a + ranges_b, pair))
+        return groups[0][3]
+
     swings = [0] * n
     outside_total = [0] * n
-    # (members, lo, hi, row, rq): members[lo:hi] are consecutive siblings (or
-    # a parent's empty extra member) sharing the outside row ``row`` and the
-    # reduced quota ``rq``, capped at rq - 1
-    stack: list[tuple[list[int], int, int, int | list[int], int]] = [([n], 0, 1, empty, quota)]
+    # (node, row, rq): a ``pair_up`` tree of siblings (or a parent's empty
+    # extra member) sharing the outside row ``row`` and the reduced quota
+    # ``rq``, capped at rq - 1; each half of a pair gets the row filled with
+    # the other half's blocks
+    stack: list[tuple] = [(n, empty, quota)]
     while stack:
-        members, lo, hi, row, rq = stack.pop()
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            first = span(members[lo])[0]
-            split = span(members[mid])[0]
-            last = span(members[hi - 1])[1]
-            stack.append((members, lo, mid, fill([(split, last)], row, rq - 1), rq))
-            stack.append((members, mid, hi, fill([(first, split)], row, rq - 1), rq))
+        node, row, rq = stack.pop()
+        if type(node) is tuple:
+            ranges_a, a, ranges_b, b = node
+            stack.append((a, fill(ranges_b, row, rq - 1), rq))
+            stack.append((b, fill(ranges_a, row, rq - 1), rq))
             continue
-        u = members[lo]
+        u = node
         if u < 0:  # the complement table of ~u: every child's block filled in
             u = ~u
             swings[u] = outside_total[u] * pad(u) - row_sum(row)
@@ -261,6 +292,11 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         if cap < 0:
             if wanted:
                 swings[u] = row_sum(row) * pad(u)
+            continue
+        if wanted and size[u] == 1:
+            # a leaf (t = 1, pad 1) swings the outside coalitions its own
+            # weight lifts from below rq - w_u to rq or more
+            swings[u] = row_sum(above(row, cap))
             continue
         if wanted:
             outside_total[u] = row_sum(row)
@@ -280,7 +316,7 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         if wanted:
             down.append(~u)
         if down:
-            stack.append((down, 0, len(down), row, cap + 1))
+            stack.append((pair_up(down), row, cap + 1))
     return swings
 
 

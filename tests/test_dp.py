@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liquidpower import dp
 from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
 from liquidpower.errors import InstanceTooLargeForEnumeration
 from liquidpower.dp import (
@@ -18,8 +20,9 @@ from liquidpower.dp import (
     shapley_dp,
     swing_counts_dp,
 )
-from liquidpower.exact import MeasureKind, power_index, swing_size_counts
+from liquidpower.exact import MeasureKind, all_indices_exact, power_index, swing_size_counts
 
+import oracle
 from support import banzhaf_of, eight_voter_election, random_election, shapley_of
 
 
@@ -294,3 +297,152 @@ def test_a_unanimity_chain_needs_no_deep_recursion():
     assert banzhaf == (Fraction(1, 2 ** (n - 1)),) * n
     assert shapley == (Fraction(1, n),) * n
     assert single == (banzhaf[-1], shapley[-1])
+
+
+def _fill_steps(monkeypatch) -> list[int]:
+    """Record the length of every fill the walk makes from here on."""
+    steps: list[int] = []
+    real = dp.fill_table
+
+    def counting(weights_seq, *args, **kwargs):
+        steps.append(len(weights_seq))
+        return real(weights_seq, *args, **kwargs)
+
+    monkeypatch.setattr(dp, "fill_table", counting)
+    return steps
+
+
+def test_the_all_voter_walk_pairs_siblings_by_block_size(monkeypatch):
+    # criterion 10's 120-voter game: halving the siblings by count took
+    # 1,185 fill steps, a Huffman merge of their blocks takes 808
+    e = random_election(
+        random.Random(10_001), n_min=120, n_max=120, w_max=8, delegate_prob=0.75
+    )
+    steps = _fill_steps(monkeypatch)
+    values = all_indices_dp(e, MeasureKind.BANZHAF).values
+    assert sum(steps) <= 810
+    digest = hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()
+    assert digest == "396f344a8c1c046812c33ebafc7570ba13a7bd97ea86b00d1e0a5bfa2baf2570"
+    assert values == tuple(banzhaf_dp(e, v) for v in range(e.n))
+
+
+def _chain(size: int) -> tuple:
+    """A subtree of ``size`` voters, each delegating to the next."""
+    tree: tuple = ()
+    for _ in range(size - 1):
+        tree = (tree,)
+    return tree
+
+
+def _forest_choices(*trees) -> tuple:
+    """The choices of a forest written as nested tuples: a voter is the
+    tuple of its delegators' subtrees, and each tree's root votes."""
+    choices: list = []
+
+    def add(tree, parent):
+        v = len(choices)
+        choices.append(parent)
+        for child in tree:
+            add(child, v)
+
+    for tree in trees:
+        add(tree, SELF)
+    return tuple(choices)
+
+
+def _forest_election(choices, weights, quota):
+    arcs = [(v, c) for v, c in enumerate(choices) if c is not SELF]
+    network = SocialNetwork.from_arcs(len(choices), arcs)
+    return validate(network, tuple(weights), DelegationProfile(choices), quota)
+
+
+LEAF = ()
+FAN_OUTS = {
+    # children's blocks of 1, 1, 2, 4 and 7 voters, the last a fan-out itself
+    "far apart": _forest_choices(
+        (LEAF, LEAF, _chain(2), _chain(4), (LEAF, LEAF, _chain(2), _chain(2)))
+    ),
+    # three blocks of 2 and two of 1 under one voter, two equal gurus beside it
+    "ties": _forest_choices((_chain(2), _chain(2), _chain(2), LEAF, LEAF), LEAF, LEAF),
+    "star": _forest_choices((LEAF,) * 13),
+    "small star": _forest_choices((LEAF,) * 7),
+}
+
+
+@pytest.mark.parametrize("shape", FAN_OUTS)
+def test_wide_unbalanced_fan_outs_match_enumeration(shape):
+    choices = FAN_OUTS[shape]
+    n = len(choices)
+    weights = [1 + v % 3 for v in range(n)]
+    total = sum(weights)
+    for quota in (1, total // 3, total // 2 + 1, total - 1, total):
+        e = _forest_election(choices, weights, quota)
+        for kind in MeasureKind:
+            values = all_indices_dp(e, kind).values
+            assert values == all_indices_exact(e, kind).values
+            if n <= 10:
+                term = oracle.banzhaf if kind is MeasureKind.BANZHAF else oracle.shapley
+                assert values == tuple(term(choices, weights, quota, v) for v in range(n))
+            single = banzhaf_dp if kind is MeasureKind.BANZHAF else shapley_dp
+            for v in range(n):
+                if e.forest.subtree_size[v] == 1:
+                    assert single(e, v) == values[v]
+
+
+def test_equal_blocks_are_paired_the_same_way_every_time(monkeypatch):
+    e = _forest_election(FAN_OUTS["ties"], [2] * 11, 9)
+    steps = _fill_steps(monkeypatch)
+    first = all_indices_dp(e, MeasureKind.SHAPLEY).values
+    # Huffman's sum of block size x depth: 13 over the gurus' blocks (9, 1,
+    # 1), 19 over voter 0's (2, 2, 2, 1, 1 and its empty member) and 1 under
+    # each block of 2; halving by count takes 21 under voter 0
+    assert sum(steps) == 35
+    once = list(steps)
+    steps.clear()
+    assert all_indices_dp(e, MeasureKind.SHAPLEY).values == first
+    assert steps == once
+
+
+def test_a_leaf_heavy_enough_to_close_the_gap_alone():
+    # voter 1 delegates to voter 0 (weight 1) and carries 6 of quota 7: its
+    # reduced quota is 6, so it swings every outside coalition holding voter 0
+    choices = _forest_choices((LEAF, LEAF, LEAF), LEAF)
+    weights = [1, 6, 1, 2, 1]
+    e = _forest_election(choices, weights, 7)
+    terms = {MeasureKind.BANZHAF: oracle.banzhaf, MeasureKind.SHAPLEY: oracle.shapley}
+    for kind, term in terms.items():
+        values = all_indices_dp(e, kind).values
+        assert values == tuple(term(choices, weights, 7, v) for v in range(e.n))
+        assert values == all_indices_exact(e, kind).values
+    assert banzhaf_dp(e, 1) == Fraction(1, 2)
+
+
+def test_the_far_apart_fan_out_at_27_voters_matches_the_single_voter_walks():
+    # children's blocks of 1, 1, 2, 7 and 15: past enumeration, so checked
+    # against the chain-only walk, which fills all siblings in one run
+    choices = _forest_choices(
+        (LEAF, LEAF, _chain(2), (LEAF, LEAF, _chain(2), _chain(2)), _chain(15))
+    )
+    n = len(choices)
+    weights = [1 + v % 4 for v in range(n)]
+    e = _forest_election(choices, weights, sum(weights) // 2 + 1)
+    banzhaf = all_indices_dp(e, MeasureKind.BANZHAF).values
+    shapley = all_indices_dp(e, MeasureKind.SHAPLEY).values
+    assert banzhaf == tuple(banzhaf_dp(e, v) for v in range(n))
+    assert shapley == tuple(shapley_dp(e, v) for v in range(n))
+    assert sum(shapley) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_power_never_decreases_along_a_delegation_arc(seed):
+    # the paper's observation: if u delegates to v and swings C, then v
+    # swings C + u - v, a coalition of the same size
+    rng = random.Random(seed)
+    e = random_election(rng, n_min=2, n_max=30, w_max=9, delegate_prob=0.7)
+    e = _with_quota(e, rng.randint(1, sum(e.weights)))
+    parent = e.forest.parent
+    values = {kind: all_indices_dp(e, kind).values for kind in MeasureKind}
+    for f in values.values():
+        assert all(f[v] <= f[parent[v]] for v in range(e.n))
+    assert sum(values[MeasureKind.SHAPLEY]) == 1
