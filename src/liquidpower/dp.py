@@ -94,11 +94,11 @@ TABLE_SLOT_CAP = 150_000_000
 def fill_table(
     weights_seq: list[int],
     block_sizes: list[int],
-    weight_cap: int | None = None,
-    slot_bits: int = 0,
+    weight_cap: int,
+    slot_bits: int,
     *,
-    start: int | list[int] | None = None,
-    cell_bits: int | None = None,
+    start: int | list[int],
+    cell_bits: int,
 ) -> list[int] | list[list[int]]:
     """All rows ``F[0..m]`` of the counting table described in the module docs.
 
@@ -108,35 +108,26 @@ def fill_table(
     list of cells (packed at that stride it measured twice as slow; see the
     module docs).  ``slot_bits=0`` sums over sizes, and a row is one int
     whose cell ``w`` is bits ``[w * cell_bits, (w + 1) * cell_bits)``; the
-    cells must stay below ``2**cell_bits`` (by default ``m + 2`` bits, enough
-    for a fill from the empty subset).  ``start`` is ``F[0]`` (by default
-    the empty subset: ``[1]``, or ``1`` packed), so a fill can continue from
-    an earlier one; the blocks must be whole subtrees, and a packed start
-    needs its ``cell_bits``.  Entries with settled weight above
-    ``weight_cap`` are dropped — sound as long as callers only read weights
-    up to the cap, since weight only accumulates along the recurrence.  With
-    no cap and no start the table is complete and each row ``j`` sums to
-    ``(1 + y)**j``.
+    cells must stay below ``2**cell_bits``.  ``start`` is ``F[0]`` (the
+    empty subset is ``[1]``, or ``1`` packed), so a fill can continue from
+    an earlier one; the blocks must be whole subtrees.  Entries with settled
+    weight above ``weight_cap`` are dropped — sound as long as callers only
+    read weights up to the cap, since weight only accumulates along the
+    recurrence.  From the empty subset with a cap of at least the total
+    weight, the table is complete and each row ``j`` sums to ``(1 + y)**j``.
     """
     m = len(weights_seq)
     if not slot_bits:
-        if start is None:
-            start = 1
-        elif cell_bits is None:
-            raise ValueError("a packed start row needs its cell_bits")
-        c = m + 2 if cell_bits is None else cell_bits
-        mask = None if weight_cap is None else (1 << (weight_cap + 1) * c) - 1
-        rows = [start if mask is None else start & mask]
-        # F[j] = 2**(t-1) * F[j-t] + z**w_u * F[j-1], with z = 2**c
+        mask = (1 << (weight_cap + 1) * cell_bits) - 1
+        rows = [start & mask]
+        # F[j] = 2**(t-1) * F[j-t] + z**w_u * F[j-1], with z = 2**cell_bits
         for w_u, t in zip(weights_seq, block_sizes):
-            new = (rows[-t] << t - 1) + (rows[-1] << w_u * c)
-            rows.append(new if mask is None else new & mask)
+            new = (rows[-t] << t - 1) + (rows[-1] << w_u * cell_bits)
+            rows.append(new & mask)
         return rows
-    if start is None:
-        start = [1]
     prefix_weight = len(start) - 1
     total = prefix_weight + sum(weights_seq)
-    cap = total if weight_cap is None else min(weight_cap, total)
+    cap = min(weight_cap, total)
     pads = [1 << slot_bits]  # pads[t-1] = y * (1+y)**(t-1), extended as needed
     row0 = start[: cap + 1]
     row0 += [0] * (cap + 1 - len(row0))

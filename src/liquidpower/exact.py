@@ -91,7 +91,7 @@ def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
             except InstanceTooLargeForEnumeration:
                 pass  # the total weight overflows int64: enumerate instead
             else:
-                masks, _ = ct.chain_masks([game.profile.sort_key()])
+                masks = np.array([game.forest.chain_mask], dtype=np.int64)
                 # unit size weights keep one count per coalition size
                 counts = ct.swing_counts(
                     masks, weights, quota, voters, np.eye(n, dtype=np.int64)

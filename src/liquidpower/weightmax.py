@@ -319,28 +319,27 @@ def min_cost_root_arborescence(
     ``arcs`` holds ``(parent, child, cost)`` triples; parallel arcs are fine
     and arcs into the root are ignored.  Returns ``({child: parent}, total
     cost)`` or None when some node cannot be reached.  Classic cycle
-    contraction: give every node its cheapest in-arc; if that closes a
-    cycle, shrink it to one super node under reduced costs and repeat,
-    re-expanding on the way back.  Each chosen arc carries its original
-    endpoint pair through the contractions as an opaque tag.
+    contraction (Edmonds, 1967): give every node its first cheapest in-arc;
+    if that closes a cycle, shrink it to one super node under reduced costs
+    and repeat.  An arc of a shrunk level carries the arc it stands for one
+    level down, so a sub-solution maps back arc by arc, and the total is the
+    cost of the chosen original arcs.
     """
     node_set = set(nodes)
     work = [
-        (u, v, w, (u, v))
+        (u, v, w, None)
         for u, v, w in arcs
         if u != v and v != root and u in node_set and v in node_set
     ]
-    free_id = max(node_set, default=root) + 1
 
     def solve(members: set, work: list, free_id: int):
         best_in: dict = {}
-        for u, v, w, tag in work:
-            cur = best_in.get(v)
-            if cur is None or w < cur[0]:
-                best_in[v] = (w, u, tag)
-        for v in members:
-            if v != root and v not in best_in:
-                return None
+        for arc in work:
+            cur = best_in.get(arc[1])
+            if cur is None or arc[2] < cur[2]:
+                best_in[arc[1]] = arc
+        if any(v != root and v not in best_in for v in members):
+            return None
 
         # walk parent pointers; a node revisited within one walk closes a cycle
         state = dict.fromkeys(members, 0)
@@ -354,59 +353,44 @@ def min_cost_root_arborescence(
             while state[u] == 0:
                 state[u] = 1
                 trail.append(u)
-                u = best_in[u][1]
+                u = best_in[u][0]
             if state[u] == 1:
                 cycle = [u]
-                v = best_in[u][1]
+                v = best_in[u][0]
                 while v != u:
                     cycle.append(v)
-                    v = best_in[v][1]
+                    v = best_in[v][0]
             for v in trail:
                 state[v] = 2
             if cycle:
                 break
 
         if cycle is None:
-            chosen = best_in.values()
-            return [t for _, _, t in chosen], sum(w for w, _, _ in chosen)
+            return list(best_in.values())
 
         shrunk_away = set(cycle)
-        inside_cost = sum(best_in[v][0] for v in cycle)
         super_id = free_id
         reduced = []
-        for u, v, w, tag in work:
+        for arc in work:
+            u, v, w, _ = arc
             if v in shrunk_away and u not in shrunk_away:
                 # entering arcs pay the difference to the in-arc they evict
-                reduced.append(
-                    (u, super_id, w - best_in[v][0], ("enter", super_id, tag, v))
-                )
+                reduced.append((u, super_id, w - best_in[v][2], arc))
             elif u in shrunk_away and v not in shrunk_away:
-                reduced.append((super_id, v, w, tag))
+                reduced.append((super_id, v, w, arc))
             elif u not in shrunk_away and v not in shrunk_away:
-                reduced.append((u, v, w, tag))
+                reduced.append((u, v, w, arc))
         sub = solve((members - shrunk_away) | {super_id}, reduced, free_id + 1)
         if sub is None:
             return None
-        sub_tags, sub_cost = sub
-        tags = []
-        entered = None
-        for t in sub_tags:
-            if len(t) == 4 and t[0] == "enter" and t[1] == super_id:
-                entered = t
-            else:
-                tags.append(t)
-        _enter, _sid, entry_tag, entry_node = entered
-        tags.append(entry_tag)
-        for v in cycle:
-            if v != entry_node:
-                tags.append(best_in[v][2])
-        return tags, sub_cost + inside_cost
+        (entering,) = (below for _, v, _, below in sub if v == super_id)
+        kept = [below for _, v, _, below in sub if v != super_id]
+        return [*kept, entering, *(best_in[v] for v in cycle if v != entering[1])]
 
-    result = solve(node_set, work, free_id)
-    if result is None:
+    chosen = solve(node_set, work, max(node_set, default=root) + 1)
+    if chosen is None:
         return None
-    tags, total = result
-    return {v: u for u, v in tags}, total
+    return {v: u for u, v, _, _ in chosen}, sum(w for _, _, w, _ in chosen)
 
 
 def solve_full_support(problem: WeightMaxProblem) -> WeightMaxOutcome:
@@ -520,62 +504,33 @@ def solve_xp_reqbar(problem: WeightMaxProblem) -> WeightMaxOutcome:
 _NEG = -(1 << 62)
 
 
-@lru_cache(maxsize=None)
-def _splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Every set of two or more of ``r`` colors, with the ways to split it.
-
-    Entry ``size - 2`` pairs the masks of ``size`` colors, ascending, with a
-    ``(masks, 2^size - 2)`` array of their nonempty proper submasks, largest
-    first: column ``j`` keeps the colors of a mask at the set bits of
-    ``2^size - 2 - j``, the mask's lowest color standing for bit 0.  This is
-    the order in which ``_first_join`` tries hanging parts; the fill joins
-    only the splits that ``_pair_splits`` picks from these.
-    """
-    levels = []
-    for size in range(2, r + 1):
-        masks = [m for m in range(1 << r) if m.bit_count() == size]
-        bits = np.array([[b for b in range(r) if m >> b & 1] for m in masks])
-        picks = np.arange((1 << size) - 2, 0, -1)[:, None] >> np.arange(size) & 1
-        subs = (picks << bits[:, None, :]).sum(axis=2).astype(np.int64)
-        masks = np.array(masks, dtype=np.int64)
-        masks.flags.writeable = subs.flags.writeable = False  # cached, shared
-        levels.append((masks, subs))
-    return tuple(levels)
-
-
-def _collapsed_graph(problem: WeightMaxProblem):
-    """Shrink the target's tree to one super vertex.
+def _collapsed_graph(problem: WeightMaxProblem, cost: CostedDigraph, tree: set[int]):
+    """Shrink the target's tree (``tree``) in the cost graph to one super vertex.
 
     No voter outside the tree currently delegates into it (it would be a
     member), so every arc from an outsider to a tree member costs one change;
-    one representative member per outsider is kept for witness translation.
-    Tree members never profit from delegating outward, so the super vertex
-    gets no in-arcs.
+    the super vertex gets one such arc per outsider, and the least member the
+    outsider may delegate to stands for it in the witness.  Tree members
+    never profit from delegating outward, so the super vertex gets no
+    in-arcs.
     """
     election = problem.election
-    forest = election.forest
-    choices = election.profile.choices
-    tree = set(forest.subtree_of(problem.target))
     outside = [v for v in range(election.n) if v not in tree]
     index = {v: i for i, v in enumerate(outside)}
     super_idx = len(outside)
-    vertex_weights = [election.weights[v] for v in outside]
-    vertex_weights.append(problem.base_support)
-    arcs: list[tuple[int, int, int]] = []
+    vertex_weights = [election.weights[v] for v in outside] + [problem.base_support]
     representative: dict[int, int] = {}
-    for child in outside:
-        into_tree = [
-            m for m in election.network.out_neighbors[child] if m in tree
-        ]
-        if into_tree:
-            representative[index[child]] = min(into_tree)
-            arcs.append((super_idx, index[child], 1))
-        for parent in election.network.out_neighbors[child]:
-            if parent in tree:
-                continue
-            arcs.append(
-                (index[parent], index[child], 0 if choices[child] == parent else 1)
-            )
+    for member in sorted(tree):
+        for child, _ in cost.out[member]:
+            if child not in tree:
+                representative.setdefault(index[child], member)
+    arcs = [
+        (index[parent], index[child], price)
+        for parent in outside
+        for child, price in cost.out[parent]
+        if child not in tree
+    ]
+    arcs += [(super_idx, child, 1) for child in sorted(representative)]
     return outside, super_idx, vertex_weights, arcs, representative
 
 
@@ -597,18 +552,22 @@ def _pair_splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     An arc from a vertex of color ``a`` to one of color ``b`` joins a tree
     at its parent, whose colors hold ``a``, to one hanging below its child,
     whose colors hold ``b``; every other split has a ``_NEG`` side.  Entry
-    ``size - 2`` is ``(ends, place, masks)``: ``masks`` as in ``_splits``;
-    ``ends[a * r + b]`` is a ``(2, C(r - 2, size - 2), 2^(size - 2))``
-    array of the kept and the hanging part of each split of the sets that
-    hold ``a`` and ``b``, sets ascending, hanging parts holding ``b`` and
-    not ``a``; and ``place[a * r + b]`` gives each of those sets' index in
-    ``masks``.  A pair ``a == b`` joins nothing: its parts are the empty
-    set, where no tree is.
+    ``size - 2`` is ``(ends, place, masks)``: ``masks`` holds the sets of
+    ``size`` colors, ascending; ``ends[a * r + b]`` is a ``(2, C(r - 2,
+    size - 2), 2^(size - 2))`` array of the kept and the hanging part of
+    each split of the sets that hold ``a`` and ``b``, sets ascending,
+    hanging parts holding ``b`` and not ``a``; and ``place[a * r + b]``
+    gives each of those sets' index in ``masks``.  A pair ``a == b`` joins
+    nothing: its parts are the empty set, where no tree is.
     """
     colors = np.arange(r)
     other = ~np.eye(r, dtype=bool)
     levels = []
-    for masks, subs in _splits(r):
+    for size in range(2, r + 1):
+        masks = np.array([m for m in range(1 << r) if m.bit_count() == size], dtype=np.int64)
+        subs = np.arange((1 << r) - 2, 0, -1)  # nonempty proper submasks, largest first
+        keep = (subs & masks[:, None] == subs) & (subs < masks[:, None])
+        subs = np.broadcast_to(subs, keep.shape)[keep].reshape(len(masks), -1)
         held = (masks >> colors[:, None] & 1).astype(bool)  # (color, set)
         hung = (subs >> colors[:, None, None] & 1).astype(bool)  # (color, set, split)
         sets = held[:, None] & held & other[..., None]  # (a, b, set)
@@ -689,14 +648,6 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _sets_by_size(r: int) -> np.ndarray:
-    """Every set of ``r`` colors, in (size, value) order."""
-    order = np.array(sorted(range(1 << r), key=int.bit_count), dtype=np.int64)
-    order.flags.writeable = False  # cached, shared
-    return order
-
-
 def _first_join(table, arc_groups, v, mask, c, value=None):
     """First candidate in one coloring's ``table`` that builds ``(v, mask, c)``.
 
@@ -711,8 +662,8 @@ def _first_join(table, arc_groups, v, mask, c, value=None):
     at = np.searchsorted(tops, v)
     run = slice(starts[at], starts[at + 1] if at + 1 < len(starts) else len(ends))
     children, costs = ends[run, 1], shifted[run, 0, 0]
-    masks, subs = _splits(table.shape[1].bit_length() - 1)[mask.bit_count() - 2]
-    subs = subs[np.searchsorted(masks, mask)]
+    subs = np.arange(mask - 1, 0, -1)
+    subs = subs[subs & mask == subs]
     c1 = np.arange(c + 1)
     c2 = c - costs[:, None] - c1
     left = table[v, (mask ^ subs)[:, None, None], c1]
@@ -732,9 +683,10 @@ def _colorful_witness(table, arc_groups, root, r, tau) -> list[tuple[int, int]]:
     ``tau``; within it, the cost whose first joinable candidate comes first
     (ties to the lower cost); below that, every state takes its first
     candidate that attains its value.  ``arc_groups`` is ``_arc_groups`` of
-    the table's arcs.
+    the table's arcs.  Only sets of two or more colors are read: the root
+    alone must weigh less than ``tau``, and the empty set holds no tree.
     """
-    order = _sets_by_size(r)
+    order = np.concatenate([masks for *_, masks in _pair_splits(r)])
     mask = int(order[np.argmax((table[root, order] >= tau).any(axis=1))])
     reaching = np.flatnonzero(table[root, mask] >= tau)
     _, c = min((_first_join(table, arc_groups, root, mask, c)[0], c) for c in reaching)
@@ -791,23 +743,22 @@ def solve_fpt_colorcoding(
         return _current_support_no(problem)
 
     # sound refusals: a witness tree holds only voters within k_eff changes
-    # of the target, and k_eff redirections bring at most k_eff current
-    # subtrees from outside the target's tree
-    near = _reachable(build_cost_graph(election), problem.target, problem.k_eff)
+    # of the target, and k_eff redirections of such voters bring at most
+    # k_eff of their current subtrees from outside the target's tree
+    cost = build_cost_graph(election)
+    near = _reachable(cost, problem.target, problem.k_eff)
     if sum(election.weights[v] for v in near) < problem.tau:
         return _current_support_no(problem)
     forest = election.forest
     tree = set(forest.subtree_of(problem.target))
     outside_weights = sorted(
-        (forest.subtree_weight[v] for v in range(election.n) if v not in tree),
-        reverse=True,
+        (forest.subtree_weight[v] for v in near if v not in tree), reverse=True
     )
     if problem.base_support + sum(outside_weights[: problem.k_eff]) < problem.tau:
         return _current_support_no(problem)
 
-    outside, super_idx, wts, arcs, representative = _collapsed_graph(problem)
-    if not outside or not arcs:
-        return _current_support_no(problem)
+    # past the refusals, some tree member has an arc to an outsider in reach
+    outside, super_idx, wts, arcs, representative = _collapsed_graph(problem, cost, tree)
     if sum(wts) >= 1 << 61:
         raise ParameterTooLarge(
             f"total weight {sum(wts)} reaches 2^61, the bound of the int64 tables"

@@ -62,13 +62,14 @@ def test_uncapped_rows_count_all_subsets(seed):
     order = list(e.forest.order)
     weights = [e.weights[v] for v in order]
     sizes = [e.forest.subtree_size[v] for v in order]
-    rows = fill_table(weights, sizes)
+    total, bits = sum(weights), e.n + 2
+    rows = fill_table(weights, sizes, total, 0, start=1, cell_bits=bits)
     for j, row in enumerate(rows):
-        assert sum(_cells(row, e.n + 2)) == 1 << j
+        assert sum(_cells(row, bits)) == 1 << j
     # with a slot wider than any count, sizes stay apart: (1 + y)**j
     slot_bits = e.n + 2
     y = 1 << slot_bits
-    rows = fill_table(weights, sizes, slot_bits=slot_bits)
+    rows = fill_table(weights, sizes, total, slot_bits, start=[1], cell_bits=bits)
     for j, row in enumerate(rows):
         assert sum(row) == (1 + y) ** j
 
@@ -84,14 +85,18 @@ def test_a_fill_continued_from_a_start_row_equals_one_fill(seed):
     # split between whole trees, so both parts are runs of whole blocks
     ends = [p + 1 for p, v in enumerate(order) if e.forest.guru[v] == v]
     split = rng.choice([0] + ends)
-    cap = rng.choice([None, rng.randint(0, sum(weights))])
+    total = sum(weights)  # the cap of an uncapped fill
+    cap = rng.choice([total, rng.randint(0, total)])
     slot_bits = rng.choice([0, e.n + 2])
     cell_bits = e.n + 2  # the packed rows' width, for every part
-    head = fill_table(weights[:split], sizes[:split], cap, slot_bits, cell_bits=cell_bits)[-1]
+    empty = [1] if slot_bits else 1
+    head = fill_table(
+        weights[:split], sizes[:split], cap, slot_bits, start=empty, cell_bits=cell_bits
+    )[-1]
     tail = fill_table(
         weights[split:], sizes[split:], cap, slot_bits, start=head, cell_bits=cell_bits
     )
-    whole = fill_table(weights, sizes, cap, slot_bits, cell_bits=cell_bits)
+    whole = fill_table(weights, sizes, cap, slot_bits, start=empty, cell_bits=cell_bits)
     assert tail == whole[split:]
 
 
@@ -105,22 +110,18 @@ def test_packed_rows_are_the_sized_rows_at_y_equal_1(seed):
     sizes = [e.forest.subtree_size[v] for v in order]
     ends = [p + 1 for p, v in enumerate(order) if e.forest.guru[v] == v]
     split = rng.choice([0] + ends)
-    cap = rng.choice([None, rng.randint(0, sum(weights))])
+    total = sum(weights)  # the cap of an uncapped fill
+    cap = rng.choice([total, rng.randint(0, total)])
     bits = e.n + 2  # both the sized rows' slots and the packed rows' cells
-    sized = fill_table(weights[:split], sizes[:split], cap, bits)[-1]
-    sized = fill_table(weights[split:], sizes[split:], cap, bits, start=sized)
-    packed = fill_table(weights[:split], sizes[:split], cap, cell_bits=bits)[-1]
-    packed = fill_table(weights[split:], sizes[split:], cap, start=packed, cell_bits=bits)
+    sized = fill_table(weights[:split], sizes[:split], cap, bits, start=[1], cell_bits=bits)[-1]
+    sized = fill_table(weights[split:], sizes[split:], cap, bits, start=sized, cell_bits=bits)
+    packed = fill_table(weights[:split], sizes[:split], cap, 0, start=1, cell_bits=bits)[-1]
+    packed = fill_table(weights[split:], sizes[split:], cap, 0, start=packed, cell_bits=bits)
     assert len(packed) == len(sized)
     for packed_row, sized_row in zip(packed, sized):
         at_one = [sum(_cells(cell, bits)) for cell in sized_row]
         cells = _cells(packed_row, bits)
         assert cells + [0] * (len(at_one) - len(cells)) == at_one
-
-
-def test_a_packed_start_row_needs_its_cell_width():
-    with pytest.raises(ValueError, match="cell_bits"):
-        fill_table([1], [1], start=1)
 
 
 def test_eight_voter_reference_values_via_tables():

@@ -767,11 +767,15 @@ def test_colorcoding_scores_colorings_in_doubling_batches(monkeypatch):
         return fill(colorings, *args)
 
     monkeypatch.setattr(weightmax, "_colorful_tables", counting)
-    # four unit voters can each join the target, but one change brings in
-    # one of them; the isolated heavy voter passes the subtree refusal
-    network = SocialNetwork.from_arcs(6, [(1, 0), (2, 0), (3, 0), (4, 0)])
-    election = validate(network, (1, 1, 1, 1, 1, 6), DelegationProfile.all_self(6), 1)
-    problem = WeightMaxProblem(election, 0, 1, 5)
+    # the target delegates to voter 1, so one of two changes makes it vote
+    # and one more brings in one unit voter: support 4 of 7, though voter
+    # 1's current subtree, which holds the target (weight 4), passes the
+    # subtree refusal
+    network = SocialNetwork.from_arcs(5, [(0, 1), (1, 0), (2, 0), (3, 0), (4, 0)])
+    profile = DelegationProfile((1, SELF, SELF, SELF, SELF))
+    election = validate(network, (3, 1, 1, 1, 1), profile, 1)
+    problem = WeightMaxProblem(election, 0, 2, 7)
+    assert not wmaxp_exact(problem).decision and wmaxp_exact(problem).support == 4
     assert not solve_fpt_colorcoding(problem, delta=0.01).decision
     r = problem.req + 1
     assert sum(sizes) == ceil(exp(r) * log(1 / 0.01)) == 684
@@ -1068,6 +1072,33 @@ def test_rooted_tree_cost_matches_brute_force():
                 u = parents[u]
         solved += 1
     assert solved >= 100
+
+
+def test_rooted_tree_tie_breaks_are_pinned():
+    # xp's and vbamw's witnesses follow the arborescence's choice among
+    # equal-cost trees and vbamw its dict order: the first cheapest in-arc
+    # in arc-list order, contracted arcs in the order of their originals
+    from liquidpower.weightmax import min_cost_root_arborescence
+
+    rng = random.Random(13_102)
+    rows = []
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        arcs = [
+            (p, c, rng.choice((0, 1, 1, 2)))
+            for p in range(n)
+            for c in range(n)
+            if p != c and rng.random() < 0.5
+        ]
+        rng.shuffle(arcs)
+        root = rng.randrange(n)
+        got = min_cost_root_arborescence(range(n), root, arcs)
+        if got is not None:
+            parents, cost = got
+            rows.append((list(parents.items()), cost))
+    assert len(rows) == 304
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "500c357179f698e0c3cee269bf052fdfd441d98b356ac541fd90b0f2679badd9"
 
 
 def test_rooted_tree_on_a_once_misbehaving_graph():
