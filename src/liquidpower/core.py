@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -40,7 +40,8 @@ class SocialNetwork:
     """A directed graph over voters; arcs are the permitted delegations.
 
     ``out_neighbors[i]`` lists the voters that voter ``i`` may delegate to,
-    sorted ascending, duplicate-free, never containing ``i`` itself.
+    sorted ascending, duplicate-free, never containing ``i`` itself; a row
+    that breaks this rule is refused with ``ValueError``.
     """
 
     out_neighbors: tuple[tuple[int, ...], ...]
@@ -48,11 +49,11 @@ class SocialNetwork:
     def __post_init__(self):
         n = len(self.out_neighbors)
         for i, row in enumerate(self.out_neighbors):
-            seen = set()
-            for j in row:
-                if not (0 <= j < n) or j == i or j in seen:
-                    raise ValueError(f"malformed out-neighbor list for voter {i}: {row}")
-                seen.add(j)
+            # strictly ascending rules out duplicates; the ends bound the rest
+            if row and not (
+                row[0] >= 0 and row[-1] < n and i not in row and all(map(operator.lt, row, row[1:]))
+            ):
+                raise ValueError(f"malformed out-neighbor list for voter {i}: {row}")
 
     @property
     def n(self) -> int:
@@ -290,11 +291,36 @@ def build_forest(profile: DelegationProfile, weights: Sequence[int]) -> Delegati
 
 @dataclass(frozen=True)
 class PartialElection:
-    """An election without a quota: network, positive weights, acyclic profile."""
+    """An election without a quota: network, positive weights, acyclic profile.
+
+    Checked when built, in order: sizes, weight positivity, every delegation
+    follows a network arc, and acyclicity.  The forest that proves
+    acyclicity is kept as ``forest``.
+    """
 
     network: SocialNetwork
     weights: tuple[int, ...]
     profile: DelegationProfile
+    forest: DelegationForest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        network, weights, profile = self.network, tuple(self.weights), self.profile
+        n = network.n
+        if len(weights) != n or profile.n != n:
+            raise ValueError(
+                f"size mismatch: network has {n} voters, "
+                f"{len(weights)} weights, profile of size {profile.n}"
+            )
+        for i, w in enumerate(weights):
+            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
+                raise NonPositiveWeight(
+                    f"voter {i} has weight {w!r}; weights must be positive integers"
+                )
+        for i, c in enumerate(profile.choices):
+            if c is not SELF and not network.has_arc(i, c):
+                raise ArcNotInNetwork(i, c)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "forest", build_forest(profile, weights))
 
     @property
     def n(self) -> int:
@@ -304,18 +330,9 @@ class PartialElection:
     def total_weight(self) -> int:
         return sum(self.weights)
 
-    @cached_property
-    def forest(self) -> DelegationForest:
-        return build_forest(self.profile, self.weights)
-
     def with_profile(self, profile: DelegationProfile):
-        """Same election under a different delegation profile (revalidated)."""
-        return validate(
-            self.network,
-            self.weights,
-            profile,
-            getattr(self, "quota", None),
-        )
+        """Same election under a different delegation profile (checked anew)."""
+        return replace(self, profile=profile)
 
 
 @dataclass(frozen=True)
@@ -324,10 +341,17 @@ class LiquidElection(PartialElection):
 
     A coalition wins when the weight of its *active* members reaches the
     quota; a member is active when its entire delegation chain lies inside
-    the coalition.
+    the coalition.  The quota is checked after the checks of
+    :class:`PartialElection`.
     """
 
     quota: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        quota, total = self.quota, self.total_weight
+        if not isinstance(quota, int) or isinstance(quota, bool) or not 1 <= quota <= total:
+            raise QuotaOutOfRange(f"quota {quota!r} outside [1, {total}]")
 
     def value_of(self, coalition_mask: int) -> int:
         """Characteristic value of the coalition given as a bitmask."""
@@ -357,34 +381,16 @@ def validate(
     profile: DelegationProfile,
     quota: int | None = None,
 ) -> LiquidElection | PartialElection:
-    """Validate the pieces of an election and assemble it.
+    """Assemble an election from its pieces, which check themselves.
 
-    Checks, in order: weight positivity, every delegation follows a network
-    arc, acyclicity, and (when a quota is given) ``1 <= quota <= total``.
-    Returns a :class:`LiquidElection` when ``quota`` is given, otherwise a
-    :class:`PartialElection`.
+    Checks, in order: sizes, weight positivity, every delegation follows a
+    network arc, acyclicity, and (when a quota is given)
+    ``1 <= quota <= total``.  Returns a :class:`LiquidElection` when
+    ``quota`` is given, otherwise a :class:`PartialElection`.
     """
-    n = network.n
-    if len(weights) != n or profile.n != n:
-        raise ValueError(
-            f"size mismatch: network has {n} voters, "
-            f"{len(weights)} weights, profile of size {profile.n}"
-        )
-    for i, w in enumerate(weights):
-        if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
-            raise NonPositiveWeight(f"voter {i} has weight {w!r}; weights must be positive integers")
-    for i, c in enumerate(profile.choices):
-        if c is not SELF and not network.has_arc(i, c):
-            raise ArcNotInNetwork(i, c)
-    cycle = find_delegation_cycle(profile.choices)
-    if cycle is not None:
-        raise CycleInDelegations(cycle)
     if quota is None:
-        return PartialElection(network, tuple(weights), profile)
-    total = sum(weights)
-    if not isinstance(quota, int) or isinstance(quota, bool) or not 1 <= quota <= total:
-        raise QuotaOutOfRange(f"quota {quota!r} outside [1, {total}]")
-    return LiquidElection(network, tuple(weights), profile, quota)
+        return PartialElection(network, weights, profile)
+    return LiquidElection(network, weights, profile, quota)
 
 
 def apply_changes(
@@ -409,9 +415,7 @@ def apply_changes(
                 raise ArcNotInNetwork(voter, choice)
         updated[voter] = choice
     new_profile = DelegationProfile(tuple(updated))
-    cycle = find_delegation_cycle(new_profile.choices)
-    if cycle is not None:
-        raise CycleInDelegations(cycle)
+    build_forest(new_profile, (1,) * profile.n)  # raises on a cycle
     return new_profile, len(profile.changed_voters(new_profile))
 
 
@@ -504,9 +508,7 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
         raise ValueError("'delegations' must be an object")
     if not set(map(type, chain.from_iterable(arcs))) <= {int}:
         raise ValueError("'arcs' must hold pairs of integer voter ids")
-    network = SocialNetwork.from_arcs(
-        n, [(a - 1, b - 1) for a, b in (tuple(arc) for arc in arcs)]
-    )
+    network = SocialNetwork.from_arcs(n, ((a - 1, b - 1) for a, b in arcs))
     choices: list[Choice] = [SELF] * n
     for key, target in delegations.items():
         voter = decimal_id(key)

@@ -419,9 +419,6 @@ def _exclusion_sets(others, weights, req_bar: int):
     weigh exactly ``w`` (every weight is at least 1, so ``s <= w``), and the
     walk descends only into choices that it says complete a set.
     """
-    if req_bar == 0:  # full support: the empty set is the only one
-        yield ()
-        return
     span = range(req_bar + 1)
     ways = [[[int(w == s == 0) for s in span] for w in span]]
     for v in reversed(others):
@@ -739,8 +736,6 @@ def solve_fpt_colorcoding(
     election = problem.election
     if problem.req <= 0:
         return _outcome(problem, {})
-    if problem.k_eff == 0:
-        return _current_support_no(problem)
 
     # sound refusals: a witness tree holds only voters within k_eff changes
     # of the target, and k_eff redirections of such voters bring at most
@@ -865,12 +860,8 @@ def vbamw(problem: WeightMaxProblem, epsilon) -> WeightMaxOutcome:
     election = problem.election
     target = problem.target
     budget = problem.k_eff
-    if budget == 0:
-        return _outcome(problem, {})
     cost = build_cost_graph(election)
     reachable = _reachable(cost, target, budget)
-    if len(reachable) == 1:  # nobody can attach within the budget
-        return _outcome(problem, {})
     result = min_cost_root_arborescence(reachable, target, cost.arcs())
     if result is None:  # the BFS construction prevents this
         raise NoSpanningArborescence("no tree spans the budget-reachable voters")

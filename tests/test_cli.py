@@ -3,10 +3,12 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -181,6 +183,52 @@ def test_bribe_greedy_refuses_minimization(capsys, fixture_path):
     )
     assert code == 1
     assert "maximizes" in doc["error"]["message"]
+
+
+def _refusal(capsys, argv) -> dict:
+    """The error of a refused run: exit 1, one JSON document, no traceback."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out)["error"]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--threshold", "abc"], "not a rational number: 'abc'"),
+        (["--threshold", "1/2", "--target", "0"], "voter id 0 out of range 1..8"),
+        (["--threshold", "1/2", "--target", "9"], "voter id 9 out of range 1..8"),
+        ([], "--threshold is required with --method exact"),
+    ],
+)
+def test_bribe_refuses_bad_arguments(capsys, fixture_path, options, message):
+    argv = ["bribe", fixture_path, "--target", "8", "--budget", "1", *options]
+    error = _refusal(capsys, argv)
+    assert error == {"type": "CliError", "message": message}
+
+
+def test_index_both_reports_a_method_divergence(capsys, monkeypatch, fixture_path):
+    real = cli.all_indices_dp
+
+    def skewed(election, kind):  # one wrong value: voter 6's
+        values = list(real(election, kind).values)
+        values[5] += Fraction(1, 1024)
+        return SimpleNamespace(values=values)
+
+    monkeypatch.setattr(cli, "all_indices_dp", skewed)
+    error = _refusal(capsys, ["index", fixture_path, "--method", "both"])
+    assert error["type"] == "CliError"
+    assert error["message"].startswith("method divergence for voter 6: dp=")
+
+
+def test_pretty_renders_a_list_of_skipped_redirects(capsys, fixture_path):
+    # the only other root, voter 8, has no arc to voter 3: gamw skips it
+    argv = ["bribe", fixture_path, "--target", "3", "--budget", "1", "--method", "gamw"]
+    code, out = _run(capsys, [*argv, "--pretty"])
+    assert code == 0
+    assert re.search(r"^results\.skipped_redirects +\[\[8, 3\]\]$", out, re.MULTILINE)
 
 
 def test_weightmax_no_decision_still_exits_zero(capsys, fixture_path):

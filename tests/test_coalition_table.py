@@ -126,6 +126,9 @@ def test_table_size_guard():
     n = TABLE_LIMIT + 1
     with pytest.raises(InstanceTooLargeForEnumeration):
         coalition_weight_table(_masks([(None,) * n]), (1,) * n)
+    # an int64 chain mask holds 63 voters
+    with pytest.raises(InstanceTooLargeForEnumeration, match="64 voters exceed the 63 bits"):
+        chain_masks([list(range(64))])
 
 
 def test_table_weight_overflow_guard():

@@ -2,16 +2,18 @@ import json
 import random
 import re
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liquidpower import bribery, dp, exact
+from liquidpower import bribery, core, dp, exact
 from liquidpower.core import (
     SELF,
     DelegationProfile,
     LiquidElection,
+    PartialElection,
     SocialNetwork,
     apply_changes,
     build_forest,
@@ -64,6 +66,41 @@ def test_cycle_detection_reports_the_cycle():
         assert sorted(err.value.cycle) == cycle
 
 
+@pytest.mark.parametrize("build", ["validate", "json", "constructor"])
+def test_a_cyclic_profile_on_network_arcs_is_refused_naming_its_cycle(build):
+    network = SocialNetwork.complete(4)
+    profile = DelegationProfile((1, 2, 0, SELF))
+    message = re.escape("delegations contain a cycle: 0 -> 1 -> 2") + "$"
+    with pytest.raises(CycleInDelegations, match=message) as err:
+        if build == "validate":
+            validate(network, (1,) * 4, profile, 2)
+        elif build == "json":
+            doc = {"n": 4, "weights": [1] * 4, "arcs": [[a + 1, b + 1] for a, b in network.arcs()]}
+            election_from_json({**doc, "delegations": {"1": 2, "2": 3, "3": 1}, "quota": 2})
+        else:
+            LiquidElection(network, (1,) * 4, profile, 2)
+    assert err.value.cycle == [0, 1, 2]
+
+
+def test_an_election_proves_acyclicity_with_one_walk(monkeypatch):
+    # the forest an election keeps is its only acyclicity proof: the cycle
+    # finder runs only to name the cycle of a cyclic profile
+    assert [f.name for f in fields(LiquidElection) if not f.init] == ["forest"]
+
+    def fail(choices):
+        raise AssertionError("find_delegation_cycle ran on an acyclic profile")
+
+    monkeypatch.setattr(core, "find_delegation_cycle", fail)
+    e = election_from_json(election_to_json(eight_voter_election()))
+    new_profile, changed = apply_changes(e.profile, {5: SELF}, e.network)
+    assert changed == 1
+    bribed = e.with_profile(new_profile)
+    assert bribed.quota == e.quota and bribed.forest.gurus == (2, 5, 7)
+    monkeypatch.undo()
+    with pytest.raises(CycleInDelegations, match=re.escape("cycle: 4 -> 5") + "$"):
+        e.with_profile(e.profile.with_choice(5, 4))
+
+
 def _traced_forest(network, profile):
     """The forest of a unit-weight election, and the tracemalloc peak of
     validating it and building the forest."""
@@ -96,6 +133,33 @@ def test_deep_chain_and_wide_star_forests_stay_small():
     assert forest.subtree_size[0] == n
     assert forest.subtree_size[1:] == (1,) * (n - 1)
     assert forest.delegators[0] == tuple(range(1, n))
+
+
+@pytest.mark.parametrize(
+    "rows, voter",
+    [
+        (((2, 1), (), (1,)), 0),  # unsorted
+        (((1, 1), ()), 0),  # duplicated
+        (((0,),), 0),  # a self-loop
+        (((), (0, 1)), 1),  # a self-loop past the ends' checks
+        (((2,), ()), 0),  # past the last voter
+        (((-1,), ()), 0),  # before the first voter
+    ],
+)
+def test_malformed_network_rows_are_refused(rows, voter):
+    message = f"malformed out-neighbor list for voter {voter}: {rows[voter]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SocialNetwork(rows)
+
+
+def test_network_and_profile_sizes_are_checked():
+    with pytest.raises(ValueError, match=re.escape("arc (0, 2) out of range for n=2")):
+        SocialNetwork.from_arcs(2, [(0, 2)])
+    assert SocialNetwork.from_arcs(3, [(2, 1), (0, 2), (0, 1), (0, 2)]).out_neighbors == (
+        (1, 2), (), (1,),
+    )
+    with pytest.raises(ValueError, match="profiles have different sizes"):
+        DelegationProfile.all_self(2).changed_voters(DelegationProfile.all_self(3))
 
 
 def test_self_loop_free_cycle_finder():
@@ -139,6 +203,34 @@ def test_validate_rejects_bad_weights_and_quota():
             validate(network, (1, 1), profile, bad_quota)
     assert isinstance(validate(network, (1, 1), profile, 2), LiquidElection)
     assert isinstance(validate(network, (1, 1), profile, 1), LiquidElection)
+    assert type(validate(network, [1, 1], profile)) is PartialElection
+    message = "size mismatch: network has 2 voters, 3 weights, profile of size 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        validate(network, (1, 1, 1), profile, 2)
+    # the constructors run the same checks: none builds an election unchecked
+    with pytest.raises(QuotaOutOfRange, match=re.escape("quota 5 outside [1, 2]")):
+        LiquidElection(network, (1, 1), profile, 5)
+    with pytest.raises(ArcNotInNetwork):
+        LiquidElection(network, (1, 1), DelegationProfile((1, SELF)), 1)
+    assert LiquidElection(network, [1, 1], profile, 2).weights == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "weights, choices, quota, error",
+    [
+        ((0, 1, 1), (1, 0), 9, ValueError),  # sizes first
+        ((0, 1, 1), (2, SELF, SELF), 9, NonPositiveWeight),  # then weights
+        ((1, 1, 1), (2, 0, 1), 9, ArcNotInNetwork),  # then arcs
+        ((1, 1, 1), (1, 0, SELF), 9, CycleInDelegations),  # then cycles
+        ((1, 1, 1), (1, SELF, SELF), 9, QuotaOutOfRange),  # the quota last
+    ],
+)
+def test_election_checks_run_in_order(weights, choices, quota, error):
+    network = SocialNetwork.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+    with pytest.raises(error):
+        validate(network, weights, DelegationProfile(choices), quota)
+    with pytest.raises(error):
+        LiquidElection(network, weights, DelegationProfile(choices), quota)
 
 
 def test_apply_changes_counts_real_changes_only():
@@ -156,8 +248,19 @@ def test_apply_changes_counts_real_changes_only():
     assert c2 == 1 and p2.choices[0] == 7
 
     # 4 already delegates to 5; the reverse arc exists and would close a loop
-    with pytest.raises(CycleInDelegations):
+    with pytest.raises(CycleInDelegations, match=re.escape("cycle: 4 -> 5")):
         apply_changes(e.profile, {5: 4}, e.network)
+    # range first, then arcs, then cycles
+    for changes, message in (
+        ({8: SELF}, "voter 8 out of range"),
+        ({-1: 2}, "voter -1 out of range"),
+        ({0: 8}, "delegation target 8 out of range"),
+        ({5: 4, 0: -1}, "delegation target -1 out of range"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_changes(e.profile, changes, e.network)
+    with pytest.raises(ArcNotInNetwork):
+        apply_changes(e.profile, {5: 4, 0: 7}, e.network)
 
 
 def test_json_roundtrip_and_digest():
@@ -181,6 +284,8 @@ def test_json_rejects_malformed_documents():
         election_from_json({"n": 0, "weights": [], "arcs": []})
     with pytest.raises(ValueError):
         election_from_json('{"weights": [1], "arcs": []}')
+    with pytest.raises(ValueError, match="instance document must be a JSON object"):
+        election_from_json("[1, 2]")
 
 
 @pytest.mark.parametrize("key", ["1_0", " +1 ", "+1", "01", "\u0661", "", "-1", "1.0"])

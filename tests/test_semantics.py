@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,16 +94,23 @@ def test_compose_rejects_incompatible_overlaps():
     e1 = _pair_election((SELF, 0, SELF), (1, 2, 1), 3)
     # weight mismatch on the shared voter
     e2 = _pair_election((SELF, SELF), (5, 1), 4)
-    with pytest.raises(IncompatibleOverlap):
-        compose(e1, e2, "and", {0: 0})
     # one delegates, the other does not
-    e3 = _pair_election((1, SELF), (2, 1), 2, arcs=[(0, 1)])
-    with pytest.raises(IncompatibleOverlap):
-        compose(e1, e3, "or", {0: 0})
+    e3 = _pair_election((1, SELF), (1, 2), 2, arcs=[(0, 1)])
     # both delegate, but the target is not shared
-    e4 = _pair_election((1, SELF, SELF), (1, 2, 1), 3, arcs=[(0, 1)])
-    with pytest.raises(IncompatibleOverlap):
-        compose(e1, e4, "and", {1: 0})
+    e4 = _pair_election((1, SELF, SELF), (2, 1, 1), 3, arcs=[(0, 1)])
+    for part_two, mode, shared, message in (
+        (e1, "xor", {}, "mode must be 'and' or 'or', got 'xor'"),
+        (e1, "and", [(0, 0), (0, 2)], "a part-one voter is shared twice"),
+        (e1, "or", [(0, 0), (2, 0)], "a part-two voter is shared twice"),
+        (e1, "and", {0: 3}, "shared pair (0, 3) out of range"),
+        (e1, "and", {-1: 0}, "shared pair (-1, 0) out of range"),
+        (e2, "and", {0: 0}, "shared voter (0, 0) has weights 1 != 5"),
+        (e3, "or", {0: 0}, "shared voter (0, 0) disagrees on delegating"),
+        (e4, "and", {1: 0}, "shared voter (1, 0) delegates outside the shared set"),
+    ):
+        error = ValueError if mode == "xor" else IncompatibleOverlap
+        with pytest.raises(error, match=re.escape(message)):
+            compose(e1, part_two, mode, shared)
 
 
 def test_composed_value_follows_both_parts():
