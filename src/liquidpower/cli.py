@@ -39,7 +39,7 @@ from .core import (
     instance_digest,
 )
 from .dp import all_indices_dp, banzhaf_dp, shapley_dp
-from .errors import LiquidPowerError
+from .errors import ArcNotInNetwork, CycleInDelegations, LiquidPowerError
 from .exact import MeasureKind, all_indices_exact, power_index
 
 DEFAULT_SEED = 1729
@@ -377,6 +377,15 @@ def _emit(doc: dict, pretty: bool) -> None:
         sys.stdout.write("\n")
 
 
+def _error_message(exc: Exception) -> str:
+    """The message of ``exc``, with the voter ids it names 1-based."""
+    if isinstance(exc, CycleInDelegations):
+        exc = CycleInDelegations(v + 1 for v in exc.cycle)
+    elif isinstance(exc, ArcNotInNetwork):
+        exc = ArcNotInNetwork(exc.source + 1, exc.target + 1)
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
@@ -386,7 +395,7 @@ def main(argv=None) -> int:
     except (LiquidPowerError, ValueError, OSError) as exc:
         error_doc = {
             "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "error": {"type": type(exc).__name__, "message": _error_message(exc)},
         }
         _emit(error_doc, args.pretty)
         return 1

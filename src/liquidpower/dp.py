@@ -67,11 +67,42 @@ block size x depth, the walk's fill steps (Uno, ISAAC 2012).  On criterion
 by count takes 1,185.  A node's own complement table is the leave-one-out
 row of an empty extra member after its children, so the same tree yields
 it.  A leaf has ``t = 1`` and no children: its swing count is the sum of
-its outside row's cells above ``rq(u) - w_u - 1``, with no complement
+its outside row once floored (see "Windows" below), with no complement
 table.  A single voter's query walks its chain only, filling each level's
-siblings in one run.  The weights are first divided by their gcd ``g``
-and the quota becomes ``ceil(quota / g)``, which changes no coalition's
+siblings in one run.  The weights are first divided by their gcd ``g`` and
+the quota becomes ``ceil(quota / g)``, which changes no coalition's
 outcome.
+
+Windows.  Every row carries a base weight, the settled weight of its cell
+0, and drops the cells below the lowest weight that a voter still to be
+reached from it can swing from (``row >> k * c`` packed, ``row[k:]`` as a
+list); a fill then runs over about the weight of the blocks still to come,
+not the whole reduced quota.  ``u`` with its whole subtree adds at most
+``acc(u)``, its subtree weight, so ``u``'s outside row is floored at
+``L(u) = rq(u) - acc(u)``.  That is exact:
+
+* *Own swings.*  An outside cell of weight ``x < L(u)`` has
+  ``x + w_u + settled(D) < rq(u)`` for every subset ``D`` of ``u``'s
+  delegators, so it adds ``(1+y)**(t-1)`` to both terms of ``u``'s
+  complement count and they cancel.  A leaf's floored row is exactly its
+  window ``[rq - w_u, rq - 1]``, so its swing count is the row's sum.
+* *Descendants.*  A child ``v`` of ``u`` has ``L(v) = rq(u) - w_u -
+  acc(v)``, and the sibling blocks filled into ``v``'s row weigh at most
+  ``acc(u) - w_u - acc(v)``: only cells of ``u``'s row at or above ``L(u)``
+  reach ``v``'s window.  By induction the same holds for every voter
+  further down.
+
+At a pair of the leave-one-out tree, half A's row is the shared row filled
+with half B's blocks, and A's members later get A's own other blocks too.
+So A's row keeps the cells from ``rq - W_A - x_A`` up, where ``W_A`` is the
+weight of A's blocks and ``x_A`` is ``acc(u) - w_u`` when A holds the
+complement member ``~u`` (whose row must keep ``u``'s window), else 0: the
+shared row is floored at ``rq - W_A - x_A - W_B`` before the fill and the
+result at ``rq - W_A - x_A`` after it.  Flooring a group at its members'
+own floors instead, without ``W_A``, drops cells that A's blocks would
+still lift into a member's window.  On criterion 10's 120-voter game the
+windows halve the cells the walk fills (220,217 -> 107,281); at the
+unanimity quota of a unit chain every window is the whole row.
 """
 
 from __future__ import annotations
@@ -110,10 +141,12 @@ def fill_table(
     whose cell ``w`` is bits ``[w * cell_bits, (w + 1) * cell_bits)``; the
     cells must stay below ``2**cell_bits``.  ``start`` is ``F[0]`` (the
     empty subset is ``[1]``, or ``1`` packed), so a fill can continue from
-    an earlier one; the blocks must be whole subtrees.  Entries with settled
-    weight above ``weight_cap`` are dropped — sound as long as callers only
-    read weights up to the cap, since weight only accumulates along the
-    recurrence.  From the empty subset with a cap of at least the total
+    an earlier one; the blocks must be whole subtrees.  Cell 0 of ``start``
+    may stand for any base weight (the recurrence only adds weight), and
+    ``weight_cap`` and every row's cells are then counted from that base.
+    Entries with settled weight above ``weight_cap`` are dropped — sound as
+    long as callers only read weights up to the cap, since weight only
+    accumulates along the recurrence.  From the empty subset with a cap of at least the total
     weight, the table is complete and each row ``j`` sums to ``(1 + y)**j``.
     """
     m = len(weights_seq)
@@ -165,7 +198,10 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
     Slot ``e`` (of ``slot_bits`` bits) counts the swing coalitions that
     leave out ``e`` of the other voters; with ``slot_bits=0`` each entry is
     the total.  Entries the walk does not reach (dummies, and every voter
-    but ``target`` when one is given) are 0.
+    but ``target`` when one is given) are 0.  Every row carries a base
+    weight, the settled weight of its cell 0, and holds no cell below the
+    lowest weight a voter it still reaches can swing from (see "Windows" in
+    the module docs).
     """
     forest = election.forest
     n = election.n
@@ -185,6 +221,7 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
     # voter n is the virtual root: weight 0, the gurus as children, and a
     # block that spans the whole layout plus its own position
     weight = [w // g for w in election.weights] + [0]
+    acc = [w // g for w in forest.subtree_weight] + [sum(weight)]
     size = list(forest.subtree_size) + [n + 1]
     children = list(forest.delegators) + [forest.gurus]
     end = list(forest.end) + [n + 1]  # v's block is order[end[v] - size[v] : end[v]]
@@ -207,8 +244,8 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         def cut(row, cap: int):
             return row[: cap + 1]
 
-        def above(row, cap: int):
-            return row[cap + 1 :]
+        def drop(row, k: int):
+            return row[k:]
 
     else:
         empty = 1
@@ -219,8 +256,14 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         def cut(row, cap: int):
             return row & (1 << (cap + 1) * c) - 1
 
-        def above(row: int, cap: int) -> int:
-            return row >> (cap + 1) * c
+        def drop(row: int, k: int) -> int:
+            return row >> k * c
+
+    def floor(row, base: int, lo: int):
+        """The row without its cells below weight ``lo``, and its base."""
+        if lo <= base:
+            return row, base
+        return drop(row, lo - base), lo
 
     def fill(ranges: list[tuple[int, int]], row, cap: int):
         ws: list[int] = []
@@ -241,43 +284,56 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         return pads[t]
 
     def pair_up(members: list[int]):
-        """The members as a tree of ``(ranges_a, a, ranges_b, b)`` pairs, a
-        member at each leaf: blocks merged in Huffman order, two lightest
-        first, ties by first appearance (see the module docs)."""
+        """The members as a tree of pairs, a member at each leaf: blocks
+        merged in Huffman order, two lightest first, ties by first
+        appearance (see the module docs).  A pair holds two halves, each
+        ``(ranges, node, blocks, keep)``: the half's block ranges, its
+        member or pair, their weight, and how far below the reduced quota
+        its row must reach (``blocks``, plus ``acc(u) - w_u`` if it holds
+        ``~u``; see "Windows" in the module docs)."""
         if len(members) == 1:
             return members[0]
         groups = []
         for i, m in enumerate(members):
             lo, hi = span(m)
-            groups.append((hi - lo, i, [(lo, hi)], m))
+            # ~u's block is empty, but its row must keep u's window
+            blocks, keep = (acc[m], acc[m]) if m >= 0 else (0, acc[~m] - weight[~m])
+            groups.append((hi - lo, i, [(lo, hi)], m, blocks, keep))
         if len(groups) > 2:  # two groups merge in either order: no heap needed
             heapify(groups)
         for key in range(len(groups), 2 * len(groups) - 1):
-            size_a, _, ranges_a, a = heappop(groups)
-            size_b, _, ranges_b, b = heappop(groups)
-            pair = (ranges_a, a, ranges_b, b)
-            heappush(groups, (size_a + size_b, key, ranges_a + ranges_b, pair))
+            size_a, _, ranges_a, a, blocks_a, keep_a = heappop(groups)
+            size_b, _, ranges_b, b, blocks_b, keep_b = heappop(groups)
+            pair = ((ranges_a, a, blocks_a, keep_a), (ranges_b, b, blocks_b, keep_b))
+            merged = (ranges_a + ranges_b, pair, blocks_a + blocks_b, keep_a + keep_b)
+            heappush(groups, (size_a + size_b, key, *merged))
         return groups[0][3]
 
     swings = [0] * n
     outside_total = [0] * n
-    # (node, row, rq): a ``pair_up`` tree of siblings (or a parent's empty
-    # extra member) sharing the outside row ``row`` and the reduced quota
-    # ``rq``, capped at rq - 1; each half of a pair gets the row filled with
-    # the other half's blocks
-    stack: list[tuple] = [(n, empty, quota)]
+    # (node, row, rq, base): a ``pair_up`` tree of siblings (or a parent's
+    # empty extra member) sharing the outside row ``row`` and the reduced
+    # quota ``rq``, with cells from weight ``base`` up to rq - 1; each half
+    # of a pair gets the row filled with the other half's blocks
+    stack: list[tuple] = [(n, empty, quota, 0)]
     while stack:
-        node, row, rq = stack.pop()
+        node, row, rq, base = stack.pop()
         if type(node) is tuple:
-            ranges_a, a, ranges_b, b = node
-            stack.append((a, fill(ranges_b, row, rq - 1), rq))
-            stack.append((b, fill(ranges_a, row, rq - 1), rq))
+            for this, other in (node, node[::-1]):
+                _, half, _, keep = this
+                ranges, _, blocks, _ = other
+                # drop the cells the other half's blocks cannot lift to rq - keep
+                start, at = floor(row, base, rq - keep - blocks)
+                start, at = floor(fill(ranges, start, rq - 1 - at), at, rq - keep)
+                stack.append((half, start, rq, at))
             continue
         u = node
         if u < 0:  # the complement table of ~u: every child's block filled in
             u = ~u
             swings[u] = outside_total[u] * pad(u) - row_sum(row)
             continue
+        # u's whole subtree lifts no coalition lighter than rq - acc[u] to rq
+        row, base = floor(row, base, rq - acc[u])
         cap = rq - weight[u] - 1
         wanted = u == target or (target is None and u < n)
         if cap < 0:
@@ -285,13 +341,13 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
                 swings[u] = row_sum(row) * pad(u)
             continue
         if wanted and size[u] == 1:
-            # a leaf (t = 1, pad 1) swings the outside coalitions its own
-            # weight lifts from below rq - w_u to rq or more
-            swings[u] = row_sum(above(row, cap))
+            # a leaf's row is its window [rq - w_u, rq - 1]: u's own weight
+            # lifts every coalition there to rq or more
+            swings[u] = row_sum(row)
             continue
         if wanted:
             outside_total[u] = row_sum(row)
-        row = cut(row, cap)
+        row = cut(row, cap - base)
         kids = children[u]
         first, last = end[u] - size[u], end[u] - 1
         if on_path is None:
@@ -301,13 +357,13 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
             down = [c for c in kids if c in on_path]
             if down:
                 lo_c, hi_c = span(down[0])
-                row = fill([(first, lo_c), (hi_c, last)], row, cap)
+                row = fill([(first, lo_c), (hi_c, last)], row, cap - base)
             else:
-                row = fill([(first, last)], row, cap)
+                row = fill([(first, last)], row, cap - base)
         if wanted:
             down.append(~u)
         if down:
-            stack.append((pair_up(down), row, cap + 1))
+            stack.append((pair_up(down), row, cap + 1, base))
     return swings
 
 

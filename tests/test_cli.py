@@ -442,6 +442,36 @@ def test_a_delegation_key_that_is_not_a_voter_id_is_refused(capsys, tmp_path):
         assert repr(key) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "instance, kind, message",
+    [
+        (
+            {"arcs": [[1, 2], [2, 3], [3, 1]], "delegations": {"1": 2, "2": 3, "3": 1}},
+            "CycleInDelegations",
+            "delegations contain a cycle: 1 -> 2 -> 3",
+        ),
+        (
+            {"arcs": [[1, 2], [2, 3]], "delegations": {"2": 6}},
+            "ArcNotInNetwork",
+            "no arc from voter 2 to voter 6 in the network",
+        ),
+    ],
+)
+def test_refused_delegations_name_voters_as_the_instance_does(
+    capsys, monkeypatch, instance, kind, message
+):
+    import io
+
+    doc = {"n": 6, "weights": [1] * 6, "quota": 2, **instance}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["index", "-"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["error"] == {"type": kind, "message": message}
+
+
 def test_voter_ids_on_the_command_line_are_canonical_decimals(capsys, tmp_path):
     # int() reads "1_0" and "010" as 10, " +3 " and the full-width "３" as 3
     doc = election_to_json(random_election(random.Random(12_004), n_min=11, n_max=11))

@@ -300,31 +300,51 @@ def test_a_unanimity_chain_needs_no_deep_recursion():
     assert single == (banzhaf[-1], shapley[-1])
 
 
-def _fill_steps(monkeypatch) -> list[int]:
-    """Record the length of every fill the walk makes from here on."""
-    steps: list[int] = []
+def _fills(monkeypatch) -> list[tuple[int, int]]:
+    """Record ``(steps, weight_cap)`` of every fill the walk makes from here on."""
+    fills: list[tuple[int, int]] = []
     real = dp.fill_table
 
-    def counting(weights_seq, *args, **kwargs):
-        steps.append(len(weights_seq))
-        return real(weights_seq, *args, **kwargs)
+    def counting(weights_seq, block_sizes, weight_cap, *args, **kwargs):
+        fills.append((len(weights_seq), weight_cap))
+        return real(weights_seq, block_sizes, weight_cap, *args, **kwargs)
 
     monkeypatch.setattr(dp, "fill_table", counting)
-    return steps
+    return fills
+
+
+def _cells_filled(fills) -> int:
+    """Weight cells the recorded fills compute: one per step and cell."""
+    return sum(steps * (cap + 1) for steps, cap in fills)
 
 
 def test_the_all_voter_walk_pairs_siblings_by_block_size(monkeypatch):
     # criterion 10's 120-voter game: halving the siblings by count took
-    # 1,185 fill steps, a Huffman merge of their blocks takes 808
+    # 1,185 fill steps, a Huffman merge of their blocks takes 808; rows
+    # from 0 up to the reduced quota filled 220,217 cells, windowed rows
+    # fill 107,281
     e = random_election(
         random.Random(10_001), n_min=120, n_max=120, w_max=8, delegate_prob=0.75
     )
-    steps = _fill_steps(monkeypatch)
+    fills = _fills(monkeypatch)
     values = all_indices_dp(e, MeasureKind.BANZHAF).values
-    assert sum(steps) <= 810
+    assert sum(steps for steps, _ in fills) <= 810
+    assert _cells_filled(fills) <= 112_000
     digest = hashlib.sha256(" ".join(map(str, values)).encode()).hexdigest()
     assert digest == "396f344a8c1c046812c33ebafc7570ba13a7bd97ea86b00d1e0a5bfa2baf2570"
     assert values == tuple(banzhaf_dp(e, v) for v in range(e.n))
+
+
+def test_a_unanimity_star_fills_only_its_narrow_windows(monkeypatch):
+    # 399 unit leaves under one unit guru, quota 400: each leaf's window is
+    # the one cell 399, so the leave-one-out rows stay as narrow as the
+    # blocks still to come (rows from 0 to the quota filled 1,388,121 cells)
+    n = 400
+    e = _forest_election(_forest_choices((LEAF,) * (n - 1)), [1] * n, n)
+    fills = _fills(monkeypatch)
+    values = all_indices_dp(e, MeasureKind.BANZHAF).values
+    assert _cells_filled(fills) <= 400_000
+    assert values == (Fraction(1, 2 ** (n - 1)),) * n
 
 
 def _chain(size: int) -> tuple:
@@ -392,16 +412,16 @@ def test_wide_unbalanced_fan_outs_match_enumeration(shape):
 
 def test_equal_blocks_are_paired_the_same_way_every_time(monkeypatch):
     e = _forest_election(FAN_OUTS["ties"], [2] * 11, 9)
-    steps = _fill_steps(monkeypatch)
+    fills = _fills(monkeypatch)
     first = all_indices_dp(e, MeasureKind.SHAPLEY).values
     # Huffman's sum of block size x depth: 13 over the gurus' blocks (9, 1,
     # 1), 19 over voter 0's (2, 2, 2, 1, 1 and its empty member) and 1 under
     # each block of 2; halving by count takes 21 under voter 0
-    assert sum(steps) == 35
-    once = list(steps)
-    steps.clear()
+    assert sum(steps for steps, _ in fills) == 35
+    once = list(fills)
+    fills.clear()
     assert all_indices_dp(e, MeasureKind.SHAPLEY).values == first
-    assert steps == once
+    assert fills == once
 
 
 def test_a_leaf_heavy_enough_to_close_the_gap_alone():
