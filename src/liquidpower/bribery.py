@@ -8,7 +8,12 @@ blocks of parent rows: the cycle test and the chain masks of a whole block
 come from one pointer-doubling pass, and each block is scored with
 coalition tables of many profiles at once, with no per-profile Python.  The greedy solver redirects the
 heaviest ballot-holders toward the target and comes with a provable (if
-weak) guarantee on complete networks.
+weak) guarantee on complete networks; it scores with the DP alone.
+
+This module's body imports no numpy and calls
+:mod:`~liquidpower.coalition_table` through its module, so where
+``coalition_table`` is registered lazily (as the CLI does) only the exact
+solver loads numpy, and the greedy one never does.
 """
 
 from __future__ import annotations
@@ -18,16 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain, combinations
 
-import numpy as np
-
-from .coalition_table import (
-    best_row,
-    chain_masks,
-    check_table_work,
-    product_blocks,
-    reduced_weights,
-    swing_counts,
-)
+from . import coalition_table
 from .core import (
     SELF,
     DelegationProfile,
@@ -161,6 +157,9 @@ def enumerate_neighborhood(election: LiquidElection, k: int):
     voters (the subset's voters range over their changed options), walked
     by :func:`coalition_table.product_blocks`.
     """
+    # numpy loads here, not at import: the greedy solver needs none
+    import numpy as np
+
     n = election.n
     base = np.array(election.profile.sort_key(), dtype=np.intp)
     options = [
@@ -169,7 +168,7 @@ def enumerate_neighborhood(election: LiquidElection, k: int):
     ]
     subsets = chain.from_iterable(combinations(range(n), s) for s in range(min(k, n) + 1))
     products = ((base, subset, [options[v] for v in subset]) for subset in subsets)
-    yield from product_blocks(products, n, chain_masks)
+    yield from coalition_table.product_blocks(products, n, coalition_table.chain_masks)
 
 
 def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
@@ -183,18 +182,22 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     election = problem.election
     n = election.n
     # lazy, so the voter limit refuses before the neighbourhood is counted
-    check_table_work((neighborhood_size(election, k) * (n + 1) for k in [problem.budget]), n)
+    coalition_table.check_table_work(
+        (neighborhood_size(election, k) * (n + 1) for k in [problem.budget]), n
+    )
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
     size_weights, denominator = measure_weights(problem.objective.kind, n)
-    _, weights, quota = reduced_weights(election.weights, election.quota)
+    _, weights, quota = coalition_table.reduced_weights(election.weights, election.quota)
 
     def score(masks):
-        keys = swing_counts(masks, weights, quota, [problem.target], size_weights)
+        keys = coalition_table.swing_counts(
+            masks, weights, quota, [problem.target], size_weights
+        )
         return sign * keys[:, 0]
 
     neighborhood = enumerate_neighborhood(election, problem.budget)
-    neg_key, best_changes, best_parents = best_row(neighborhood, score)
+    neg_key, best_changes, best_parents = coalition_table.best_row(neighborhood, score)
     value = Fraction(-sign * neg_key, denominator)
     decision = sign * value >= sign * problem.threshold
     return BriberyOutcome(

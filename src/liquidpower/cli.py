@@ -16,9 +16,10 @@ an answer — a "no" decision included — and 1 on any error, which is itself
 reported as a structured JSON document.  Voter ids are 1-based on both
 sides of the interface, matching the instance format.
 
-The solver families that need numpy (bribery, maximin, weight maximization
-and their coalition tables) load on first use, so a process pays only for
-the command it runs: ``index --method dp`` loads no numpy.
+The solver modules (bribery, maximin, weight maximization and their
+coalition tables) load on first use, so a process pays only for the
+command it runs.  numpy loads only with the coalition tables and the
+searches: ``index`` (every method) and ``bribe --method gamw`` load none.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def _lazy_submodule(name: str):
     return module
 
 
-# bench/tracing.py finds coalition_table in sys.modules after this import
+# bench/tracing.py finds coalition_table in sys.modules after this import,
+# and bribery's ``from . import coalition_table`` binds it unloaded
 _lazy_submodule("coalition_table")
 bribery = _lazy_submodule("bribery")
 maximin = _lazy_submodule("maximin")

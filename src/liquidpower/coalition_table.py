@@ -34,10 +34,8 @@ Results are exact integers.  No table cell exceeds the total weight, so a
 table is filled in the narrowest signed integer type that holds it, int8 up
 to int64; weights are divided by their gcd (:func:`reduced_weights`) so
 that totals stay small, and games whose reduced total weight still
-overflows int64 are refused.  The same table and kernel, on a single
-profile, are :mod:`liquidpower.exact`'s route for elections of up to
-:data:`TABLE_LIMIT` voters; the test suite checks them against exact's
-plain enumeration and an independent oracle.
+overflows int64 are refused.  The test suite checks the tables against
+:mod:`liquidpower.exact`'s plain enumeration and an independent oracle.
 """
 
 from __future__ import annotations

@@ -153,9 +153,13 @@ def fill_table(
     if not slot_bits:
         mask = (1 << (weight_cap + 1) * cell_bits) - 1
         rows = [start & mask]
-        # F[j] = 2**(t-1) * F[j-t] + z**w_u * F[j-1], with z = 2**cell_bits
+        # F[j] = 2**(t-1) * F[j-t] + z**w_u * F[j-1], with z = 2**cell_bits;
+        # a block heavier than the cap lifts every cell past it, and its
+        # shift alone would be w_u cells wide
         for w_u, t in zip(weights_seq, block_sizes):
-            new = (rows[-t] << t - 1) + (rows[-1] << w_u * cell_bits)
+            new = rows[-t] << t - 1
+            if w_u <= weight_cap:
+                new += rows[-1] << w_u * cell_bits
             rows.append(new & mask)
         return rows
     prefix_weight = len(start) - 1

@@ -113,7 +113,8 @@ def test_bribe_witness_feeds_back_through_index(capsys, fixture_path, tmp_path):
 
 
 # Run in a fresh interpreter, so imports made earlier in the suite cannot
-# mask what importing and running the CLI loads.
+# mask what importing and running the CLI loads.  argv[1] is a JSON list of
+# command lines, run in order: numpy, once loaded, stays.
 FRESH_CLI = """
 import contextlib, io, json, sys
 import liquidpower.cli as cli
@@ -129,8 +130,7 @@ doc = {
     "numpy": "numpy" in sys.modules,
     "registered": [f"liquidpower.{m}" in sys.modules for m in solvers],
 }
-doc["index"] = run(["index", *sys.argv[1:3]])
-doc["bribe"] = run(["bribe", sys.argv[1], *sys.argv[3:]])
+doc["runs"] = [run(argv) for argv in json.loads(sys.argv[1])]
 import liquidpower.bribery
 doc["gamw"] = liquidpower.bribery.gamw.__name__
 print(json.dumps(doc))
@@ -138,11 +138,20 @@ print(json.dumps(doc))
 
 
 def test_a_fresh_cli_loads_numpy_only_for_the_solvers_it_runs(capsys, fixture_path):
-    bribe = ["--target", "7", "--budget", "1", "--threshold", "1/2", "--method", "exact"]
+    bribe = ["--target", "7", "--budget", "1", "--threshold", "1/2"]
+    # the DP, the bit-sliced count and the greedy bribe load no numpy; the
+    # exact bribe's coalition tables do
+    runs = [
+        (["index", fixture_path, "--method=dp"], False),
+        (["index", fixture_path, "--method", "both"], False),
+        (["index", fixture_path, "--method", "both", "--kind", "shapley"], False),
+        (["bribe", fixture_path, *bribe, "--method", "gamw"], False),
+        (["bribe", fixture_path, *bribe, "--method", "exact"], True),
+    ]
     root = str(Path(liquidpower.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", FRESH_CLI, fixture_path, "--method=dp", *bribe],
+        [sys.executable, "-c", FRESH_CLI, json.dumps([argv for argv, _ in runs])],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -152,12 +161,11 @@ def test_a_fresh_cli_loads_numpy_only_for_the_solvers_it_runs(capsys, fixture_pa
     # the solver modules are registered, as bench/tracing.py needs, not run
     assert doc["numpy"] is False
     assert doc["registered"] == [True] * 4
-    code, results, numpy_loaded = doc["index"]
-    assert code == 0 and numpy_loaded is False
-    assert results == _run_json(capsys, ["index", fixture_path])[1]["results"]
-    code, results, numpy_loaded = doc["bribe"]
-    assert code == 0 and numpy_loaded is True
-    assert results == _run_json(capsys, ["bribe", fixture_path, *bribe])[1]["results"]
+    assert len(doc["runs"]) == len(runs)
+    for (argv, loads_numpy), (code, results, numpy_loaded) in zip(runs, doc["runs"]):
+        assert code == 0 and numpy_loaded is loads_numpy, argv
+        assert results == _run_json(capsys, argv)[1]["results"]
+    assert doc["runs"][1][1]["methods_agree"] is True
     assert doc["gamw"] == "gamw"
 
 

@@ -135,7 +135,7 @@ def test_table_weight_overflow_guard():
     # the coalition of all three would weigh 3 * 2**62, past int64
     with pytest.raises(InstanceTooLargeForEnumeration):
         coalition_weight_table(_masks([(None,) * 3]), (1 << 62,) * 3)
-    # exact divides the weights by their gcd and stays on the table
+    # exact divides the weights by their gcd before it sums them
     profile = DelegationProfile.all_self(3)
     election = validate(SocialNetwork.complete(3), (1 << 62,) * 3, profile, 1 << 63)
     assert [swing_size_counts(election, v) for v in range(3)] == [[0, 2, 0]] * 3

@@ -231,6 +231,18 @@ def test_weights_near_a_million_match_enumeration():
     assert banzhaf_dp(e, 3) == Fraction(1, 8)
 
 
+def test_blocks_heavier_than_the_cap_are_not_shifted_in():
+    # a packed fill would shift a row by 2**70 cells for the heavy voters,
+    # which lift every coalition they join past the quota
+    weights = (2**70 + 1, 3, 2**70 + 3, 5, 2)
+    profile = DelegationProfile((SELF, 0, SELF, 2, SELF))
+    e = validate(SocialNetwork.complete(5), weights, profile, 6)
+    for kind in MeasureKind:
+        assert all_indices_dp(e, kind) == all_indices_exact(e, kind)
+    for v in range(5):
+        assert banzhaf_dp(e, v) == oracle.banzhaf(profile.choices, weights, 6, v)
+
+
 def _coprime_quartet(w: int):
     """Four voters of co-prime weights near ``w``, no arcs, quota just past half."""
     weights = (w, w + 2, w + 6, 2)

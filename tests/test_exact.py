@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liquidpower
+from liquidpower import exact
 from liquidpower.core import DelegationProfile, SocialNetwork, validate
-from liquidpower.dp import swing_counts_dp
+from liquidpower.dp import all_indices_dp, swing_counts_dp
 from liquidpower.errors import InstanceTooLargeForEnumeration
 from liquidpower.exact import (
     MeasureKind,
+    _kernel_counts,
     _swing_counts_plain,
     all_indices_exact,
     measure_weights,
@@ -70,15 +73,15 @@ def test_dictator_and_dummy_extremes():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_both_enumeration_routes_agree(seed):
-    # elections under the table limit are counted from a coalition table
+    # elections are counted bit-sliced, other games by plain enumeration
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=8)
     for v in range(e.n):
         assert swing_size_counts(e, v) == _swing_counts_plain(e, v)
 
 
-def test_overflowing_weights_take_the_plain_route():
-    # coprime weights whose total overflows int64: no table, plain counts
+def test_overflowing_weights_are_counted_like_the_oracle():
+    # coprime weights whose total overflows int64: 65 bit planes, no table
     weights = (2**62, 2**62 + 1, 2**62 + 3)
     profile = DelegationProfile((None, 0, None))
     e = validate(SocialNetwork.complete(3), weights, profile, 2**63)
@@ -96,19 +99,88 @@ def test_seventeen_voters_are_enumerated_like_the_dp():
     assert swing_size_counts(e, voter) == list(swing_counts_dp(e, voter))
 
 
+def _crossing_election(rng, n, w_max=8):
+    """A random election on ``n > 16`` voters with a delegation chain that
+    holds voters on both sides of bit 16 (the old coalition-table limit)."""
+    low = (1 << 16) - 1
+    while True:
+        e = random_election(rng, n_min=n, n_max=n, w_max=w_max, delegate_prob=0.8)
+        if any(m & low and m >> 16 for m in e.forest.chain_mask):
+            return e
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_seventeen_to_twenty_two_voters_match_the_dp(n):
+    rng = random.Random(30_000 + n)
+    e = _crossing_election(rng, n)
+    for kind in MeasureKind:
+        assert all_indices_exact(e, kind) == all_indices_dp(e, kind)
+    voter = rng.randrange(n)
+    assert swing_size_counts(e, voter) == list(swing_counts_dp(e, voter))
+
+
+def test_huge_coprime_weights_past_sixteen_voters_match_oracle_and_dp():
+    # weights past 2**70 whose gcd is 1: 74 bit planes; the quota is
+    # small enough for the DP's tables, large enough that light coalitions lose
+    rng = random.Random(30_017)
+    n = 17
+    weights = tuple(
+        (1 << 70) + 2 * v + 1 if v % 3 == 0 else rng.randint(1, 9) for v in range(n)
+    )
+    base = _crossing_election(rng, n)
+    e = validate(base.network, weights, base.profile, 25)
+    assert sum(weights) >= 1 << 72
+    for kind in MeasureKind:
+        assert all_indices_exact(e, kind) == all_indices_dp(e, kind)
+    # the oracle on one heavy and one light voter (each takes about 0.6 s)
+    for v in (0, 1):
+        assert power_index(e, v, MeasureKind.BANZHAF) == oracle.banzhaf(
+            e.profile.choices, weights, e.quota, v
+        )
+
+
+def test_a_kernel_over_its_memory_cap_enumerates(monkeypatch):
+    rng = random.Random(30_100)
+    e = random_election(rng, n_min=7, n_max=7, w_max=9)
+    top = (sum(e.weights) // math.gcd(*e.weights)).bit_length()
+    need = (2 * e.n + top + 5) << e.n
+    plain = [_swing_counts_plain(e, v) for v in range(e.n)]
+    monkeypatch.setattr(exact, "KERNEL_BITS", need)
+    assert _kernel_counts(e, range(e.n)) == plain
+    monkeypatch.setattr(exact, "KERNEL_BITS", need - 1)
+    assert _kernel_counts(e, range(e.n)) is None
+    assert [swing_size_counts(e, v) for v in range(e.n)] == plain
+
+
+# Run in a fresh interpreter, so imports made earlier in the suite cannot mask
+# what importing and counting loads.
+FRESH_COUNT = """
+import sys
+import liquidpower.dp, liquidpower.exact
+loaded = ["numpy" in sys.modules]
+from liquidpower.core import DelegationProfile, SocialNetwork, validate
+from liquidpower.exact import MeasureKind, all_indices_exact, power_index
+
+e = validate(SocialNetwork.complete(3), (2, 1, 1), DelegationProfile((None, 0, None)), 3)
+report = all_indices_exact(e, MeasureKind.SHAPLEY)
+value = power_index(e, 2, MeasureKind.BANZHAF)
+loaded += ["numpy" in sys.modules, "liquidpower.semantics" in sys.modules]
+print(report.total, value, *loaded)
+"""
+
+
 def test_importing_the_enumerators_loads_no_numpy():
-    # a fresh interpreter, so imports made earlier in the suite cannot mask it
-    code = "import sys, liquidpower.dp, liquidpower.exact; print('numpy' in sys.modules)"
+    # nor does counting an election: every exact route is plain Python
     root = str(Path(liquidpower.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", FRESH_COUNT],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["1", "1/4", "False", "False", "False"]
 
 
 @settings(max_examples=40, deadline=None)
