@@ -8,6 +8,9 @@ through delegation changes, maximizing the weight behind a target voter, and
 balancing power across voters.
 """
 
+import importlib.util
+import sys
+
 from .core import (
     SELF,
     DelegationForest,
@@ -68,3 +71,22 @@ __all__ = [
     "NoSpanningArborescence",
     "__version__",
 ]
+
+
+def _lazy_submodule(name: str):
+    """``liquidpower.<name>``, registered without running its code.
+
+    The module is in ``sys.modules`` and an attribute of the package, as
+    after a normal import, but its code runs on first attribute access.  A
+    module that is already imported is returned as it is.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module

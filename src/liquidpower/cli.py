@@ -16,21 +16,22 @@ an answer — a "no" decision included — and 1 on any error, which is itself
 reported as a structured JSON document.  Voter ids are 1-based on both
 sides of the interface, matching the instance format.
 
-The solver modules (bribery, maximin, weight maximization and their
-coalition tables) load on first use, so a process pays only for the
-command it runs.  numpy loads only with the coalition tables and the
-searches: ``index`` (every method) and ``bribe --method gamw`` load none.
+The solver modules (bribery, maximin, the three weight-maximization
+modules and the coalition tables) load on first use, so a process pays
+only for the command it runs.  numpy loads only with the coalition tables,
+the searches and colour coding: ``index`` (every method), ``bribe --method
+gamw`` and ``weightmax --method vbamw|xp|branching`` load none.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import sys
 import time
 from fractions import Fraction
 
+from . import _lazy_submodule
 from .core import (
     LiquidElection,
     PartialElection,
@@ -49,31 +50,14 @@ DEFAULT_SEED = 1729
 OBJECTIVES = ("max-banzhaf", "max-shapley", "min-banzhaf", "min-shapley")
 
 
-def _lazy_submodule(name: str):
-    """``liquidpower.<name>``, registered without running its code.
-
-    The module is in ``sys.modules`` and an attribute of the package, as
-    after a normal import, but its code runs on first attribute access.  A
-    module that is already imported is returned as it is.
-    """
-    fullname = f"{__package__}.{name}"
-    module = sys.modules.get(fullname)
-    if module is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[fullname] = module
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
 # bench/tracing.py finds coalition_table in sys.modules after this import,
 # and bribery's ``from . import coalition_table`` binds it unloaded
 _lazy_submodule("coalition_table")
 bribery = _lazy_submodule("bribery")
 maximin = _lazy_submodule("maximin")
 weightmax = _lazy_submodule("weightmax")
+weightmax_exact = _lazy_submodule("weightmax_exact")
+colorcoding = _lazy_submodule("colorcoding")
 
 
 class CliError(LiquidPowerError):
@@ -228,13 +212,13 @@ def _cmd_weightmax(args, instance) -> dict:
     problem = weightmax.WeightMaxProblem(election, target, args.budget, args.threshold)
 
     if args.method == "exact":
-        outcome = weightmax.wmaxp_exact(problem)
+        outcome = weightmax_exact.wmaxp_exact(problem)
     elif args.method == "branching":
         outcome = weightmax.solve_full_support(problem)
     elif args.method == "xp":
         outcome = weightmax.solve_xp_reqbar(problem)
     elif args.method == "colorcoding":
-        outcome = weightmax.solve_fpt_colorcoding(
+        outcome = colorcoding.solve_fpt_colorcoding(
             problem, delta=args.delta, seed=args.seed
         )
     else:  # vbamw

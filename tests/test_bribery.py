@@ -98,6 +98,14 @@ def test_neighborhood_size_is_a_tight_upper_bound():
         assert neighborhood_size(e, k) >= len(neighborhood_profiles(e, k))
 
 
+def test_a_negative_budget_leaves_no_profile():
+    # directly, or once a delegating voter has spent a change to vote
+    election = eight_voter_election()
+    assert election.profile.choices[0] is not SELF
+    assert neighborhood_size(election, -1) == 0
+    assert neighborhood_size(election, 0, voting=0) == 0
+
+
 def test_blocks_stay_within_the_row_bound(monkeypatch):
     rng = random.Random(7_303)
     for _ in range(12):

@@ -125,7 +125,7 @@ def run(argv):
         code = cli.main(argv)
     return code, json.loads(out.getvalue())["results"], "numpy" in sys.modules
 
-solvers = ("coalition_table", "bribery", "maximin", "weightmax")
+solvers = ("coalition_table", "bribery", "maximin", "weightmax", "weightmax_exact", "colorcoding")
 doc = {
     "numpy": "numpy" in sys.modules,
     "registered": [f"liquidpower.{m}" in sys.modules for m in solvers],
@@ -139,14 +139,21 @@ print(json.dumps(doc))
 
 def test_a_fresh_cli_loads_numpy_only_for_the_solvers_it_runs(capsys, fixture_path):
     bribe = ["--target", "7", "--budget", "1", "--threshold", "1/2"]
-    # the DP, the bit-sliced count and the greedy bribe load no numpy; the
-    # exact bribe's coalition tables do
+    wmax = ["weightmax", fixture_path, "--target", "8", "--budget", "1", "--threshold"]
+    # the DP, the bit-sliced count, the greedy bribe and the tree routes of
+    # weight maximisation load no numpy; the exact bribe's coalition tables,
+    # the exact weight search and colour coding do
     runs = [
         (["index", fixture_path, "--method=dp"], False),
         (["index", fixture_path, "--method", "both"], False),
         (["index", fixture_path, "--method", "both", "--kind", "shapley"], False),
         (["bribe", fixture_path, *bribe, "--method", "gamw"], False),
+        ([*wmax, "6", "--method", "vbamw", "--epsilon", "1/2"], False),
+        ([*wmax, "6", "--method", "xp"], False),
+        ([*wmax, "8", "--method", "branching"], False),
         (["bribe", fixture_path, *bribe, "--method", "exact"], True),
+        ([*wmax, "8", "--method", "exact"], True),
+        ([*wmax, "8", "--method", "colorcoding"], True),
     ]
     root = str(Path(liquidpower.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
@@ -160,7 +167,7 @@ def test_a_fresh_cli_loads_numpy_only_for_the_solvers_it_runs(capsys, fixture_pa
     doc = json.loads(out)
     # the solver modules are registered, as bench/tracing.py needs, not run
     assert doc["numpy"] is False
-    assert doc["registered"] == [True] * 4
+    assert doc["registered"] == [True] * 6
     assert len(doc["runs"]) == len(runs)
     for (argv, loads_numpy), (code, results, numpy_loaded) in zip(runs, doc["runs"]):
         assert code == 0 and numpy_loaded is loads_numpy, argv
@@ -317,6 +324,27 @@ def test_weightmax_vbamw_needs_epsilon(capsys, fixture_path):
     )
     assert code == 1
     assert "epsilon" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("epsilon", [["--epsilon", "0"], ["--epsilon=-1/2"]])
+def test_weightmax_vbamw_refuses_a_slack_that_is_not_positive(capsys, fixture_path, epsilon):
+    argv = ["weightmax", fixture_path, "--target", "8", "--budget", "2"]
+    code, out = _run(capsys, [*argv, "--threshold", "6", "--method", "vbamw", *epsilon])
+    assert code == 1
+    assert json.loads(out) == {  # exactly one JSON document
+        "command": "weightmax",
+        "error": {"type": "ValueError", "message": "epsilon must be positive"},
+    }
+
+
+def test_a_negative_slack_without_an_equals_sign_is_a_usage_error(capsys, fixture_path):
+    # argparse reads "-1/2", which is no plain negative number, as an option
+    argv = ["weightmax", fixture_path, "--target", "8", "--budget", "2"]
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--threshold", "6", "--method", "vbamw", "--epsilon", "-1/2"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage:")
 
 
 def test_colorcoding_refuses_weights_beyond_its_tables(capsys, tmp_path):

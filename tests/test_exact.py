@@ -169,18 +169,36 @@ print(report.total, value, *loaded)
 """
 
 
-def test_importing_the_enumerators_loads_no_numpy():
-    # nor does counting an election: every exact route is plain Python
+def _run_fresh(script: str) -> list[str]:
+    """The words ``script`` prints, run in a fresh interpreter."""
     root = str(Path(liquidpower.__file__).parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", FRESH_COUNT],
+    return subprocess.run(
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
-    ).stdout
-    assert out.split() == ["1", "1/4", "False", "False", "False"]
+    ).stdout.split()
+
+
+def test_importing_the_enumerators_loads_no_numpy():
+    # nor does counting an election: every exact route is plain Python
+    assert _run_fresh(FRESH_COUNT) == ["1", "1/4", "False", "False", "False"]
+
+
+FRESH_WEIGHTMAX = """
+import sys
+import liquidpower.weightmax
+numpy_loaded = "numpy" in sys.modules
+from liquidpower.weightmax import solve_fpt_colorcoding, wmaxp_exact
+print(numpy_loaded, wmaxp_exact.__name__, solve_fpt_colorcoding.__name__)
+"""
+
+
+def test_importing_weightmax_loads_no_numpy():
+    # the tree routes are plain Python; the numpy routes are served on demand
+    assert _run_fresh(FRESH_WEIGHTMAX) == ["False", "wmaxp_exact", "solve_fpt_colorcoding"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,3 +266,4 @@ def test_string_kinds_take_the_enum_branch():
     assert power_index(e, 7, "shapley") == oracle.shapley(*args)
     with pytest.raises(ValueError):
         power_index(e, 7, "penrose")
+

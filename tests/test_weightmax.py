@@ -21,7 +21,7 @@ from liquidpower import (
     find_delegation_cycle,
     validate,
 )
-from liquidpower import build_forest, coalition_table, weightmax
+from liquidpower import build_forest, coalition_table, colorcoding, weightmax_exact
 from liquidpower.bribery import neighborhood_size
 from liquidpower.weightmax import (
     WeightMaxOutcome,
@@ -111,6 +111,7 @@ def test_colour_coding_refuses_a_delta_outside_the_unit_interval(delta):
         ("half", ValueError),
         (0, ValueError),
         (Fraction(-1, 2), ValueError),
+        ("-1/2", ValueError),
     ],
 )
 def test_vbamw_epsilon_is_coerced_or_refused(epsilon, expected):
@@ -203,7 +204,7 @@ def _spy_walks(monkeypatch):
             walk["blocks"] += 1
             yield block
 
-    monkeypatch.setattr(weightmax, "product_blocks", spy)
+    monkeypatch.setattr(weightmax_exact, "product_blocks", spy)
     return walks
 
 
@@ -387,9 +388,9 @@ def test_exact_follower_without_budget_enumerates_nothing(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated")
 
-    monkeypatch.setattr(weightmax, "_redirect_runs", refuse)
-    monkeypatch.setattr(weightmax, "product_blocks", refuse)
-    monkeypatch.setattr(weightmax, "neighborhood_size", refuse)
+    monkeypatch.setattr(weightmax_exact, "_redirect_runs", refuse)
+    monkeypatch.setattr(weightmax_exact, "product_blocks", refuse)
+    monkeypatch.setattr(weightmax_exact, "neighborhood_size", refuse)
     problem = WeightMaxProblem(eight_voter_election(), 0, 0, 1)
     assert wmaxp_exact(problem) == WeightMaxOutcome(False, None, 0, 0)
     monkeypatch.undo()
@@ -460,9 +461,9 @@ def test_exact_refuses_above_the_profile_cap(monkeypatch):
     for target in (3, 7):  # a follower and a voter who votes already
         problem = WeightMaxProblem(election, target, 2, 1)
         count = neighborhood_size(election, 2, voting=target)
-        monkeypatch.setattr(weightmax, "NEIGHBORHOOD_CAP", count)
+        monkeypatch.setattr(weightmax_exact, "NEIGHBORHOOD_CAP", count)
         assert wmaxp_exact(problem) == _reference_exact(problem)
-        monkeypatch.setattr(weightmax, "NEIGHBORHOOD_CAP", count - 1)
+        monkeypatch.setattr(weightmax_exact, "NEIGHBORHOOD_CAP", count - 1)
         with pytest.raises(InstanceTooLargeForEnumeration) as refused:
             wmaxp_exact(problem)
         assert f"{count} " in str(refused.value) and f"cap of {count - 1}" in str(refused.value)
@@ -760,13 +761,13 @@ def test_colorcoding_witnesses_are_pinned_per_seed():
 
 def test_colorcoding_scores_colorings_in_doubling_batches(monkeypatch):
     sizes = []
-    fill = weightmax._colorful_tables
+    fill = colorcoding._colorful_tables
 
     def counting(colorings, *args):
         sizes.append(len(colorings))
         return fill(colorings, *args)
 
-    monkeypatch.setattr(weightmax, "_colorful_tables", counting)
+    monkeypatch.setattr(colorcoding, "_colorful_tables", counting)
     # the target delegates to voter 1, so one of two changes makes it vote
     # and one more brings in one unit voter: support 4 of 7, though voter
     # 1's current subtree, which holds the target (weight 4), passes the
@@ -809,7 +810,7 @@ def test_pair_splits_are_exactly_the_splits_an_arc_can_join():
             for part in range(1, whole)
             if part & whole == part
         ]
-        levels = weightmax._pair_splits(r)
+        levels = colorcoding._pair_splits(r)
         assert [len(masks) for _, _, masks in levels] == [
             sum(m.bit_count() == size for m in range(1 << r)) for size in range(2, r + 1)
         ]
@@ -837,7 +838,7 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
     rng = random.Random(10_012)
     arcs = [(4, 0, 1), (4, 1, 1), (0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1), (3, 0, 1), (1, 0, 1)]
     wts = [1, 2, 1, 3, 2]
-    arc_groups = weightmax._arc_groups(arcs)
+    arc_groups = colorcoding._arc_groups(arcs)
     read = []
 
     class Cells(int):
@@ -859,7 +860,7 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
             for chunk_cells in (coalition_table.CHUNK_CELLS, 1 << 12, 1):
                 monkeypatch.setattr(coalition_table, "CHUNK_CELLS", Cells(chunk_cells))
                 read.clear()
-                table = weightmax._colorful_tables(colorings, wts, arc_groups, r, cost_cap)
+                table = colorcoding._colorful_tables(colorings, wts, arc_groups, r, cost_cap)
                 monkeypatch.undo()
                 assert read and set(read) == {chunk_cells}  # the size reached the fill
                 assert np.array_equal(np.where(table >= 0, table, -1), want)
@@ -871,12 +872,12 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
             want[(0, *key)] = weight
         for chunk_cells in (coalition_table.CHUNK_CELLS, 1):
             monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
-            table = weightmax._colorful_tables([coloring], wts, arc_groups, r, cost_cap)
+            table = colorcoding._colorful_tables([coloring], wts, arc_groups, r, cost_cap)
             monkeypatch.undo()
             assert np.array_equal(np.where(table >= 0, table, -1), want)
             masks = np.arange(1 << r)
             for v, color in enumerate(coloring):  # no tree at v lacks v's color
-                assert (table[0, v, masks >> color & 1 == 0] == weightmax._NEG).all()
+                assert (table[0, v, masks >> color & 1 == 0] == colorcoding._NEG).all()
 
 
 # --- budget-relaxed approximation -------------------------------------------
