@@ -36,7 +36,6 @@ from .errors import (
     MeasureNotSupported,
     NoFeasibleProfile,
     NonPositiveWeight,
-    NoSpanningArborescence,
     ParameterTooLarge,
     QuotaOutOfRange,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ParameterTooLarge",
     "NoFeasibleProfile",
     "MeasureNotSupported",
-    "NoSpanningArborescence",
     "__version__",
 ]
 

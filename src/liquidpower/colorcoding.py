@@ -5,8 +5,11 @@ A witness tree brings in at most ``req`` outside voters, so random
 colourings with ``req + 1`` colours make one colourful often enough;
 ``solve_fpt_colorcoding`` fills, per batch of colourings, numpy tables of
 the heaviest colourful trees and answers "yes" only on a re-validated
-witness.  The problem types, the cost graph and the reach step come from
-:mod:`~liquidpower.weightmax`.
+witness.  The fill runs one colour-set size at a time and stops at the
+first size at which the batch's first colouring reaches the threshold; it
+resumes only when that colouring's witness fails.  The witness is read back
+by a plain-Python scan that stops at the first join.  The problem types,
+the cost graph and the reach step come from :mod:`~liquidpower.weightmax`.
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ def _pair_splits(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(levels)
 
 
-def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
-    """Heaviest colorful trees for one batch of colorings.
+def _colorful_fill(colorings, wts, arc_groups, r, cost_cap):
+    """Heaviest colorful trees for one batch of colorings, one size at a time.
 
     ``table[b, v, S, c]`` is the largest weight of a tree rooted at ``v``
     whose vertices carry each color of ``S`` exactly once under coloring
@@ -135,10 +138,13 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
     lists for its ends' colors, 3^(r-2) in all, and none when they share a
     color.  Sets of one size depend only on smaller ones, so each size is
     filled in one pass over all its splits and ``arc_groups`` (see
-    ``_arc_groups``).  The pass runs in chunks of whole colorings that hold
-    about ``coalition_table.CHUNK_CELLS`` cells (read at each call); a
-    coloring too large for that alone is split into chunks of its sets, and
-    a set too large alone into chunks of its hanging parts.
+    ``_arc_groups``), and the generator yields ``(table, masks)`` after each
+    size of two or more colors, ``masks`` that size's sets: the sizes up to
+    it are final, the larger ones still ``_NEG``.  The pass runs in chunks of
+    whole colorings that hold about ``coalition_table.CHUNK_CELLS`` cells
+    (read when the fill starts); a coloring too large for that alone is
+    split into chunks of its sets, and a set too large alone into chunks of
+    its hanging parts.
     """
     colorings = np.array(colorings, dtype=np.int64)
     batch, n_vertices = colorings.shape
@@ -182,60 +188,69 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
                 else:  # the one set of all r colors
                     folded = best
             rows[top_rows[part, :, None] + masks] = np.maximum.reduceat(folded, starts, axis=1)
+        yield table, masks
+
+
+def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
+    """The whole table of ``_colorful_fill``, every size filled."""
+    for table, _ in _colorful_fill(colorings, wts, arc_groups, r, cost_cap):
+        pass
     return table
 
 
-def _first_join(table, arc_groups, v, mask, c, value=None):
-    """First candidate in one coloring's ``table`` that builds ``(v, mask, c)``.
+def _first_join(rows, out_arcs, v, mask, c, value=None):
+    """First candidate in one coloring's table that builds ``(v, mask, c)``.
 
-    Candidates run in (split, arc, c1) order: the submask hanging below the
-    arc runs downward, ``v``'s arcs keep their order in the arc list (their
-    run in ``arc_groups``, see ``_arc_groups``), and ``c1`` is the cost kept
-    at ``v``.  A candidate joins when both of its sides exist and, if
-    ``value`` is given, sum to it.  The state must hold a tree of two or
-    more vertices.  Returns ``(position, child, (own, c1), (sub, c2))``.
+    ``rows`` is the table as nested lists (``table[b].tolist()``) and
+    ``out_arcs[v]`` lists ``v``'s ``(child, cost)`` arcs in the arc list's
+    order.  Candidates run in (split, arc, c1) order: the submask hanging
+    below the arc runs downward, then ``v``'s arcs, then ``c1``, the cost
+    kept at ``v``.  A candidate joins when both of its sides exist and, if
+    ``value`` is given, sum to it; the scan stops at the first.  The state
+    must hold a tree of two or more vertices.  Returns ``(position, child,
+    (own, c1), (sub, c2))``, ``position`` the candidate's (split, arc, c1)
+    index.
     """
-    ends, shifted, starts, tops = arc_groups
-    at = np.searchsorted(tops, v)
-    run = slice(starts[at], starts[at + 1] if at + 1 < len(starts) else len(ends))
-    children, costs = ends[run, 1], shifted[run, 0, 0]
-    subs = np.arange(mask - 1, 0, -1)
-    subs = subs[subs & mask == subs]
-    c1 = np.arange(c + 1)
-    c2 = c - costs[:, None] - c1
-    left = table[v, (mask ^ subs)[:, None, None], c1]
-    right = table[children[:, None], subs[:, None, None], np.maximum(c2, 0)]
-    joins = (left >= 0) & (right >= 0) & (c2 >= 0)
-    if value is not None:
-        joins &= left + right == value
-    i, j, k = np.unravel_index(np.flatnonzero(joins)[0], joins.shape)
-    sub = int(subs[i])
-    return (i, j, k), int(children[j]), (mask ^ sub, int(k)), (sub, int(c2[j, k]))
+    kept_rows = rows[v]
+    i = 0
+    sub = (mask - 1) & mask  # the nonempty proper submasks, downward
+    while sub:
+        own = mask ^ sub
+        kept = kept_rows[own]
+        for j, (child, cost) in enumerate(out_arcs[v]):
+            hung = rows[child][sub]
+            for c1 in range(c - cost + 1):
+                left, right = kept[c1], hung[c - cost - c1]
+                if left >= 0 and right >= 0 and (value is None or left + right == value):
+                    return (i, j, c1), child, (own, c1), (sub, c - cost - c1)
+        i += 1
+        sub = (sub - 1) & mask
 
 
-def _colorful_witness(table, arc_groups, root, r, tau) -> list[tuple[int, int]]:
+def _colorful_witness(table, out_arcs, root, r, tau) -> list[tuple[int, int]]:
     """Arcs of the first tree in one coloring's ``table`` that reaches ``tau``.
 
     The color set is the first in (size, value) order whose root reaches
     ``tau``; within it, the cost whose first joinable candidate comes first
     (ties to the lower cost); below that, every state takes its first
-    candidate that attains its value.  ``arc_groups`` is ``_arc_groups`` of
-    the table's arcs.  Only sets of two or more colors are read: the root
+    candidate that attains its value.  ``out_arcs`` is as for
+    ``_first_join``.  No set larger than that one is read, so the sizes
+    above it need not be filled; nor is any set of one color: the root
     alone must weigh less than ``tau``, and the empty set holds no tree.
     """
-    order = np.concatenate([masks for *_, masks in _pair_splits(r)])
-    mask = int(order[np.argmax((table[root, order] >= tau).any(axis=1))])
-    reaching = np.flatnonzero(table[root, mask] >= tau)
-    _, c = min((_first_join(table, arc_groups, root, mask, c)[0], c) for c in reaching)
+    rows = table.tolist()
+    mask = next(
+        m for *_, masks in _pair_splits(r) for m in masks.tolist() if max(rows[root][m]) >= tau
+    )
+    reaching = [c for c, value in enumerate(rows[root][mask]) if value >= tau]
+    _, c = min((_first_join(rows, out_arcs, root, mask, c)[0], c) for c in reaching)
     tree = []
-    states = [(root, mask, int(c))]
+    states = [(root, mask, c)]
     while states:
         v, mask, c = states.pop()
         if not mask & (mask - 1):
             continue  # a single vertex
-        _, child, (own, c1), (sub, c2) = _first_join(
-            table, arc_groups, v, mask, c, table[v, mask, c]
-        )
+        _, child, (own, c1), (sub, c2) = _first_join(rows, out_arcs, v, mask, c, rows[v][mask][c])
         tree.append((v, child))
         states += [(v, own, c1), (child, sub, c2)]
     return tree
@@ -264,6 +279,14 @@ def solve_fpt_colorcoding(
     from the first coloring in draw order that validates, so a seed fixes it
     whatever the batch sizes.  The tables hold int64 sums: a total weight of
     2^61 or more is refused with ``ParameterTooLarge``.
+
+    A batch's fill stops at the first color-set size at which its first
+    coloring's root reaches ``tau``.  That coloring's witness reads only
+    that size and smaller ones, which are final, so it is the witness of the
+    whole table.  Only if it fails re-validation does the fill resume to the
+    last size, for the batch's later colorings.  A no-instance fills every
+    size of every batch.  Each state of a witness is read back by
+    ``_first_join``'s scan, which stops at the first candidate that joins.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
@@ -304,6 +327,23 @@ def solve_fpt_colorcoding(
     rounds = ceil(exp(r) * -log(delta))  # 1 / delta overflows when subnormal
     rng = random.Random(seed)
     arc_groups = _arc_groups(arcs)
+    out_arcs = [[] for _ in range(n_vertices)]
+    for parent, child, price in arcs:
+        out_arcs[parent].append((child, price))
+
+    def validated(table):
+        """The outcome of ``table``'s witness if it validates, else None."""
+        outcome = _outcome(problem, {
+            outside[child]: (
+                representative[child] if parent == super_idx else outside[parent]
+            )
+            for parent, child in _colorful_witness(
+                table, out_arcs, super_idx, r, problem.tau
+            )
+        })
+        if outcome.decision and outcome.changes <= problem.budget:
+            return outcome
+        return None
 
     done = 0
     while done < rounds:
@@ -311,18 +351,18 @@ def solve_fpt_colorcoding(
         colorings = [
             [rng.randrange(r) for _ in range(n_vertices)] for _ in range(batch)
         ]
-        table = _colorful_tables(colorings, wts, arc_groups, r, cost_cap)
-        reach = table[:, super_idx].reshape(batch, -1).max(axis=1)
-        for b in np.flatnonzero(reach >= problem.tau):
-            outcome = _outcome(problem, {
-                outside[child]: (
-                    representative[child] if parent == super_idx else outside[parent]
-                )
-                for parent, child in _colorful_witness(
-                    table[b], arc_groups, super_idx, r, problem.tau
-                )
-            })
-            if outcome.decision and outcome.changes <= problem.budget:
+        fill = _colorful_fill(colorings, wts, arc_groups, r, cost_cap)
+        for table, masks in fill:
+            if table[0, super_idx, masks].max() >= problem.tau:
+                # the first coloring's witness reads only the sizes filled
+                if outcome := validated(table[0]):
+                    return outcome
+                break
+        for table, _ in fill:  # the later colorings may need every size
+            pass
+        reach = table[1:, super_idx].max(axis=(1, 2))
+        for b in np.flatnonzero(reach >= problem.tau) + 1:
+            if outcome := validated(table[b]):
                 return outcome
         done += batch
     return _current_support_no(problem)

@@ -56,7 +56,3 @@ class NoFeasibleProfile(LiquidPowerError):
 
 class MeasureNotSupported(LiquidPowerError):
     """The requested power measure is not supported by this operation."""
-
-
-class NoSpanningArborescence(LiquidPowerError):
-    """The cost graph has no spanning arborescence rooted at the target."""

@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +183,15 @@ def test_string_kinds_take_the_enum_branch():
         mmwp_leafmin(election.profile, election, "shapley")
     with pytest.raises(ValueError):
         MaximinProblem(network, (1, 2, 3, 4), 6, 2, "penrose")
+
+
+def test_leafmin_refuses_a_leaf_minimum_below_the_full_minimum(monkeypatch):
+    # a delegate weaker than every leaf breaks the lemma the shortcut rests on
+    election = eight_voter_election()
+    values = tuple(Fraction(int(size == 1)) for size in election.forest.subtree_size)
+    monkeypatch.setattr(maximin, "all_indices_dp", lambda *args: SimpleNamespace(values=values))
+    with pytest.raises(RuntimeError, match="leaf minimum diverged"):
+        mmwp_leafmin(election.profile, election, "banzhaf")
 
 
 def test_oversized_search_is_refused_before_scoring(monkeypatch):

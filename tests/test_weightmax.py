@@ -9,6 +9,8 @@ from math import ceil, exp, log, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from liquidpower import (
@@ -761,13 +763,13 @@ def test_colorcoding_witnesses_are_pinned_per_seed():
 
 def test_colorcoding_scores_colorings_in_doubling_batches(monkeypatch):
     sizes = []
-    fill = colorcoding._colorful_tables
+    fill = colorcoding._colorful_fill
 
     def counting(colorings, *args):
         sizes.append(len(colorings))
         return fill(colorings, *args)
 
-    monkeypatch.setattr(colorcoding, "_colorful_tables", counting)
+    monkeypatch.setattr(colorcoding, "_colorful_fill", counting)
     # the target delegates to voter 1, so one of two changes makes it vote
     # and one more brings in one unit voter: support 4 of 7, though voter
     # 1's current subtree, which holds the target (weight 4), passes the
@@ -787,6 +789,113 @@ def test_colorcoding_scores_colorings_in_doubling_batches(monkeypatch):
     sizes.clear()
     assert solve_fpt_colorcoding(WeightMaxProblem(election, 0, 1, 3), seed=4).decision
     assert sizes == [1]
+
+
+def _count_filled_sizes(monkeypatch):
+    """Patch the fill to record each batch's ``[colorings, sizes filled]``."""
+    filled = []
+    fill = colorcoding._colorful_fill
+
+    def counting(colorings, *args):
+        filled.append([len(colorings), 0])
+        for step in fill(colorings, *args):
+            filled[-1][1] += 1
+            yield step
+
+    monkeypatch.setattr(colorcoding, "_colorful_fill", counting)
+    return filled
+
+
+def test_colorcoding_fills_sizes_until_its_first_coloring_reaches_tau(monkeypatch):
+    filled = _count_filled_sizes(monkeypatch)
+    # the console script's instance at the requirement limit, nine colors,
+    # with the CLI's seed: the target and its heavy delegator reach tau with
+    # two of them under the first coloring
+    election = election_from_json({"n": 3, "weights": [1, 8, 1], "arcs": [[2, 1], [3, 1]], "quota": 5})
+    outcome = solve_fpt_colorcoding(WeightMaxProblem(election, 0, 1, 9), seed=1729)
+    assert (outcome.decision, outcome.support, outcome.changes) == (True, 9, 1)
+    assert filled == [[1, 1]]
+    # a no-instance past both refusals fills every size of every batch
+    election = election_from_json({
+        "n": 5,
+        "weights": [1, 3, 1, 3, 2],
+        "arcs": [[1, 2], [1, 4], [1, 5], [2, 3], [2, 5], [3, 2], [3, 4], [4, 1], [4, 3], [5, 2], [5, 3]],
+        "delegations": {"1": 5, "4": 1},
+        "quota": 9,
+    })
+    problem = WeightMaxProblem(election, 3, 2, 5)
+    assert wmaxp_exact(problem) == WeightMaxOutcome(False, None, 4, 0)
+    filled.clear()
+    assert solve_fpt_colorcoding(problem) == WeightMaxOutcome(False, None, 0, 0)
+    assert filled == [[batch, 2] for batch in (1, 2, 4, 8, 16, 32, 30)]
+
+
+def test_colorcoding_resumes_the_fill_when_a_first_witness_fails(monkeypatch):
+    # the second batch's first coloring reaches tau with two colors, its
+    # second only with all three, and the first batch's coloring not at all
+    network = SocialNetwork.from_arcs(
+        6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 0), (1, 2), (1, 4), (2, 4), (2, 5), (3, 0), (3, 4), (4, 3)]
+    )
+    profile = DelegationProfile((5, SELF, SELF, SELF, SELF, SELF))
+    election = validate(network, (3, 2, 2, 2, 1, 2), profile, 7)
+    problem = WeightMaxProblem(election, 3, 2, 4)
+    # the reference: every coloring's whole table, in draw order
+    tree = set(election.forest.subtree_of(3))
+    outside, root, wts, arcs, representative = colorcoding._collapsed_graph(
+        problem, build_cost_graph(election), tree
+    )
+    r, cost_cap = problem.req + 1, min(problem.k_eff, problem.req)
+    out_arcs = [[(child, price) for parent, child, price in arcs if parent == v] for v in range(len(wts))]
+    rng = random.Random(0)
+    witnesses = []
+    for batch in (1, 2):
+        colorings = [[rng.randrange(r) for _ in wts] for _ in range(batch)]
+        table = colorcoding._colorful_tables(colorings, wts, colorcoding._arc_groups(arcs), r, cost_cap)
+        witnesses += [
+            {
+                outside[child]: representative[child] if parent == root else outside[parent]
+                for parent, child in colorcoding._colorful_witness(table[b], out_arcs, root, r, problem.tau)
+            }
+            for b in range(batch)
+            if table[b, root].max() >= problem.tau
+        ]
+    assert len(witnesses) == 2 and witnesses[0] != witnesses[1]
+    outcome = colorcoding._outcome
+    calls = []
+
+    def failing_once(problem, parents):
+        calls.append(parents)
+        return WeightMaxOutcome(False, None, 0, 0) if len(calls) == 1 else outcome(problem, parents)
+
+    monkeypatch.setattr(colorcoding, "_outcome", failing_once)
+    filled = _count_filled_sizes(monkeypatch)
+    resumed = solve_fpt_colorcoding(problem, seed=0)
+    assert calls == witnesses
+    assert resumed == outcome(problem, witnesses[1])
+    _assert_witness_ok(problem, resumed)
+    assert filled == [[1, 2], [2, 2]]
+    # unpatched, the second batch stops after two colors
+    monkeypatch.setattr(colorcoding, "_outcome", outcome)
+    filled.clear()
+    assert solve_fpt_colorcoding(problem, seed=0) == outcome(problem, witnesses[0])
+    assert filled == [[1, 2], [2, 1]]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_a_colorcoding_yes_is_an_exact_yes_with_as_much_support(seed):
+    rng = random.Random(seed)
+    election = random_election(rng, n_min=2, n_max=7, w_max=3)
+    target = rng.randrange(election.n)
+    tau = election.forest.subtree_weight[target] + rng.randint(1, 4)
+    problem = WeightMaxProblem(election, target, rng.randint(0, 3), tau)
+    outcome = solve_fpt_colorcoding(problem, delta=0.2, seed=seed)
+    exact = wmaxp_exact(problem)
+    if not exact.decision:
+        assert not outcome.decision
+    elif outcome.decision:
+        _assert_witness_ok(problem, outcome)
+        assert exact.support >= outcome.support
 
 
 def test_colorcoding_takes_a_subnormal_delta():
