@@ -32,6 +32,7 @@ from .errors import (
     CycleInDelegations,
     IncompatibleOverlap,
     InstanceTooLargeForEnumeration,
+    InvariantViolated,
     LiquidPowerError,
     MeasureNotSupported,
     NoFeasibleProfile,
@@ -67,6 +68,7 @@ __all__ = [
     "ParameterTooLarge",
     "NoFeasibleProfile",
     "MeasureNotSupported",
+    "InvariantViolated",
     "__version__",
 ]
 

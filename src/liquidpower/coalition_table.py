@@ -35,7 +35,7 @@ table is filled in the narrowest signed integer type that holds it, int8 up
 to int64; weights are divided by their gcd (:func:`reduced_weights`) so
 that totals stay small, and games whose reduced total weight still
 overflows int64 are refused.  The test suite checks the tables against
-:mod:`liquidpower.exact`'s plain enumeration and an independent oracle.
+:mod:`liquidpower.exact`'s bit-sliced counts and an independent oracle.
 """
 
 from __future__ import annotations

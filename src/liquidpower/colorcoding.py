@@ -198,10 +198,10 @@ def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
     return table
 
 
-def _first_join(rows, out_arcs, v, mask, c, value=None):
+def _first_join(cell, out_arcs, v, mask, c, value=None):
     """First candidate in one coloring's table that builds ``(v, mask, c)``.
 
-    ``rows`` is the table as nested lists (``table[b].tolist()``) and
+    ``cell(b, m)`` is the list of costs at vertex ``b`` and mask ``m`` and
     ``out_arcs[v]`` lists ``v``'s ``(child, cost)`` arcs in the arc list's
     order.  Candidates run in (split, arc, c1) order: the submask hanging
     below the arc runs downward, then ``v``'s arcs, then ``c1``, the cost
@@ -211,14 +211,13 @@ def _first_join(rows, out_arcs, v, mask, c, value=None):
     (own, c1), (sub, c2))``, ``position`` the candidate's (split, arc, c1)
     index.
     """
-    kept_rows = rows[v]
     i = 0
     sub = (mask - 1) & mask  # the nonempty proper submasks, downward
     while sub:
         own = mask ^ sub
-        kept = kept_rows[own]
+        kept = cell(v, own)
         for j, (child, cost) in enumerate(out_arcs[v]):
-            hung = rows[child][sub]
+            hung = cell(child, sub)
             for c1 in range(c - cost + 1):
                 left, right = kept[c1], hung[c - cost - c1]
                 if left >= 0 and right >= 0 and (value is None or left + right == value):
@@ -238,19 +237,21 @@ def _colorful_witness(table, out_arcs, root, r, tau) -> list[tuple[int, int]]:
     above it need not be filled; nor is any set of one color: the root
     alone must weigh less than ``tau``, and the empty set holds no tree.
     """
-    rows = table.tolist()
+    # an entry is converted when first read: the scan reads about one in
+    # seven, from nearly every vertex, so converting whole rows saves nothing
+    cell = lru_cache(None)(lambda b, m: table[b, m].tolist())
     mask = next(
-        m for *_, masks in _pair_splits(r) for m in masks.tolist() if max(rows[root][m]) >= tau
+        m for *_, masks in _pair_splits(r) for m in masks.tolist() if max(cell(root, m)) >= tau
     )
-    reaching = [c for c, value in enumerate(rows[root][mask]) if value >= tau]
-    _, c = min((_first_join(rows, out_arcs, root, mask, c)[0], c) for c in reaching)
+    reaching = [c for c, value in enumerate(cell(root, mask)) if value >= tau]
+    _, c = min((_first_join(cell, out_arcs, root, mask, c)[0], c) for c in reaching)
     tree = []
     states = [(root, mask, c)]
     while states:
         v, mask, c = states.pop()
         if not mask & (mask - 1):
             continue  # a single vertex
-        _, child, (own, c1), (sub, c2) = _first_join(rows, out_arcs, v, mask, c, rows[v][mask][c])
+        _, child, (own, c1), (sub, c2) = _first_join(cell, out_arcs, v, mask, c, cell(v, mask)[c])
         tree.append((v, child))
         states += [(v, own, c1), (child, sub, c2)]
     return tree

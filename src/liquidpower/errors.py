@@ -56,3 +56,7 @@ class NoFeasibleProfile(LiquidPowerError):
 
 class MeasureNotSupported(LiquidPowerError):
     """The requested power measure is not supported by this operation."""
+
+
+class InvariantViolated(LiquidPowerError, RuntimeError):
+    """A runtime self-check failed: two routes disagree, which is a bug here."""

@@ -7,18 +7,19 @@ from losing to winning.  The penetration measure divides the total count by
 ``s!(n-1-s)!/n!``; every route takes them from :func:`measure_weights`.
 All arithmetic is exact (:class:`fractions.Fraction`).
 
-An election is counted by one bit-sliced pass (:func:`_kernel_counts`), all
-requested voters at once.  Coalition ``C`` is bit ``C`` of an int of
-``2**n`` bits, so one Python int holds a set of coalitions and one ``&``,
-``|`` or ``^`` acts on all of them: each voter's whole-chain-inside set is
-an AND of fixed membership sets, the coalition weights are summed into bit
-planes by ripple-carry adds, and a voter's swings per size are
-``int.bit_count`` of its swing set against each size class.  An election
-whose sets would not fit :data:`KERNEL_BITS`, and every other game
-(composed games), is counted by plain enumeration, which re-evaluates the
-characteristic function for every coalition.  The test suite checks the
-two against each other, against the subtree DP of :mod:`liquidpower.dp`,
-and against an independent oracle.  Neither route uses numpy.
+Swings are counted by one bit-sliced route, all requested voters at once.
+Coalition ``C`` is bit ``C`` of an int of ``2**n`` bits, so one Python int
+holds a set of coalitions and one ``&``, ``|`` or ``^`` acts on all of them:
+each voter's whole-chain-inside set is an AND of fixed membership sets, the
+coalition weights are summed into bit planes by ripple-carry adds
+(:func:`_winning_set`), and a voter's swings per size are ``int.bit_count``
+of its swing set against each size class (:func:`_kernel_counts`).  Planes
+that would pass :data:`KERNEL_BITS` are summed one slice of coalitions at a
+time.  Two games are counted: a :class:`~liquidpower.core.LiquidElection`,
+and a composed game (:mod:`liquidpower.semantics`), whose parts' winning
+sets, in joint coalition bits, are ANDed or ORed.  The test suite checks
+the counts against plain enumeration, the subtree DP of
+:mod:`liquidpower.dp` and an independent oracle.  Nothing here uses numpy.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ from typing import TYPE_CHECKING
 from .core import LiquidElection, voter_field
 from .errors import InstanceTooLargeForEnumeration
 
-if TYPE_CHECKING:  # annotations only: counting never builds semantics' Protocol
+if TYPE_CHECKING:  # annotations only: counting an election never loads semantics
     from .semantics import EvaluableGame
 
 ENUMERATION_LIMIT = 24
-KERNEL_BITS = 1 << 31  # about 256 MB of coalition sets; larger ones enumerate
+KERNEL_BITS = 1 << 31  # about 256 MB of coalition sets; larger ones are sliced
 
 
 class MeasureKind(str, Enum):
@@ -54,33 +55,6 @@ class IndexReport:
     @property
     def total(self) -> Fraction:
         return sum(self.values, Fraction(0))
-
-
-def _check_size(game: EvaluableGame) -> int:
-    n = game.n_voters
-    if n > ENUMERATION_LIMIT:
-        raise InstanceTooLargeForEnumeration(
-            f"{n} voters exceed the enumeration limit of {ENUMERATION_LIMIT}"
-        )
-    return n
-
-
-def _expand(sub: int, voter: int) -> int:
-    """Spread an index over ``n-1`` voters into a mask skipping ``voter``'s bit."""
-    low = sub & (1 << voter) - 1
-    high = sub >> voter << voter + 1
-    return low | high
-
-
-def _swing_counts_plain(game: EvaluableGame, voter: int) -> list[int]:
-    n = _check_size(game)
-    counts = [0] * n
-    bit = 1 << voter
-    for sub in range(1 << n - 1):
-        mask = _expand(sub, voter)
-        if game.value_of(mask) == 0 and game.value_of(mask | bit) == 1:
-            counts[mask.bit_count()] += 1
-    return counts
 
 
 def _member_sets(n: int) -> list[int]:
@@ -111,9 +85,10 @@ def _size_sets(n: int) -> list[int]:
     return sizes
 
 
-def _kernel_counts(election: LiquidElection, voters) -> list[list[int]] | None:
-    """Per-size swing counts of some voters of an election, bit-sliced; None
-    when the coalition sets would exceed :data:`KERNEL_BITS`.
+def _winning_set(election: LiquidElection, bits, n: int) -> int:
+    """The coalitions of ``n`` voters that an election's restriction wins, as
+    a ``2**n``-bit int; the election's voter ``v`` is coalition bit
+    ``bits[v]``.
 
     Weights are divided by their gcd and the quota rounded up, which keeps
     every comparison.  ``top`` bits hold the reduced total, so adding
@@ -122,46 +97,56 @@ def _kernel_counts(election: LiquidElection, voters) -> list[list[int]] | None:
     of the sum is the set of winning coalitions.  Voter ``v`` adds its
     weight to the coalitions holding its whole chain: its membership set
     ANDed with its parent's such set, which a pre-order walk of the forest
-    keeps on a stack.  ``u`` swings ``C`` (``u`` not in ``C``) when ``C``
-    loses and ``C + 2**u`` wins, so ``u``'s swings are the winning sets that
-    hold ``u``, shifted down ``2**u`` bits, that lose.
+    keeps on a stack.  When the planes would pass :data:`KERNEL_BITS` they
+    are summed one slice of ``2**low`` coalitions at a time, over each value
+    of the top ``n - low`` bits; in a slice, a high bit's membership set is
+    the whole slice or empty.
     """
-    n = election.n
     g = gcd(*election.weights)
     weights = [w // g for w in election.weights]
     quota = -(-election.quota // g)
     top = sum(weights).bit_length()
-    # live sets: the members, with the planes, a chain stack and temporaries
-    # while summing, then with the size classes while counting
-    if (2 * n + top + 5) << n > KERNEL_BITS:
-        return None
-    full = (1 << (1 << n)) - 1
-    members = _member_sets(n)
+    # live sets: the members, the planes, a chain stack and temporaries
+    low = n
+    while low and (2 * n + top + 5) << low > KERNEL_BITS:
+        low -= 1
+    full = (1 << (1 << low)) - 1
+    members = _member_sets(low)
     bias = (1 << top) - quota
-    planes = [full if bias >> j & 1 else 0 for j in range(top + 1)]
     forest = election.forest
-    path: list[tuple[int, int]] = []  # (voter, whole-chain-inside set), guru first
-    for v in reversed(forest.order):  # every parent before its delegators
-        while path and path[-1][0] != forest.parent[v]:
-            path.pop()
-        active = members[v] & path[-1][1] if path else members[v]
-        path.append((v, active))
-        weight, carry, j = weights[v], 0, 0
-        while weight or carry:  # ripple-carry add of weight into active
-            plane = planes[j]
-            if weight & 1:
-                added = plane ^ active
-                planes[j] = added ^ carry
-                carry = plane & active | carry & added
-            else:
-                planes[j] = plane ^ carry
-                carry &= plane
-            weight >>= 1
-            j += 1
-    del path
-    wins = planes[top]
-    del planes
-    loses = wins ^ full
+    wins = 0
+    for high in range(1 << n - low):
+        sets = members + [full if high >> b & 1 else 0 for b in range(n - low)]
+        planes = [full if bias >> j & 1 else 0 for j in range(top + 1)]
+        path: list[tuple[int, int]] = []  # (voter, whole-chain-inside set), guru first
+        for v in reversed(forest.order):  # every parent before its delegators
+            while path and path[-1][0] != forest.parent[v]:
+                path.pop()
+            active = sets[bits[v]] & path[-1][1] if path else sets[bits[v]]
+            path.append((v, active))
+            weight, carry, j = weights[v] if active else 0, 0, 0
+            while weight or carry:  # ripple-carry add of weight into active
+                plane = planes[j]
+                if weight & 1:
+                    added = plane ^ active
+                    planes[j] = added ^ carry
+                    carry = plane & active | carry & added
+                else:
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                weight >>= 1
+                j += 1
+        wins |= planes[top] << (high << low)
+    return wins
+
+
+def _kernel_counts(wins: int, n: int, voters) -> list[list[int]]:
+    """Per-size swing counts of some voters from a winning set of ``2**n``
+    bits: ``u`` swings ``C`` (``u`` not in ``C``) when ``C`` loses and
+    ``C + 2**u`` wins, so ``u``'s swings are the winning sets that hold
+    ``u``, shifted down ``2**u`` bits, that lose."""
+    members = _member_sets(n)
+    loses = wins ^ (1 << (1 << n)) - 1
     sizes = _size_sets(n)[:n]  # a swing set lacks its voter: at most n-1 members
     counts = []
     for u in voters:
@@ -171,15 +156,22 @@ def _kernel_counts(election: LiquidElection, voters) -> list[list[int]] | None:
 
 
 def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
-    """Per-size swing counts of some voters: one bit-sliced pass for an
-    election whose sets fit, plain enumeration for any other game."""
-    n = _check_size(game)
+    """Per-size swing counts of some voters of an election or a composed
+    game, from one winning set."""
+    n = game.n_voters
+    if n > ENUMERATION_LIMIT:
+        raise InstanceTooLargeForEnumeration(
+            f"{n} voters exceed the enumeration limit of {ENUMERATION_LIMIT}"
+        )
     voters = [voter_field(v, n, "voter") for v in voters]
     if isinstance(game, LiquidElection):
-        counts = _kernel_counts(game, voters)
-        if counts is not None:
-            return counts
-    return [_swing_counts_plain(game, v) for v in voters]
+        return _kernel_counts(_winning_set(game, range(n), n), n, voters)
+    from .semantics import ComposedGame  # loaded already by whoever composed
+    if not isinstance(game, ComposedGame):
+        raise TypeError(f"can count a LiquidElection or a ComposedGame, not {type(game).__name__}")
+    one = _winning_set(game.part_one, range(game.part_one.n), n)
+    two = _winning_set(game.part_two, game.joint_of_two, n)
+    return _kernel_counts(one & two if game.mode == "and" else one | two, n, voters)
 
 
 def swing_size_counts(game: EvaluableGame, voter: int) -> list[int]:

@@ -28,6 +28,7 @@ from .coalition_table import (
 from .core import DelegationProfile, LiquidElection, SocialNetwork, integer_field
 from .dp import all_indices_dp
 from .errors import (
+    InvariantViolated,
     MeasureNotSupported,
     NoFeasibleProfile,
     NonPositiveWeight,
@@ -195,5 +196,5 @@ def mmwp_leafmin(
     subtree_size = evaluated.forest.subtree_size
     leaf_min = min(x for x, size in zip(values, subtree_size) if size == 1)
     if leaf_min != min(values):
-        raise RuntimeError("leaf minimum diverged from the full minimum")
+        raise InvariantViolated("leaf minimum diverged from the full minimum")
     return leaf_min

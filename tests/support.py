@@ -23,6 +23,28 @@ def shapley_of(game, voter):
     return power_index(game, voter, MeasureKind.SHAPLEY)
 
 
+def _expand(sub: int, voter: int) -> int:
+    """Spread an index over ``n-1`` voters into a mask skipping ``voter``'s bit."""
+    low = sub & (1 << voter) - 1
+    high = sub >> voter << voter + 1
+    return low | high
+
+
+def _swing_counts_plain(game, voter: int) -> list[int]:
+    """Per-size swing counts of one voter of any game, by plain enumeration:
+    two ``value_of`` calls per coalition of the other voters.  The reference
+    that the bit-sliced counts of :mod:`liquidpower.exact` are checked
+    against."""
+    n = game.n_voters
+    counts = [0] * n
+    bit = 1 << voter
+    for sub in range(1 << n - 1):
+        mask = _expand(sub, voter)
+        if game.value_of(mask) == 0 and game.value_of(mask | bit) == 1:
+            counts[mask.bit_count()] += 1
+    return counts
+
+
 def eight_voter_election() -> LiquidElection:
     """Two delegation trees over eight unit-weight voters, quota 3.
 

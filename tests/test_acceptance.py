@@ -21,7 +21,7 @@ from liquidpower import (
 )
 from liquidpower.bribery import BriberyObjective, BriberyProblem, gamw, solve_bribery_exact
 from liquidpower.dp import banzhaf_dp, shapley_dp
-from liquidpower.exact import MeasureKind, _swing_counts_plain
+from liquidpower.exact import MeasureKind
 from liquidpower.maximin import mmwp_leafmin
 from liquidpower.semantics import compose
 from liquidpower.weightmax import (
@@ -34,6 +34,7 @@ from liquidpower.weightmax import (
     wmaxp_exact,
 )
 from support import (
+    _swing_counts_plain,
     banzhaf_of,
     eight_voter_election,
     random_composable_pair,

@@ -28,9 +28,9 @@ from liquidpower.coalition_table import (
 )
 from liquidpower.core import SELF, SocialNetwork, validate
 from liquidpower.dp import swing_counts_dp
-from liquidpower.exact import MeasureKind, _swing_counts_plain, measure_weights, swing_size_counts
+from liquidpower.exact import MeasureKind, measure_weights, swing_size_counts
 from liquidpower.maximin import MaximinProblem, mmwp_bruteforce
-from support import eight_voter_election, random_election, random_profile
+from support import _swing_counts_plain, eight_voter_election, random_election, random_profile
 
 
 def _masks(choices_rows):

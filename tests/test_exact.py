@@ -19,18 +19,21 @@ from liquidpower.errors import InstanceTooLargeForEnumeration
 from liquidpower.exact import (
     MeasureKind,
     _kernel_counts,
-    _swing_counts_plain,
+    _winning_set,
     all_indices_exact,
     measure_weights,
     counts_to_power,
     power_index,
     swing_size_counts,
 )
+from liquidpower.semantics import compose
 
 import oracle
 from support import (
+    _swing_counts_plain,
     banzhaf_of,
     eight_voter_election,
+    random_composable_pair,
     random_election,
     shapley_of,
     three_voter_line_election,
@@ -73,7 +76,7 @@ def test_dictator_and_dummy_extremes():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_both_enumeration_routes_agree(seed):
-    # elections are counted bit-sliced, other games by plain enumeration
+    # the bit-sliced count against the plain reference (tests/support.py)
     rng = random.Random(seed)
     e = random_election(rng, n_min=1, n_max=8)
     for v in range(e.n):
@@ -139,17 +142,57 @@ def test_huge_coprime_weights_past_sixteen_voters_match_oracle_and_dp():
         )
 
 
-def test_a_kernel_over_its_memory_cap_enumerates(monkeypatch):
+def test_a_kernel_over_its_memory_cap_is_sliced(monkeypatch):
     rng = random.Random(30_100)
     e = random_election(rng, n_min=7, n_max=7, w_max=9)
     top = (sum(e.weights) // math.gcd(*e.weights)).bit_length()
-    need = (2 * e.n + top + 5) << e.n
+    cost = 2 * e.n + top + 5  # live sets of the planes' pass, per coalition
     plain = [_swing_counts_plain(e, v) for v in range(e.n)]
-    monkeypatch.setattr(exact, "KERNEL_BITS", need)
-    assert _kernel_counts(e, range(e.n)) == plain
-    monkeypatch.setattr(exact, "KERNEL_BITS", need - 1)
-    assert _kernel_counts(e, range(e.n)) is None
-    assert [swing_size_counts(e, v) for v in range(e.n)] == plain
+    # the whole game in one slice, then two slices, then one coalition a slice
+    for bits in (cost << e.n, (cost << e.n) - 1, cost):
+        monkeypatch.setattr(exact, "KERNEL_BITS", bits)
+        wins = _winning_set(e, range(e.n), e.n)
+        assert _kernel_counts(wins, e.n, range(e.n)) == plain
+        assert [swing_size_counts(e, v) for v in range(e.n)] == plain
+
+
+def test_every_slice_count_matches_plain_enumeration(monkeypatch):
+    rng = random.Random(34_001)
+    for _ in range(12):
+        e = random_election(rng, n_min=1, n_max=8, w_max=20)
+        top = (sum(e.weights) // math.gcd(*e.weights)).bit_length()
+        plain = [_swing_counts_plain(e, v) for v in range(e.n)]
+        for h in range(1, e.n + 1):  # slices over the top h coalition bits
+            monkeypatch.setattr(exact, "KERNEL_BITS", (2 * e.n + top + 5) << e.n - h)
+            assert [swing_size_counts(e, v) for v in range(e.n)] == plain
+
+
+def test_composed_games_are_counted_like_plain_enumeration(monkeypatch):
+    rng = random.Random(34_002)
+    whole = exact.KERNEL_BITS
+    for round_ in range(40):
+        e1, e2, shared = random_composable_pair(rng, joint_max=10)
+        n = e1.n + e2.n - len(shared)
+        # every fourth round, a budget of 2**n bits slices every part's planes
+        monkeypatch.setattr(exact, "KERNEL_BITS", 1 << n if round_ % 4 == 0 else whole)
+        for mode in ("and", "or"):
+            game = compose(e1, e2, mode, shared)
+            plain = [_swing_counts_plain(game, v) for v in range(game.n_voters)]
+            for kind in MeasureKind:
+                weights = measure_weights(kind, game.n_voters)
+                report = all_indices_exact(game, kind)
+                assert report.values == tuple(counts_to_power(c, *weights) for c in plain)
+
+
+def test_other_games_are_refused_by_type():
+    class Small:
+        n_voters = 3
+
+        def value_of(self, mask):
+            return 0
+
+    with pytest.raises(TypeError, match="LiquidElection or a ComposedGame"):
+        swing_size_counts(Small(), 0)
 
 
 # Run in a fresh interpreter, so imports made earlier in the suite cannot mask

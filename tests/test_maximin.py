@@ -15,6 +15,8 @@ from liquidpower import (
     SELF,
     DelegationProfile,
     InstanceTooLargeForEnumeration,
+    InvariantViolated,
+    LiquidPowerError,
     MeasureNotSupported,
     NoFeasibleProfile,
     NonPositiveWeight,
@@ -192,6 +194,10 @@ def test_leafmin_refuses_a_leaf_minimum_below_the_full_minimum(monkeypatch):
     monkeypatch.setattr(maximin, "all_indices_dp", lambda *args: SimpleNamespace(values=values))
     with pytest.raises(RuntimeError, match="leaf minimum diverged"):
         mmwp_leafmin(election.profile, election, "banzhaf")
+    # the package's own error type, so a caller can catch it with the rest
+    with pytest.raises(InvariantViolated) as raised:
+        mmwp_leafmin(election.profile, election, "banzhaf")
+    assert isinstance(raised.value, LiquidPowerError)
 
 
 def test_oversized_search_is_refused_before_scoring(monkeypatch):
