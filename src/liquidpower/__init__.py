@@ -16,7 +16,6 @@ from .core import (
     DelegationForest,
     DelegationProfile,
     LiquidElection,
-    PartialElection,
     SocialNetwork,
     apply_changes,
     build_forest,
@@ -48,7 +47,6 @@ __all__ = [
     "SocialNetwork",
     "DelegationProfile",
     "DelegationForest",
-    "PartialElection",
     "LiquidElection",
     "validate",
     "build_forest",

@@ -34,7 +34,6 @@ from fractions import Fraction
 from . import _lazy_submodule
 from .core import (
     LiquidElection,
-    PartialElection,
     decimal_id,
     election_from_json,
     election_to_json,
@@ -82,7 +81,7 @@ def _values_doc(values) -> dict:
     return {str(i + 1): _fraction_doc(v) for i, v in enumerate(values)}
 
 
-def _witness_doc(election: PartialElection, profile) -> dict:
+def _witness_doc(election: LiquidElection, profile) -> dict:
     """The bribed/redesigned instance, ready to feed back through `index`."""
     return election_to_json(election.with_profile(profile))
 
@@ -117,19 +116,12 @@ def _load_election(path: str):
         raise CliError(f"bad instance document: {exc}") from None
 
 
-def _require_quota(election) -> LiquidElection:
-    if not isinstance(election, LiquidElection):
-        raise CliError("instance has no quota; this command needs one")
-    return election
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
-def _cmd_index(args, instance) -> dict:
-    election = _require_quota(instance)
+def _cmd_index(args, election: LiquidElection) -> dict:
     kind = MeasureKind(args.kind)
     if args.voter == "all":
         voters = list(range(election.n))
@@ -168,8 +160,7 @@ def _cmd_index(args, instance) -> dict:
     return results
 
 
-def _cmd_bribe(args, instance) -> dict:
-    election = _require_quota(instance)
+def _cmd_bribe(args, election: LiquidElection) -> dict:
     target = _parse_voter(args.target, election.n)
     objective = bribery.BriberyObjective(args.objective)
     threshold = _parse_fraction(args.threshold) if args.threshold else None
@@ -206,8 +197,7 @@ def _cmd_bribe(args, instance) -> dict:
     return results
 
 
-def _cmd_weightmax(args, instance) -> dict:
-    election = _require_quota(instance)
+def _cmd_weightmax(args, election: LiquidElection) -> dict:
     target = _parse_voter(args.target, election.n)
     problem = weightmax.WeightMaxProblem(election, target, args.budget, args.threshold)
 
@@ -236,8 +226,7 @@ def _cmd_weightmax(args, instance) -> dict:
     return results
 
 
-def _cmd_maximin(args, instance) -> dict:
-    election = _require_quota(instance)
+def _cmd_maximin(args, election: LiquidElection) -> dict:
     problem = maximin.MaximinProblem(
         election.network,
         election.weights,
@@ -365,6 +354,8 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 def _error_message(exc: Exception) -> str:
     """The message of ``exc``, with the voter ids it names 1-based."""
+    if isinstance(exc, MemoryError):
+        return str(exc) or "out of memory"
     if isinstance(exc, CycleInDelegations):
         exc = CycleInDelegations(v + 1 for v in exc.cycle)
     elif isinstance(exc, ArcNotInNetwork):
@@ -376,9 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        instance = _load_election(args.instance)
-        results = args.run(args, instance)
-    except (LiquidPowerError, ValueError, OSError) as exc:
+        election = _load_election(args.instance)
+        results = args.run(args, election)
+    except (LiquidPowerError, ValueError, OSError, MemoryError) as exc:
         error_doc = {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": _error_message(exc)},
@@ -388,7 +379,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - started
     report = {
         "command": args.command,
-        "instance_digest": instance_digest(instance),
+        "instance_digest": instance_digest(election),
         "arguments": _echo_arguments(args),
         "results": results,
         "elapsed_seconds": round(elapsed, 6),

@@ -9,6 +9,11 @@ own ballot) or to another voter along an arc of the social network.  Profiles
 must be acyclic; the transitive closure of an acyclic profile is a forest of
 in-trees whose roots are the *gurus* — the voters who actually vote, each
 wielding the accumulated weight of their whole subtree.
+
+An election (:class:`LiquidElection`) is the delegative simple game
+``<N, d, q>``: a network, positive integer weights, an acyclic profile and a
+quota.  Every election carries its quota, and every way of building one
+checks it, the instance document included.
 """
 
 from __future__ import annotations
@@ -290,17 +295,21 @@ def build_forest(profile: DelegationProfile, weights: Sequence[int]) -> Delegati
 
 
 @dataclass(frozen=True)
-class PartialElection:
-    """An election without a quota: network, positive weights, acyclic profile.
+class LiquidElection:
+    """A weighted election: network, positive weights, acyclic profile and
+    an integer quota in ``[1, total]``.
 
-    Checked when built, in order: sizes, weight positivity, every delegation
-    follows a network arc, and acyclicity.  The forest that proves
-    acyclicity is kept as ``forest``.
+    A coalition wins when the weight of its *active* members reaches the
+    quota; a member is active when its entire delegation chain lies inside
+    the coalition.  Checked when built, in order: sizes, weight positivity,
+    every delegation follows a network arc, acyclicity, and the quota.  The
+    forest that proves acyclicity is kept as ``forest``.
     """
 
     network: SocialNetwork
     weights: tuple[int, ...]
     profile: DelegationProfile
+    quota: int
     forest: DelegationForest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -321,37 +330,25 @@ class PartialElection:
                 raise ArcNotInNetwork(i, c)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "forest", build_forest(profile, weights))
+        quota, total = self.quota, sum(weights)
+        if not isinstance(quota, int) or isinstance(quota, bool) or not 1 <= quota <= total:
+            raise QuotaOutOfRange(f"quota {quota!r} outside [1, {total}]")
 
     @property
     def n(self) -> int:
         return self.network.n
 
     @property
+    def n_voters(self) -> int:
+        return self.n
+
+    @property
     def total_weight(self) -> int:
         return sum(self.weights)
 
-    def with_profile(self, profile: DelegationProfile):
+    def with_profile(self, profile: DelegationProfile) -> "LiquidElection":
         """Same election under a different delegation profile (checked anew)."""
         return replace(self, profile=profile)
-
-
-@dataclass(frozen=True)
-class LiquidElection(PartialElection):
-    """A weighted election with an integer quota in ``[1, total]``.
-
-    A coalition wins when the weight of its *active* members reaches the
-    quota; a member is active when its entire delegation chain lies inside
-    the coalition.  The quota is checked after the checks of
-    :class:`PartialElection`.
-    """
-
-    quota: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        quota, total = self.quota, self.total_weight
-        if not isinstance(quota, int) or isinstance(quota, bool) or not 1 <= quota <= total:
-            raise QuotaOutOfRange(f"quota {quota!r} outside [1, {total}]")
 
     def value_of(self, coalition_mask: int) -> int:
         """Characteristic value of the coalition given as a bitmask."""
@@ -370,26 +367,18 @@ class LiquidElection(PartialElection):
             m ^= low
         return total
 
-    @property
-    def n_voters(self) -> int:
-        return self.n
-
 
 def validate(
     network: SocialNetwork,
     weights: Sequence[int],
     profile: DelegationProfile,
-    quota: int | None = None,
-) -> LiquidElection | PartialElection:
+    quota: int,
+) -> LiquidElection:
     """Assemble an election from its pieces, which check themselves.
 
     Checks, in order: sizes, weight positivity, every delegation follows a
-    network arc, acyclicity, and (when a quota is given)
-    ``1 <= quota <= total``.  Returns a :class:`LiquidElection` when
-    ``quota`` is given, otherwise a :class:`PartialElection`.
+    network arc, acyclicity, and ``1 <= quota <= total``.
     """
-    if quota is None:
-        return PartialElection(network, weights, profile)
     return LiquidElection(network, weights, profile, quota)
 
 
@@ -428,7 +417,7 @@ def apply_changes(
 #   "weights": [1, 1, 1, 1, 1, 1, 1, 1],
 #   "arcs": [[1, 3], [2, 3], ...],         # [from, to]
 #   "delegations": {"1": 3, "3": 3, ...},   # voter -> target; own id = SELF
-#   "quota": 3                              # optional
+#   "quota": 3
 # }
 #
 # Omitted voters in "delegations" vote themselves.
@@ -485,7 +474,7 @@ def rational_field(value, field: str) -> Fraction:
         raise ValueError(refusal) from None
 
 
-def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElection:
+def election_from_json(doc: str | bytes | dict) -> LiquidElection:
     """Parse and validate an election from its JSON document (or parsed dict)."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
@@ -496,7 +485,7 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
         weights = doc["weights"]
         arcs = doc["arcs"]
         delegations = doc.get("delegations", {})
-        quota = doc.get("quota")
+        quota = doc["quota"]
     except KeyError as exc:
         raise ValueError(f"instance document missing field {exc}") from None
     # ids are checked with ``type(x) is int``: isinstance takes JSON true for 1
@@ -520,18 +509,15 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection | PartialElect
     return validate(network, tuple(weights), DelegationProfile(tuple(choices)), quota)
 
 
-def election_to_json(election: PartialElection) -> dict:
+def election_to_json(election: LiquidElection) -> dict:
     """Serialize an election back to the (1-based) instance document."""
-    doc: dict = {
+    return {
         "n": election.n,
         "weights": list(election.weights),
         "arcs": [[a + 1, b + 1] for a, b in election.network.arcs()],
         "delegations": profile_to_json(election.profile),
+        "quota": election.quota,
     }
-    quota = getattr(election, "quota", None)
-    if quota is not None:
-        doc["quota"] = quota
-    return doc
 
 
 def profile_to_json(profile: DelegationProfile) -> dict[str, int]:
@@ -542,7 +528,7 @@ def profile_to_json(profile: DelegationProfile) -> dict[str, int]:
     }
 
 
-def instance_digest(election: PartialElection) -> str:
+def instance_digest(election: LiquidElection) -> str:
     """Stable sha256 digest of the canonical instance document."""
     doc = election_to_json(election)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

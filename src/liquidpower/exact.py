@@ -34,10 +34,10 @@ from .core import LiquidElection, voter_field
 from .errors import InstanceTooLargeForEnumeration
 
 if TYPE_CHECKING:  # annotations only: counting an election never loads semantics
-    from .semantics import EvaluableGame
+    from .semantics import ComposedGame
 
 ENUMERATION_LIMIT = 24
-KERNEL_BITS = 1 << 31  # about 256 MB of coalition sets; larger ones are sliced
+KERNEL_BITS = 1 << 27  # about 16 MB of coalition sets; larger ones are sliced
 
 
 class MeasureKind(str, Enum):
@@ -155,7 +155,7 @@ def _kernel_counts(wins: int, n: int, voters) -> list[list[int]]:
     return counts
 
 
-def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
+def _swing_counts(game: LiquidElection | ComposedGame, voters) -> list[list[int]]:
     """Per-size swing counts of some voters of an election or a composed
     game, from one winning set."""
     n = game.n_voters
@@ -174,7 +174,7 @@ def _swing_counts(game: EvaluableGame, voters) -> list[list[int]]:
     return _kernel_counts(one & two if game.mode == "and" else one | two, n, voters)
 
 
-def swing_size_counts(game: EvaluableGame, voter: int) -> list[int]:
+def swing_size_counts(game: LiquidElection | ComposedGame, voter: int) -> list[int]:
     """Count, per coalition size, the coalitions of other voters that
     ``voter`` swings."""
     return _swing_counts(game, [voter])[0]
@@ -195,13 +195,13 @@ def counts_to_power(counts, size_weights: list[int], denominator: int) -> Fracti
     return Fraction(weighted, denominator)
 
 
-def power_index(game: EvaluableGame, voter: int, kind: MeasureKind) -> Fraction:
+def power_index(game: LiquidElection | ComposedGame, voter: int, kind: MeasureKind) -> Fraction:
     """Power of one voter under one measure, from its swing counts."""
     weights = measure_weights(kind, game.n_voters)
     return counts_to_power(swing_size_counts(game, voter), *weights)
 
 
-def all_indices_exact(game: EvaluableGame, kind: MeasureKind) -> IndexReport:
+def all_indices_exact(game: LiquidElection | ComposedGame, kind: MeasureKind) -> IndexReport:
     """Power values of every voter under one measure, from one count."""
     kind = MeasureKind(kind)
     n = game.n_voters

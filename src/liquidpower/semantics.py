@@ -1,34 +1,21 @@
-"""Game semantics on top of elections: the game protocol and composition.
+"""Composition of two elections into one game.
 
-A game has voters and a 0/1 characteristic function over coalitions held as
-bitmasks.  An election's (``LiquidElection.value_of``) counts only *active*
-members — voters whose entire delegation chain lies inside the coalition —
-and compares their total weight against the quota.  Two elections glued on
-shared voters make a composed game.
+Two games are counted by :mod:`liquidpower.exact`: an election and the
+composed game here.  Each has ``n_voters`` and a 0/1 characteristic
+function ``value_of`` over coalitions held as bitmasks.  An election's
+(``LiquidElection.value_of``) counts only *active* members — voters whose
+entire delegation chain lies inside the coalition — and compares their
+total weight against the quota.  Two elections glued on shared voters make
+a :class:`ComposedGame`, their conjunction or disjunction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, runtime_checkable
+from typing import Iterable, Mapping
 
 from .core import SELF, LiquidElection
 from .errors import IncompatibleOverlap
-
-
-@runtime_checkable
-class EvaluableGame(Protocol):
-    """Anything with voters and a 0/1 characteristic function over masks."""
-
-    @property
-    def n_voters(self) -> int: ...
-
-    def value_of(self, coalition_mask: int) -> int: ...
-
-
-# --------------------------------------------------------------------------
-# Composition of two elections over a shared sub-electorate
-# --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -66,9 +53,6 @@ class ComposedGame:
         if self.mode == "and":
             return a & b
         return a | b
-
-    def joint_id_of_two(self, voter: int) -> int:
-        return self.joint_of_two[voter]
 
 
 def compose(

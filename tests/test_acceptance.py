@@ -162,7 +162,7 @@ def test_criterion_05_conjunction_disjunction_sum_identity():
         either = compose(e1, e2, "or", shared)
         back_of = {}
         for two_id in range(e2.n):
-            back_of[both.joint_id_of_two(two_id)] = two_id
+            back_of[both.joint_of_two[two_id]] = two_id
         for joint in range(both.n_voters):
             split = Fraction(0)
             if joint < e1.n:

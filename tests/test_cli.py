@@ -238,6 +238,15 @@ def test_index_both_reports_a_method_divergence(capsys, monkeypatch, fixture_pat
     assert error["message"].startswith("method divergence for voter 6: dp=")
 
 
+def test_running_out_of_memory_is_a_refusal(capsys, monkeypatch, fixture_path):
+    def exhausted(election, kind):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "all_indices_exact", exhausted)
+    error = _refusal(capsys, ["index", fixture_path, "--method", "exact"])
+    assert error == {"type": "MemoryError", "message": "out of memory"}
+
+
 def test_pretty_renders_a_list_of_skipped_redirects(capsys, fixture_path):
     # the only other root, voter 8, has no arc to voter 3: gamw skips it
     argv = ["bribe", fixture_path, "--target", "3", "--budget", "1", "--method", "gamw"]

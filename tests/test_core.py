@@ -13,7 +13,6 @@ from liquidpower.core import (
     SELF,
     DelegationProfile,
     LiquidElection,
-    PartialElection,
     SocialNetwork,
     apply_changes,
     build_forest,
@@ -106,7 +105,7 @@ def _traced_forest(network, profile):
     validating it and building the forest."""
     tracemalloc.start()
     try:
-        forest = validate(network, (1,) * network.n, profile).forest
+        forest = validate(network, (1,) * network.n, profile, 1).forest
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -181,7 +180,7 @@ def test_choices_outside_the_election_are_refused(choices, voter, choice):
         find_delegation_cycle(choices)
     network = SocialNetwork.complete(len(choices))
     with pytest.raises(ArcNotInNetwork):
-        validate(network, (1,) * len(choices), DelegationProfile(choices))
+        validate(network, (1,) * len(choices), DelegationProfile(choices), 1)
 
 
 def test_validate_rejects_offnetwork_delegation():
@@ -203,7 +202,11 @@ def test_validate_rejects_bad_weights_and_quota():
             validate(network, (1, 1), profile, bad_quota)
     assert isinstance(validate(network, (1, 1), profile, 2), LiquidElection)
     assert isinstance(validate(network, (1, 1), profile, 1), LiquidElection)
-    assert type(validate(network, [1, 1], profile)) is PartialElection
+    # every election carries its quota: no builder takes one without it
+    with pytest.raises(TypeError, match="quota"):
+        validate(network, [1, 1], profile)
+    with pytest.raises(TypeError, match="quota"):
+        LiquidElection(network, [1, 1], profile)
     message = "size mismatch: network has 2 voters, 3 weights, profile of size 2"
     with pytest.raises(ValueError, match=re.escape(message)):
         validate(network, (1, 1, 1), profile, 2)
@@ -272,9 +275,13 @@ def test_json_roundtrip_and_digest():
     assert profile_to_json(e.profile)["3"] == 3  # self-voter maps to own id
     assert profile_to_json(e.profile)["1"] == 3
 
-    partial = dict(doc)
-    del partial["quota"]
-    assert not hasattr(election_from_json(partial), "quota")
+    # a document without a quota is refused as one without any other field;
+    # a null quota is out of range
+    del doc["quota"]
+    with pytest.raises(ValueError, match="^instance document missing field 'quota'$"):
+        election_from_json(doc)
+    with pytest.raises(QuotaOutOfRange, match=re.escape("quota None outside [1, 8]")):
+        election_from_json({**doc, "quota": None})
 
 
 def test_json_rejects_malformed_documents():

@@ -4,8 +4,11 @@ The first property of the differential suite: ``cli.main`` on any valid
 document and command exits 0 or 1 and prints exactly one JSON document,
 never a traceback.  The documents have 1-7 voters, weights up to 2**64 over
 shared gcds, arc densities from 0 to 1, acyclic delegations along the arcs,
-and quotas at 1, W/2 - 1, W/2, W/2 + 1 and W.  Runs are derandomized with a
-fixed example count, so they are the same on every machine.
+and quotas at 1, W/2 - 1, W/2, W/2 + 1 and W.  Some runs lose their quota,
+dropped or set to null, after their arguments are drawn: every election
+carries a quota, so such a run exits 1 with one JSON document naming it.
+Runs are derandomized with a fixed example count, so they are the same on
+every machine.
 """
 
 import contextlib
@@ -107,7 +110,13 @@ def _maximin_args(draw, doc):
 @st.composite
 def runs(draw, build, n_max=7):
     doc = draw(documents(n_max))
-    return doc, build(draw, doc)
+    argv = build(draw, doc)
+    quota = draw(st.sampled_from(["kept"] * 6 + ["dropped", "null"]))
+    if quota == "dropped":
+        del doc["quota"]
+    elif quota == "null":
+        doc["quota"] = None
+    return doc, argv
 
 
 def _run(doc, argv):
@@ -130,6 +139,8 @@ def _check_one_json_document(doc, argv):
     assert report["command"] == argv[0]
     assert ("results" in report) == (code == 0)
     assert ("error" in report) == (code == 1)
+    if doc.get("quota") is None:
+        assert code == 1 and "quota" in report["error"]["message"]
 
 
 def _fixed(examples: int):

@@ -26,6 +26,7 @@ from liquidpower import (
 from liquidpower import build_forest, coalition_table, colorcoding, weightmax_exact
 from liquidpower.bribery import neighborhood_size
 from liquidpower.weightmax import (
+    XP_EXCLUSION_LIMIT,
     WeightMaxOutcome,
     WeightMaxProblem,
     build_cost_graph,
@@ -617,6 +618,28 @@ def test_xp_witnesses_are_pinned():
     assert (len(rows), sum(row[0] for row in rows)) == (1410, 560)
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "6ef9c8ab5fbbf05d8201587479a7ab4b23820e9662b26598b96422cc3d9d8940"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_the_tree_routes_decide_as_the_exact_search(seed):
+    # xp at every slack it admits, and full support at the total weight,
+    # decide as the exact search does; a yes's witness reaches tau
+    rng = random.Random(seed)
+    election = random_election(rng, n_min=1, n_max=8, w_max=3, arc_prob=rng.random())
+    total = election.total_weight
+    target = rng.randrange(election.n)
+    k = rng.randint(0, 3)
+    for tau in (total, max(1, total - rng.randint(1, XP_EXCLUSION_LIMIT))):
+        problem = WeightMaxProblem(election, target, k, tau)
+        exact = wmaxp_exact(problem)
+        routes = [solve_xp_reqbar, solve_full_support] if tau == total else [solve_xp_reqbar]
+        for route in routes:
+            outcome = route(problem)
+            assert outcome.decision == exact.decision, route.__name__
+            if outcome.decision:
+                _assert_witness_ok(problem, outcome)
+                _assert_witness_ok(problem, exact)
 
 
 # --- color coding -----------------------------------------------------------
