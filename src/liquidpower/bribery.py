@@ -103,37 +103,16 @@ def _change_options(election: LiquidElection) -> list[tuple]:
     return options
 
 
-def _free_voters(election: LiquidElection, k: int, voting: int | None):
-    """The voters a candidate profile may change, and their budget.
-
-    Without ``voting`` that is every voter and ``k``.  With it, only the
-    profiles in which voter ``voting`` votes personally are wanted: a
-    delegating ``voting`` is fixed to itself, which spends one change, and
-    one who votes already keeps its vote.  A negative budget leaves no
-    profile.
-    """
-    if voting is None:
-        return range(election.n), k
-    voters = [v for v in range(election.n) if v != voting]
-    return voters, k - (election.profile.choices[voting] is not SELF)
-
-
-def neighborhood_size(
-    election: LiquidElection, k: int, *, voting: int | None = None
-) -> int:
+def neighborhood_size(election: LiquidElection, k: int) -> int:
     """Number of candidate profiles within budget ``k``, before the
-    acyclicity filter (an upper bound on the enumeration effort); with
-    ``voting``, of those in which that voter votes personally (see
-    :func:`_free_voters`)."""
-    voters, budget = _free_voters(election, k, voting)
-    if budget < 0:
+    acyclicity filter (an upper bound on the enumeration effort); a negative
+    budget leaves none."""
+    if k < 0:
         return 0
-    options = _change_options(election)
     poly = [1]
-    for v in voters:
-        m = len(options[v])
-        # multiply poly by (1 + m*x), truncated at degree budget
-        nxt = [0] * min(len(poly) + 1, budget + 1)
+    for m in map(len, _change_options(election)):
+        # multiply poly by (1 + m*x), truncated at degree k
+        nxt = [0] * min(len(poly) + 1, k + 1)
         for deg, coeff in enumerate(poly):
             if deg < len(nxt):
                 nxt[deg] += coeff

@@ -191,13 +191,6 @@ def _colorful_fill(colorings, wts, arc_groups, r, cost_cap):
         yield table, masks
 
 
-def _colorful_tables(colorings, wts, arc_groups, r, cost_cap) -> np.ndarray:
-    """The whole table of ``_colorful_fill``, every size filled."""
-    for table, _ in _colorful_fill(colorings, wts, arc_groups, r, cost_cap):
-        pass
-    return table
-
-
 def _first_join(cell, out_arcs, v, mask, c, value=None):
     """First candidate in one coloring's table that builds ``(v, mask, c)``.
 

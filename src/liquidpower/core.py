@@ -331,7 +331,9 @@ class LiquidElection:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "forest", build_forest(profile, weights))
         quota, total = self.quota, sum(weights)
-        if not isinstance(quota, int) or isinstance(quota, bool) or not 1 <= quota <= total:
+        if not isinstance(quota, int) or isinstance(quota, bool):
+            raise QuotaOutOfRange(f"quota must be an integer, got {quota!r}")
+        if not 1 <= quota <= total:
             raise QuotaOutOfRange(f"quota {quota!r} outside [1, {total}]")
 
     @property

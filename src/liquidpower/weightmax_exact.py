@@ -9,18 +9,17 @@ profiles.  The problem types come from :mod:`~liquidpower.weightmax`.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from . import coalition_table
-from .bribery import neighborhood_size
 from .coalition_table import best_row, chain_roots, product_blocks, reduced_weights
 from .core import DelegationProfile
 from .errors import InstanceTooLargeForEnumeration
 from .weightmax import WeightMaxOutcome, WeightMaxProblem
 
-NEIGHBORHOOD_CAP = 400_000  # target-voting profiles; bounds wmaxp_exact's sets and rows
+NEIGHBORHOOD_CAP = 400_000  # wmaxp_exact's redirect sets, and its rows walked
 
 
 def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
@@ -72,22 +71,22 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
     class holds every winner, and its kept rows tie with them on support and
     changes while later classes rank below, so
     :func:`coalition_table.best_row` picks the winner a scan of the whole
-    neighbourhood would.  Every redirect set is at least one candidate
-    profile, so :func:`bribery.neighborhood_size`'s count of those in which
-    the target votes bounds the sets scored and the rows walked: above
-    ``NEIGHBORHOOD_CAP`` the search raises
-    :class:`InstanceTooLargeForEnumeration` before either.
+    neighbourhood would.
+
+    The search counts what it builds just before building it, and raises
+    :class:`InstanceTooLargeForEnumeration` when the redirect sets number
+    more than ``NEIGHBORHOOD_CAP``, before any is built, or when the rows
+    of the runs walked so far, the next run's included, do, before that run
+    is walked.  Each walked row is a distinct candidate profile within the
+    budget in which the target votes, and each redirect set stands for at
+    least one such candidate of its own (every member's pool is not empty),
+    so neither count passes the number of those candidates: a neighbourhood
+    of at most ``NEIGHBORHOOD_CAP`` of them is never refused.
     """
     election = problem.election
     t = problem.target
     if problem.k_eff < 0:
         return WeightMaxOutcome(False, None, 0, 0)
-    count = neighborhood_size(election, problem.budget, voting=t)
-    if count > NEIGHBORHOOD_CAP:
-        raise InstanceTooLargeForEnumeration(
-            f"{count} candidate profiles in which the target votes exceed "
-            f"the cap of {NEIGHBORHOOD_CAP}"
-        )
     g, weights, _ = reduced_weights(election.weights, election.quota)
     base = np.array(election.profile.sort_key(), dtype=np.intp)
     base[t] = t
@@ -127,7 +126,7 @@ def _redirect_runs(problem: WeightMaxProblem, g: int, pools):
     A run closes once it holds ``2^i`` sets, ``i`` the runs before it, so
     a search that must pass many classes that keep no row makes few walks,
     and its last run holds about as many sets as all runs before it, plus
-    at most one class.  A set
+    at most one class; it refuses as :func:`wmaxp_exact` states.  A set
     holds up to ``k_eff`` voters outside the target's tree whose ``pools``
     are not empty; supports are in weight units of ``g``.  A member's base
     subtree is its current one, less the target's tree for the target's
@@ -140,8 +139,12 @@ def _redirect_runs(problem: WeightMaxProblem, g: int, pools):
     tree = set(forest.subtree_of(t))
     members = [v for v in range(n) if v not in tree and len(pools[v])]
     most = min(problem.k_eff, len(members))
-    # one row per set, padded with voter n: no weight, no block, position -1
     count = sum(comb(len(members), size) for size in range(most + 1))
+    if count > NEIGHBORHOOD_CAP:
+        raise InstanceTooLargeForEnumeration(
+            f"{count} redirect sets exceed the cap of {NEIGHBORHOOD_CAP}"
+        )
+    # one row per set, padded with voter n: no weight, no block, position -1
     sets = np.fromiter(
         chain.from_iterable(
             chain(c, [n] * (most - size))
@@ -168,9 +171,14 @@ def _redirect_runs(problem: WeightMaxProblem, g: int, pools):
     supports, sizes = supports[order], sizes[order]
     firsts = np.flatnonzero(np.diff(supports) | np.diff(sizes)) + 1
     bounds = [0, *firsts.tolist(), count]
-    run, limit = [], 1
+    run, limit, walked = [], 1, 0
     for lo, hi in zip(bounds, bounds[1:]):
         run += sets[order[lo:hi], : sizes[lo]].tolist()
         if len(run) >= limit or hi == count:
+            walked += sum(prod(len(pools[v]) for v in row) for row in run)
+            if walked > NEIGHBORHOOD_CAP:
+                raise InstanceTooLargeForEnumeration(
+                    f"{walked} candidate rows to walk exceed the cap of {NEIGHBORHOOD_CAP}"
+                )
             yield run
             run, limit = [], 2 * limit

@@ -99,11 +99,7 @@ def test_neighborhood_size_is_a_tight_upper_bound():
 
 
 def test_a_negative_budget_leaves_no_profile():
-    # directly, or once a delegating voter has spent a change to vote
-    election = eight_voter_election()
-    assert election.profile.choices[0] is not SELF
-    assert neighborhood_size(election, -1) == 0
-    assert neighborhood_size(election, 0, voting=0) == 0
+    assert neighborhood_size(eight_voter_election(), -1) == 0
 
 
 def test_blocks_stay_within_the_row_bound(monkeypatch):

@@ -65,6 +65,24 @@ def test_index_requires_a_quota(capsys, tmp_path):
     assert "quota" in out["error"]["message"]
 
 
+def test_a_quota_that_is_not_an_integer_is_named_so(capsys, tmp_path):
+    # 3 lies inside [1, 6]: the refusal names the type, not the range
+    path = tmp_path / "quota.json"
+    for quota in (3.0, True):
+        doc = {"n": 3, "weights": [1, 2, 3], "arcs": [], "quota": quota}
+        path.write_text(json.dumps(doc))
+        code, out = _run_json(capsys, ["index", str(path)])
+        assert code == 1
+        assert out["error"] == {
+            "type": "QuotaOutOfRange",
+            "message": f"quota must be an integer, got {quota!r}",
+        }
+    path.write_text(json.dumps({**doc, "quota": 7}))
+    code, out = _run_json(capsys, ["index", str(path)])
+    assert code == 1
+    assert out["error"]["message"] == "quota 7 outside [1, 6]"
+
+
 def test_large_instance_dp_completes_and_exact_refuses(capsys, tmp_path):
     rng = random.Random(12_001)
     election = random_election(rng, n_min=60, n_max=60, w_max=8)

@@ -276,17 +276,19 @@ def test_json_roundtrip_and_digest():
     assert profile_to_json(e.profile)["1"] == 3
 
     # a document without a quota is refused as one without any other field;
-    # a null quota is out of range
+    # a null quota is not an integer
     del doc["quota"]
     with pytest.raises(ValueError, match="^instance document missing field 'quota'$"):
         election_from_json(doc)
-    with pytest.raises(QuotaOutOfRange, match=re.escape("quota None outside [1, 8]")):
+    with pytest.raises(QuotaOutOfRange, match="^quota must be an integer, got None$"):
         election_from_json({**doc, "quota": None})
 
 
 def test_json_rejects_malformed_documents():
-    with pytest.raises(ValueError):
-        election_from_json({"n": 2, "weights": [1], "arcs": []})
+    with pytest.raises(ValueError, match="^'weights' must be a list of length n$"):
+        election_from_json({"n": 2, "weights": [1], "arcs": [], "quota": 1})
+    with pytest.raises(ValueError, match="^'weights' must be a list of length n$"):
+        election_from_json({"n": 1, "weights": 1, "arcs": [], "quota": 1})
     with pytest.raises(ValueError):
         election_from_json({"n": 0, "weights": [], "arcs": []})
     with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from liquidpower import (
     validate,
 )
 from liquidpower import build_forest, coalition_table, colorcoding, weightmax_exact
-from liquidpower.bribery import neighborhood_size
 from liquidpower.weightmax import (
     XP_EXCLUSION_LIMIT,
     WeightMaxOutcome,
@@ -393,7 +392,6 @@ def test_exact_follower_without_budget_enumerates_nothing(monkeypatch):
 
     monkeypatch.setattr(weightmax_exact, "_redirect_runs", refuse)
     monkeypatch.setattr(weightmax_exact, "product_blocks", refuse)
-    monkeypatch.setattr(weightmax_exact, "neighborhood_size", refuse)
     problem = WeightMaxProblem(eight_voter_election(), 0, 0, 1)
     assert wmaxp_exact(problem) == WeightMaxOutcome(False, None, 0, 0)
     monkeypatch.undo()
@@ -459,18 +457,36 @@ def test_exact_beyond_ten_voters_equals_the_full_scan():
             assert wmaxp_exact(problem) == _reference_exact(problem)
 
 
-def test_exact_refuses_above_the_profile_cap(monkeypatch):
-    election = eight_voter_election()
-    for target in (3, 7):  # a follower and a voter who votes already
-        problem = WeightMaxProblem(election, target, 2, 1)
-        count = neighborhood_size(election, 2, voting=target)
-        monkeypatch.setattr(weightmax_exact, "NEIGHBORHOOD_CAP", count)
-        assert wmaxp_exact(problem) == _reference_exact(problem)
-        monkeypatch.setattr(weightmax_exact, "NEIGHBORHOOD_CAP", count - 1)
-        with pytest.raises(InstanceTooLargeForEnumeration) as refused:
-            wmaxp_exact(problem)
-        assert f"{count} " in str(refused.value) and f"cap of {count - 1}" in str(refused.value)
-        monkeypatch.undo()
+def _assert_refused_at(monkeypatch, problem, count, unit):
+    """``wmaxp_exact`` answers ``problem`` at a cap of ``count`` and refuses
+    it, naming ``count`` ``unit``, one below."""
+    monkeypatch.setattr(weightmax_exact, "NEIGHBORHOOD_CAP", count)
+    assert wmaxp_exact(problem) == _reference_exact(problem)
+    monkeypatch.setattr(weightmax_exact, "NEIGHBORHOOD_CAP", count - 1)
+    with pytest.raises(InstanceTooLargeForEnumeration) as refused:
+        wmaxp_exact(problem)
+    assert str(refused.value) == f"{count} {unit} exceed the cap of {count - 1}"
+    monkeypatch.undo()
+
+
+def test_exact_refuses_above_the_redirect_set_cap(monkeypatch):
+    # voters 1-3 can each delegate to the target only: 7 redirect sets of
+    # up to two voters, and the first class, the three pairs, keeps a row
+    # from its 3 rows
+    network = SocialNetwork.from_arcs(4, [(1, 0), (2, 0), (3, 0)])
+    election = validate(network, (1, 1, 1, 1), DelegationProfile.all_self(4), 1)
+    _assert_refused_at(monkeypatch, WeightMaxProblem(election, 0, 2, 3), 7, "redirect sets")
+
+
+def test_exact_refuses_above_the_walked_row_cap(monkeypatch):
+    # 4 redirect sets of one voter; the best, {1} (support 6), walks 2 rows
+    # that keep nothing, as 1 can reach only 2 and 3; the next run, {2} and
+    # {3} (support 2), walks 4 more and keeps 2 -> 0
+    network = SocialNetwork.from_arcs(4, [(1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)])
+    election = validate(network, (1, 5, 1, 1), DelegationProfile.all_self(4), 1)
+    problem = WeightMaxProblem(election, 0, 1, 2)
+    assert wmaxp_exact(problem).support == 2
+    _assert_refused_at(monkeypatch, problem, 6, "candidate rows to walk")
 
 
 # --- full support -----------------------------------------------------------
@@ -873,7 +889,7 @@ def test_colorcoding_resumes_the_fill_when_a_first_witness_fails(monkeypatch):
     witnesses = []
     for batch in (1, 2):
         colorings = [[rng.randrange(r) for _ in wts] for _ in range(batch)]
-        table = colorcoding._colorful_tables(colorings, wts, colorcoding._arc_groups(arcs), r, cost_cap)
+        *_, (table, _) = colorcoding._colorful_fill(colorings, wts, colorcoding._arc_groups(arcs), r, cost_cap)
         witnesses += [
             {
                 outside[child]: representative[child] if parent == root else outside[parent]
@@ -992,7 +1008,7 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
             for chunk_cells in (coalition_table.CHUNK_CELLS, 1 << 12, 1):
                 monkeypatch.setattr(coalition_table, "CHUNK_CELLS", Cells(chunk_cells))
                 read.clear()
-                table = colorcoding._colorful_tables(colorings, wts, arc_groups, r, cost_cap)
+                *_, (table, _) = colorcoding._colorful_fill(colorings, wts, arc_groups, r, cost_cap)
                 monkeypatch.undo()
                 assert read and set(read) == {chunk_cells}  # the size reached the fill
                 assert np.array_equal(np.where(table >= 0, table, -1), want)
@@ -1004,7 +1020,7 @@ def test_colorful_tables_match_the_plain_recurrence(monkeypatch):
             want[(0, *key)] = weight
         for chunk_cells in (coalition_table.CHUNK_CELLS, 1):
             monkeypatch.setattr(coalition_table, "CHUNK_CELLS", chunk_cells)
-            table = colorcoding._colorful_tables([coloring], wts, arc_groups, r, cost_cap)
+            *_, (table, _) = colorcoding._colorful_fill([coloring], wts, arc_groups, r, cost_cap)
             monkeypatch.undo()
             assert np.array_equal(np.where(table >= 0, table, -1), want)
             masks = np.arange(1 << r)
@@ -1023,6 +1039,13 @@ def test_vbamw_normalizes_with_an_empty_effective_budget():
     assert outcome.support == 1
     assert outcome.changes == 1
     assert outcome.profile.choices[3] is SELF
+
+
+def test_vbamw_without_budget_for_a_delegating_target_is_a_no():
+    # voting would spend a change that budget 0 does not have
+    problem = WeightMaxProblem(eight_voter_election(), 0, 0, 1)
+    assert problem.k_eff < 0
+    assert vbamw(problem, Fraction(1, 2)) == WeightMaxOutcome(False, None, 0, 0)
 
 
 def test_vbamw_returns_the_whole_reachable_set_when_cheap():
