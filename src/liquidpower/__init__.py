@@ -17,7 +17,6 @@ from .core import (
     DelegationProfile,
     LiquidElection,
     SocialNetwork,
-    apply_changes,
     build_forest,
     election_from_json,
     election_to_json,
@@ -51,7 +50,6 @@ __all__ = [
     "validate",
     "build_forest",
     "find_delegation_cycle",
-    "apply_changes",
     "election_from_json",
     "election_to_json",
     "profile_to_json",

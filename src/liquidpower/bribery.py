@@ -207,21 +207,20 @@ def gamw(
 
     Redirects without a supporting network arc are skipped (budget kept) and
     reported in ``skipped_redirects``.  The achieved value is computed with
-    the counting tables, so large instances are fine.
+    the counting tables, so large instances are fine.  The target, budget
+    and threshold are read as :class:`BriberyProblem` reads them; without a
+    threshold the decision is yes, as every value reaches 0.
     """
-    target = voter_field(target, election.n, "target")
-    budget = integer_field(budget, "budget")
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    if threshold is not None:
-        threshold = rational_field(threshold, "threshold")
     kind = MeasureKind(kind)
+    threshold = 0 if threshold is None else threshold
+    problem = BriberyProblem(election, target, budget, threshold, f"max-{kind.value}")
+    target = problem.target
     n = election.n
     choices = list(election.profile.choices)
     network = election.network
     weights = election.weights
     forest = election.forest
-    k = budget
+    k = problem.budget
     skipped: list[tuple[int, int]] = []
 
     if k == 1 and choices[target] is not SELF:
@@ -277,9 +276,8 @@ def gamw(
         else shapley_dp(bribed, target)
     )
     changes = len(election.profile.changed_voters(profile))
-    decision = True if threshold is None else value >= threshold
     return BriberyOutcome(
-        decision=decision,
+        decision=value >= problem.threshold,
         profile=profile,
         value=value,
         changes=changes,

@@ -86,13 +86,6 @@ def _witness_doc(election: LiquidElection, profile) -> dict:
     return election_to_json(election.with_profile(profile))
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"not a rational number: {text!r}") from None
-
-
 def _parse_voter(text: str, n: int) -> int:
     voter = decimal_id(text)
     if voter is None:
@@ -163,13 +156,12 @@ def _cmd_index(args, election: LiquidElection) -> dict:
 def _cmd_bribe(args, election: LiquidElection) -> dict:
     target = _parse_voter(args.target, election.n)
     objective = bribery.BriberyObjective(args.objective)
-    threshold = _parse_fraction(args.threshold) if args.threshold else None
 
     if args.method == "exact":
-        if threshold is None:
+        if args.threshold is None:
             raise CliError("--threshold is required with --method exact")
         problem = bribery.BriberyProblem(
-            election, target, args.budget, threshold, objective
+            election, target, args.budget, args.threshold, objective
         )
         outcome = bribery.solve_bribery_exact(problem)
     else:
@@ -180,7 +172,7 @@ def _cmd_bribe(args, election: LiquidElection) -> dict:
             target,
             args.budget,
             kind=objective.kind,
-            threshold=threshold,
+            threshold=args.threshold,
         )
 
     results = {
@@ -214,7 +206,7 @@ def _cmd_weightmax(args, election: LiquidElection) -> dict:
     else:  # vbamw
         if args.epsilon is None:
             raise CliError("--epsilon is required with --method vbamw")
-        outcome = weightmax.vbamw(problem, _parse_fraction(args.epsilon))
+        outcome = weightmax.vbamw(problem, args.epsilon)
 
     results = {
         "decision": outcome.decision,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Final, Iterable, Mapping, Sequence
+from typing import Final, Iterable, Sequence
 
 from .errors import (
     ArcNotInNetwork,
@@ -181,9 +181,9 @@ class DelegationForest:
 
     Derived on demand: :meth:`chain_of` (the path from ``i`` up to
     ``guru[i]``, inclusive at both ends), :meth:`proxies_of` and
-    :meth:`subtree_of` (sorted ascending); and, cached, ``chain``,
-    ``subtree``, ``acc_weight`` (``subtree_weight[i]`` for a guru, else 0:
-    delegating voters wield no weight of their own) and ``chain_mask``.
+    :meth:`subtree_of` (sorted ascending); and, cached, ``acc_weight``
+    (``subtree_weight[i]`` for a guru, else 0: delegating voters wield no
+    weight of their own) and ``chain_mask``.
     """
 
     parent: tuple[int, ...]
@@ -216,14 +216,6 @@ class DelegationForest:
         """The voters whose chain passes through ``voter``, sorted ascending."""
         end = self.end[voter]
         return tuple(sorted(self.order[end - self.subtree_size[voter] : end]))
-
-    @cached_property
-    def chain(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self.chain_of, range(self.n)))
-
-    @cached_property
-    def subtree(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(self.subtree_of, range(self.n)))
 
     @cached_property
     def acc_weight(self) -> tuple[int, ...]:
@@ -302,8 +294,10 @@ class LiquidElection:
     A coalition wins when the weight of its *active* members reaches the
     quota; a member is active when its entire delegation chain lies inside
     the coalition.  Checked when built, in order: sizes, weight positivity,
-    every delegation follows a network arc, acyclicity, and the quota.  The
-    forest that proves acyclicity is kept as ``forest``.
+    every delegation follows a network arc, acyclicity, and the quota.
+    Weights and quota are integers as :func:`integer_field` reads them
+    (numpy ints pass) and are stored as plain ints.  The forest that proves
+    acyclicity is kept as ``forest``.
     """
 
     network: SocialNetwork
@@ -313,28 +307,30 @@ class LiquidElection:
     forest: DelegationForest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        network, weights, profile = self.network, tuple(self.weights), self.profile
+        network, given, profile = self.network, tuple(self.weights), self.profile
         n = network.n
-        if len(weights) != n or profile.n != n:
+        if len(given) != n or profile.n != n:
             raise ValueError(
                 f"size mismatch: network has {n} voters, "
-                f"{len(weights)} weights, profile of size {profile.n}"
+                f"{len(given)} weights, profile of size {profile.n}"
             )
+        weights = tuple(map(_plain_int, given))
         for i, w in enumerate(weights):
-            if not isinstance(w, int) or isinstance(w, bool) or w <= 0:
+            if w is None or w <= 0:
                 raise NonPositiveWeight(
-                    f"voter {i} has weight {w!r}; weights must be positive integers"
+                    f"voter {i} has weight {given[i]!r}; weights must be positive integers"
                 )
         for i, c in enumerate(profile.choices):
             if c is not SELF and not network.has_arc(i, c):
                 raise ArcNotInNetwork(i, c)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "forest", build_forest(profile, weights))
-        quota, total = self.quota, sum(weights)
-        if not isinstance(quota, int) or isinstance(quota, bool):
-            raise QuotaOutOfRange(f"quota must be an integer, got {quota!r}")
+        quota, total = _plain_int(self.quota), sum(weights)
+        if quota is None:
+            raise QuotaOutOfRange(f"quota must be an integer, got {self.quota!r}")
         if not 1 <= quota <= total:
-            raise QuotaOutOfRange(f"quota {quota!r} outside [1, {total}]")
+            raise QuotaOutOfRange(f"quota {quota} outside [1, {total}]")
+        object.__setattr__(self, "quota", quota)
 
     @property
     def n(self) -> int:
@@ -384,32 +380,6 @@ def validate(
     return LiquidElection(network, weights, profile, quota)
 
 
-def apply_changes(
-    profile: DelegationProfile,
-    changes: Mapping[int, Choice],
-    network: SocialNetwork | None = None,
-) -> tuple[DelegationProfile, int]:
-    """Apply a set of delegation changes and count how many actually differ.
-
-    When a network is given, every redirected delegation must follow one of
-    its arcs.  The resulting profile must be acyclic.  Returns the new
-    profile and the number of voters whose choice really changed.
-    """
-    updated = list(profile.choices)
-    for voter, choice in changes.items():
-        if not (0 <= voter < profile.n):
-            raise ValueError(f"voter {voter} out of range")
-        if choice is not SELF:
-            if not (0 <= choice < profile.n):
-                raise ValueError(f"delegation target {choice} out of range")
-            if network is not None and not network.has_arc(voter, choice):
-                raise ArcNotInNetwork(voter, choice)
-        updated[voter] = choice
-    new_profile = DelegationProfile(tuple(updated))
-    build_forest(new_profile, (1,) * profile.n)  # raises on a cycle
-    return new_profile, len(profile.changed_voters(new_profile))
-
-
 # --------------------------------------------------------------------------
 # JSON interchange (1-based voter ids)
 # --------------------------------------------------------------------------
@@ -436,18 +406,28 @@ def decimal_id(text) -> int | None:
     return None
 
 
-def integer_field(value, field: str) -> int:
-    """``value`` as a plain int, for an integer field of a problem object.
-
-    Anything ``operator.index`` takes passes (numpy ints included); a bool,
-    a float or a string raises ``TypeError`` naming ``field``.
-    """
+def _plain_int(value) -> int | None:
+    """``value`` as a plain int if ``operator.index`` takes it and it is no
+    bool (numpy ints pass), else None: the one integer rule of elections
+    and problem objects."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"{field} must be an integer, got {value!r}")
+    return None
+
+
+def integer_field(value, field: str) -> int:
+    """``value`` as a plain int, for an integer field of a problem object.
+
+    Anything :func:`_plain_int` takes passes; a bool, a float or a string
+    raises ``TypeError`` naming ``field``.
+    """
+    result = _plain_int(value)
+    if result is None:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return result
 
 
 def voter_field(value, n: int, field: str) -> int:

@@ -27,13 +27,7 @@ from .coalition_table import (
 )
 from .core import DelegationProfile, LiquidElection, SocialNetwork, integer_field
 from .dp import all_indices_dp
-from .errors import (
-    InvariantViolated,
-    MeasureNotSupported,
-    NoFeasibleProfile,
-    NonPositiveWeight,
-    QuotaOutOfRange,
-)
+from .errors import InvariantViolated, MeasureNotSupported, NoFeasibleProfile
 from .exact import MeasureKind, measure_weights
 
 
@@ -51,16 +45,8 @@ class MaximinProblem:
         weights = tuple(integer_field(w, "weights") for w in self.weights)
         object.__setattr__(self, "weights", weights)
         n = self.network.n
-        if len(self.weights) != n:
-            raise ValueError("one weight per voter required")
-        for v, w in enumerate(self.weights):
-            if w < 1:
-                raise NonPositiveWeight(f"voter {v} has non-positive weight {w}")
-        total = sum(self.weights)
-        if not 1 <= self.quota <= total:
-            raise QuotaOutOfRange(
-                f"quota {self.quota} outside [1, {total}]"
-            )
+        # the election checks the sizes, the weights and the quota
+        LiquidElection(self.network, weights, DelegationProfile.all_self(n), self.quota)
         if not 1 <= self.gurus <= n:
             raise ValueError(f"guru count {self.gurus} outside [1, {n}]")
         object.__setattr__(self, "kind", MeasureKind(self.kind))

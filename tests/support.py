@@ -162,7 +162,7 @@ def random_composable_pair(rng: random.Random, joint_max: int = 10, w_max: int =
     seeds = rng.sample(range(n1), rng.randint(1, min(2, n1)))
     shared1: set[int] = set()
     for s in seeds:
-        shared1.update(e1.forest.chain[s])
+        shared1.update(e1.forest.chain_of(s))
     shared1_list = sorted(shared1)
     r = len(shared1_list)
     n2 = min(joint_max - n1 + r, r + rng.randint(1, 3))

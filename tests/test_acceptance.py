@@ -111,9 +111,9 @@ def test_criterion_04_redirection_axioms_and_the_paradox_fixture():
     direct_events = 0
     while direct_events < 200:
         election = random_election(rng, n_min=3, n_max=8, w_max=3)
-        chains = election.forest.chain
         i = rng.randrange(election.n)
-        outside = [j for j in range(election.n) if j != i and j not in chains[i]]
+        chain = election.forest.chain_of(i)
+        outside = [j for j in range(election.n) if j != i and j not in chain]
         if not outside:
             continue
         j = rng.choice(outside)
@@ -130,18 +130,18 @@ def test_criterion_04_redirection_axioms_and_the_paradox_fixture():
         election = random_election(
             rng, n_min=3, n_max=8, w_max=3, delegate_prob=0.8
         )
-        chains = election.forest.chain
+        chain_of = election.forest.chain_of
         candidates = [
             (j, k)
             for j in range(election.n)
-            for k in chains[j][2:]  # strictly beyond j's current proxy
+            for k in chain_of(j)[2:]  # strictly beyond j's current proxy
         ]
         if not candidates:
             continue
         for j, k in rng.sample(candidates, min(4, len(candidates))):
             before = _with_extra_arc(election, j, k)
             after = before.with_profile(before.profile.with_choice(j, k))
-            for i in chains[k]:
+            for i in chain_of(k):
                 assert banzhaf_dp(before, i) <= banzhaf_dp(after, i)
                 assert shapley_dp(before, i) <= shapley_dp(after, i)
             shortcut_events += 1

@@ -213,6 +213,8 @@ def test_problem_fields_out_of_range_are_refused(field, value, message):
         ("budget", -1, ValueError),
         ("threshold", True, TypeError),
         ("threshold", "half", ValueError),
+        ("threshold", 2, ValueError),
+        ("threshold", -1, ValueError),
     ],
 )
 def test_gamw_arguments_are_coerced_or_refused(field, value, expected):

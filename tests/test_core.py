@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from liquidpower.core import (
     DelegationProfile,
     LiquidElection,
     SocialNetwork,
-    apply_changes,
     build_forest,
     election_from_json,
     election_to_json,
@@ -40,12 +40,12 @@ def test_eight_voter_forest_structure():
     f = e.forest
     assert f.gurus == (2, 7)
     assert f.guru == (2, 2, 2, 7, 7, 7, 7, 7)
-    assert f.chain[0] == (0, 2)
-    assert f.chain[4] == (4, 5, 6, 7)
-    assert f.chain[7] == (7,)
-    assert f.subtree[2] == (0, 1, 2)
-    assert f.subtree[7] == (3, 4, 5, 6, 7)
-    assert f.subtree[5] == (4, 5)
+    assert f.chain_of(0) == (0, 2)
+    assert f.chain_of(4) == (4, 5, 6, 7)
+    assert f.chain_of(7) == (7,)
+    assert f.subtree_of(2) == (0, 1, 2)
+    assert f.subtree_of(7) == (3, 4, 5, 6, 7)
+    assert f.subtree_of(5) == (4, 5)
     assert f.subtree_size == (1, 1, 3, 1, 1, 2, 4, 5)
     assert f.acc_weight == (0, 0, 3, 0, 0, 0, 0, 5)
     assert f.delegators[6] == (3, 5)
@@ -91,8 +91,11 @@ def test_an_election_proves_acyclicity_with_one_walk(monkeypatch):
 
     monkeypatch.setattr(core, "find_delegation_cycle", fail)
     e = election_from_json(election_to_json(eight_voter_election()))
-    new_profile, changed = apply_changes(e.profile, {5: SELF}, e.network)
-    assert changed == 1
+    choices = list(e.profile.choices)
+    for voter, choice in {0: 2, 7: SELF, 5: SELF}.items():  # only voter 5 changes
+        choices[voter] = choice
+    new_profile = DelegationProfile(tuple(choices))
+    assert e.profile.changed_voters(new_profile) == (5,)
     bribed = e.with_profile(new_profile)
     assert bribed.quota == e.quota and bribed.forest.gurus == (2, 5, 7)
     monkeypatch.undo()
@@ -219,6 +222,31 @@ def test_validate_rejects_bad_weights_and_quota():
 
 
 @pytest.mark.parametrize(
+    "weights, quota, error, message",
+    [
+        ((np.int64(1), np.int32(2)), np.int64(3), None, None),
+        ((1, True), 2, NonPositiveWeight, "voter 1 has weight True; weights must be positive integers"),
+        ((1, 1.0), 2, NonPositiveWeight, "voter 1 has weight 1.0; weights must be positive integers"),
+        ((1, 1), True, QuotaOutOfRange, "quota must be an integer, got True"),
+        ((1, 1), 2.0, QuotaOutOfRange, "quota must be an integer, got 2.0"),
+    ],
+)
+def test_elections_read_integers_as_the_problem_fields_do(weights, quota, error, message):
+    # operator.index without bools, as core.integer_field: numpy ints pass
+    # and are stored as plain ints
+    network = SocialNetwork.from_arcs(2, [])
+    profile = DelegationProfile.all_self(2)
+    if error is None:
+        e = LiquidElection(network, weights, profile, quota)
+        assert (e.weights, e.quota) == ((1, 2), 3)
+        assert {type(x) for x in (*e.weights, e.quota)} == {int}
+        assert e.with_profile(profile) == e
+    else:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            LiquidElection(network, weights, profile, quota)
+
+
+@pytest.mark.parametrize(
     "weights, choices, quota, error",
     [
         ((0, 1, 1), (1, 0), 9, ValueError),  # sizes first
@@ -234,36 +262,6 @@ def test_election_checks_run_in_order(weights, choices, quota, error):
         validate(network, weights, DelegationProfile(choices), quota)
     with pytest.raises(error):
         LiquidElection(network, weights, DelegationProfile(choices), quota)
-
-
-def test_apply_changes_counts_real_changes_only():
-    e = eight_voter_election()
-    new_profile, changed = apply_changes(
-        e.profile, {0: 2, 7: SELF, 5: SELF}, e.network
-    )
-    assert changed == 1  # only voter 5 actually changed
-    assert new_profile.choices[5] is SELF
-
-    with pytest.raises(ArcNotInNetwork):
-        apply_changes(e.profile, {0: 7}, e.network)
-    # without a network the same redirect is allowed
-    p2, c2 = apply_changes(e.profile, {0: 7})
-    assert c2 == 1 and p2.choices[0] == 7
-
-    # 4 already delegates to 5; the reverse arc exists and would close a loop
-    with pytest.raises(CycleInDelegations, match=re.escape("cycle: 4 -> 5")):
-        apply_changes(e.profile, {5: 4}, e.network)
-    # range first, then arcs, then cycles
-    for changes, message in (
-        ({8: SELF}, "voter 8 out of range"),
-        ({-1: 2}, "voter -1 out of range"),
-        ({0: 8}, "delegation target 8 out of range"),
-        ({5: 4, 0: -1}, "delegation target -1 out of range"),
-    ):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            apply_changes(e.profile, changes, e.network)
-    with pytest.raises(ArcNotInNetwork):
-        apply_changes(e.profile, {5: 4, 0: 7}, e.network)
 
 
 def test_json_roundtrip_and_digest():
@@ -316,18 +314,18 @@ def test_forest_invariants_on_random_profiles(seed):
     f = e.forest
     n = e.n
     for v in range(n):
-        assert f.chain[v][0] == v
-        assert f.chain[v][-1] == f.guru[v]
+        assert f.chain_of(v)[0] == v
+        assert f.chain_of(v)[-1] == f.guru[v]
         assert f.guru[f.guru[v]] == f.guru[v]
-        assert oracle.chain_of(e.profile.choices, v) == list(f.chain[v])
-        assert v in f.subtree[v]
-        assert f.subtree_weight[v] == sum(e.weights[u] for u in f.subtree[v])
+        assert oracle.chain_of(e.profile.choices, v) == list(f.chain_of(v))
+        assert v in f.subtree_of(v)
+        assert f.subtree_weight[v] == sum(e.weights[u] for u in f.subtree_of(v))
         if v == f.guru[v]:
             assert f.acc_weight[v] == f.subtree_weight[v]
         else:
             assert f.acc_weight[v] == 0
     # subtree sizes total the chain lengths
-    assert sum(f.subtree_size) == sum(len(c) for c in f.chain)
+    assert sum(f.subtree_size) == sum(len(f.chain_of(v)) for v in range(n))
     # delegators invert the profile
     for v in range(n):
         for d in f.delegators[v]:
