@@ -14,8 +14,8 @@ equals :meth:`DelegationProfile.sort_key`):
   maximin's root sets are such streams;
 * :func:`chain_masks` resolves every voter's delegation chain, and tells the
   acyclic rows apart, by pointer doubling in ``ceil(log2 n)`` array steps;
-  :func:`chain_roots` is the same loop when only each voter's root is
-  needed;
+  :func:`chain_roots` repeats that loop without the masks when only each
+  voter's root is needed (a copy, so ``chain_masks`` computes no roots);
 * :func:`coalition_weight_table` computes the active-member weight of every
   coalition mask for all P profiles (a ``(P, 2**n)`` table, in the type
   :func:`table_dtype` picks), and :func:`check_table_work` refuses a search

@@ -46,7 +46,8 @@ class SocialNetwork:
 
     ``out_neighbors[i]`` lists the voters that voter ``i`` may delegate to,
     sorted ascending, duplicate-free, never containing ``i`` itself; a row
-    that breaks this rule is refused with ``ValueError``.
+    that breaks this rule is refused with ``ValueError``, and an entry that
+    :func:`integer_field` refuses (numpy ints pass) with its ``TypeError``.
     """
 
     out_neighbors: tuple[tuple[int, ...], ...]
@@ -54,6 +55,9 @@ class SocialNetwork:
     def __post_init__(self):
         n = len(self.out_neighbors)
         for i, row in enumerate(self.out_neighbors):
+            if not set(map(type, row)) <= {int}:
+                for j in row:
+                    integer_field(j, f"voter {i}'s out-neighbour")
             # strictly ascending rules out duplicates; the ends bound the rest
             if row and not (
                 row[0] >= 0 and row[-1] < n and i not in row and all(map(operator.lt, row, row[1:]))
@@ -88,18 +92,21 @@ class SocialNetwork:
 
 @dataclass(frozen=True)
 class DelegationProfile:
-    """One delegation choice per voter: ``SELF`` or the id delegated to."""
+    """One delegation choice per voter: ``SELF`` or the id delegated to, as
+    :func:`voter_field` reads it (numpy ints pass; a bool, float or string
+    raises ``TypeError``, an id outside ``0..n-1`` ``ValueError``)."""
 
     choices: tuple[Choice, ...]
+
+    def __post_init__(self):
+        n = len(self.choices)
+        for v, c in enumerate(self.choices):
+            if c is not SELF and not (type(c) is int and 0 <= c < n):
+                voter_field(c, n, f"voter {v}'s choice")
 
     @property
     def n(self) -> int:
         return len(self.choices)
-
-    def with_choice(self, voter: int, choice: Choice) -> "DelegationProfile":
-        updated = list(self.choices)
-        updated[voter] = choice
-        return DelegationProfile(tuple(updated))
 
     def changed_voters(self, other: "DelegationProfile") -> tuple[int, ...]:
         """Voters whose choice differs between ``self`` and ``other``."""
@@ -122,22 +129,12 @@ class DelegationProfile:
         return cls((SELF,) * n)
 
 
-def _check_choices(choices: Sequence[Choice]) -> None:
-    """Refuse a choice outside ``0..n-1`` with ``ValueError``, naming the
-    voter and the choice, before a walk reads a negative one from the end
-    of a list or fails on a larger one."""
-    n = len(choices)
-    for v, c in enumerate(choices):
-        if c is not SELF and not 0 <= c < n:
-            raise ValueError(f"voter {v}'s choice {c} out of range")
-
-
 def find_delegation_cycle(choices: Sequence[Choice]) -> list[int] | None:
     """Return one delegation cycle as a list of voter ids, or None if acyclic.
 
-    Raises ``ValueError`` on a choice outside ``0..n-1``.
+    Reads ``choices`` as :class:`DelegationProfile` does, raising its errors.
     """
-    _check_choices(choices)
+    choices = DelegationProfile(tuple(choices)).choices
     state = [0] * len(choices)  # 0 unvisited, 1 on current walk, 2 done
     for start in range(len(choices)):
         if state[start]:
@@ -239,13 +236,12 @@ def build_forest(profile: DelegationProfile, weights: Sequence[int]) -> Delegati
     """Resolve an acyclic profile into its delegation forest, in O(n).
 
     One depth-first walk down from the gurus lays the voters out; it reaches
-    every voter exactly when the profile is acyclic.  Raises
-    :class:`CycleInDelegations`, naming a cycle, when it does not, and
-    ``ValueError`` on a choice outside ``0..n-1``.
+    every voter exactly when the profile, whose choices are voter ids, is
+    acyclic.  Raises :class:`CycleInDelegations`, naming a cycle, when it
+    does not.
     """
     n = profile.n
     choices = profile.choices
-    _check_choices(choices)
     delegators: list[list[int]] = [[] for _ in range(n)]
     for v, c in enumerate(choices):
         if c is not SELF:

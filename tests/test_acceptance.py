@@ -104,6 +104,13 @@ def _with_extra_arc(election, source, target):
     return validate(network, election.weights, election.profile, election.quota)
 
 
+def _redirected(election, voter, choice):
+    """The same election with ``voter``'s delegation set to ``choice``."""
+    choices = list(election.profile.choices)
+    choices[voter] = choice
+    return election.with_profile(DelegationProfile(tuple(choices)))
+
+
 def test_criterion_04_redirection_axioms_and_the_paradox_fixture():
     rng = random.Random(44_001)
 
@@ -118,7 +125,7 @@ def test_criterion_04_redirection_axioms_and_the_paradox_fixture():
             continue
         j = rng.choice(outside)
         before = _with_extra_arc(election, j, i)
-        after = before.with_profile(before.profile.with_choice(j, i))
+        after = _redirected(before, j, i)
         assert banzhaf_dp(before, i) <= banzhaf_dp(after, i)
         assert shapley_dp(before, i) <= shapley_dp(after, i)
         direct_events += 1
@@ -140,7 +147,7 @@ def test_criterion_04_redirection_axioms_and_the_paradox_fixture():
             continue
         for j, k in rng.sample(candidates, min(4, len(candidates))):
             before = _with_extra_arc(election, j, k)
-            after = before.with_profile(before.profile.with_choice(j, k))
+            after = _redirected(before, j, k)
             for i in chain_of(k):
                 assert banzhaf_dp(before, i) <= banzhaf_dp(after, i)
                 assert shapley_dp(before, i) <= shapley_dp(after, i)

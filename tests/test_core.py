@@ -99,8 +99,9 @@ def test_an_election_proves_acyclicity_with_one_walk(monkeypatch):
     bribed = e.with_profile(new_profile)
     assert bribed.quota == e.quota and bribed.forest.gurus == (2, 5, 7)
     monkeypatch.undo()
+    choices[5] = 4
     with pytest.raises(CycleInDelegations, match=re.escape("cycle: 4 -> 5") + "$"):
-        e.with_profile(e.profile.with_choice(5, 4))
+        e.with_profile(DelegationProfile(tuple(choices)))
 
 
 def _traced_forest(network, profile):
@@ -171,19 +172,48 @@ def test_self_loop_free_cycle_finder():
 
 @pytest.mark.parametrize(
     "choices, voter, choice",
-    [((-1, SELF), 0, -1), ((SELF, 5), 1, 5), ((SELF, 0, 3), 2, 3), ((1, -3, SELF), 1, -3)],
+    [
+        ((-1, SELF), 0, -1),
+        ((SELF, 5), 1, 5),
+        ((SELF, 0, 3), 2, 3),
+        ((1, -3, SELF), 1, -3),
+        ((True, SELF), 0, True),
+        ((SELF, 0.0), 1, 0.0),
+        ((SELF, 0, "1"), 2, "1"),
+    ],
 )
 def test_choices_outside_the_election_are_refused(choices, voter, choice):
     # a negative choice once read from the end of a list, a large one raised
-    # a bare IndexError; validate refuses both first, as arcs off the network
-    message = f"voter {voter}'s choice {choice} out of range"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        build_forest(DelegationProfile(choices), (1,) * len(choices))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    # a bare IndexError, a float one a bare TypeError and a bool one built an
+    # election; the profile refuses each when built, as voter_field does
+    if type(choice) is int:
+        error, message = ValueError, f"voter {voter}'s choice {choice} out of range"
+    else:
+        error, message = TypeError, f"voter {voter}'s choice must be an integer, got {choice!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        DelegationProfile(choices)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         find_delegation_cycle(choices)
-    network = SocialNetwork.complete(len(choices))
-    with pytest.raises(ArcNotInNetwork):
-        validate(network, (1,) * len(choices), DelegationProfile(choices), 1)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((np.int64(1),), (np.int32(0),)), None),
+        (((True,), ()), "voter 0's out-neighbour must be an integer, got True"),
+        (((), (0.0,)), "voter 1's out-neighbour must be an integer, got 0.0"),
+        (((1,), ("0",)), "voter 1's out-neighbour must be an integer, got '0'"),
+    ],
+    ids=["numpy", "bool", "float", "str"],
+)
+def test_network_rows_read_ids_as_integers(rows, message):
+    # numpy ints pass, in rows and in profiles, as in election fields
+    if message is None:
+        e = LiquidElection(SocialNetwork(rows), (1, 2), DelegationProfile((np.int64(1), SELF)), 3)
+        assert e.forest.gurus == (1,) and e.forest.subtree_weight[1] == 3
+    else:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            SocialNetwork(rows)
 
 
 def test_validate_rejects_offnetwork_delegation():

@@ -355,7 +355,9 @@ def test_reference_winners_redirect_only_outside_voters_into_the_target():
         assert tree.isdisjoint(moved)
         forest = build_forest(winner, election.weights)
         assert all(forest.guru[v] == target for v in moved)
-        base = build_forest(election.profile.with_choice(target, SELF), election.weights)
+        voting = list(choices)
+        voting[target] = SELF
+        base = build_forest(DelegationProfile(tuple(voting)), election.weights)
         pulled = tree.union(*(base.subtree_of(v) for v in moved))
         assert forest.subtree_weight[target] == sum(election.weights[v] for v in pulled)
         redirected += bool(moved)
