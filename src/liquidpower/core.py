@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Final, Iterable, Sequence
+from typing import Callable, Final, Iterable, Sequence
 
 from .errors import (
     ArcNotInNetwork,
@@ -44,25 +44,28 @@ Choice = int | None
 class SocialNetwork:
     """A directed graph over voters; arcs are the permitted delegations.
 
-    ``out_neighbors[i]`` lists the voters that voter ``i`` may delegate to,
-    sorted ascending, duplicate-free, never containing ``i`` itself; a row
-    that breaks this rule is refused with ``ValueError``, and an entry that
-    :func:`integer_field` refuses (numpy ints pass) with its ``TypeError``.
+    ``out_neighbors[i]`` lists, as plain ints, the voters that voter ``i``
+    may delegate to, sorted ascending, duplicate-free, never containing
+    ``i`` itself; a row that breaks this rule is refused with ``ValueError``,
+    an entry that :func:`integer_field` refuses (numpy ints pass) with its
+    ``TypeError``.
     """
 
     out_neighbors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.out_neighbors)
+        n, read = len(self.out_neighbors), {}  # read: the rows stored anew
         for i, row in enumerate(self.out_neighbors):
             if not set(map(type, row)) <= {int}:
-                for j in row:
-                    integer_field(j, f"voter {i}'s out-neighbour")
+                read[i] = row = tuple(integer_field(j, f"voter {i}'s out-neighbour") for j in row)
             # strictly ascending rules out duplicates; the ends bound the rest
             if row and not (
                 row[0] >= 0 and row[-1] < n and i not in row and all(map(operator.lt, row, row[1:]))
             ):
                 raise ValueError(f"malformed out-neighbor list for voter {i}: {row}")
+        if read:  # the non-int path
+            rows = tuple(read.get(i, row) for i, row in enumerate(self.out_neighbors))
+            object.__setattr__(self, "out_neighbors", rows)
 
     @property
     def n(self) -> int:
@@ -80,6 +83,8 @@ class SocialNetwork:
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "SocialNetwork":
         rows: list[set[int]] = [set() for _ in range(n)]
         for source, target in arcs:
+            if type(source) is not int or type(target) is not int:
+                source, target = integer_field(source, "arc source"), integer_field(target, "arc target")
             if not (0 <= source < n and 0 <= target < n):
                 raise ValueError(f"arc ({source}, {target}) out of range for n={n}")
             rows[source].add(target)
@@ -93,16 +98,21 @@ class SocialNetwork:
 @dataclass(frozen=True)
 class DelegationProfile:
     """One delegation choice per voter: ``SELF`` or the id delegated to, as
-    :func:`voter_field` reads it (numpy ints pass; a bool, float or string
-    raises ``TypeError``, an id outside ``0..n-1`` ``ValueError``)."""
+    :func:`voter_field` reads it, stored as a plain int (numpy ints pass; a
+    bool, float or string raises ``TypeError``, an id out of range ``ValueError``)."""
 
     choices: tuple[Choice, ...]
 
     def __post_init__(self):
         n = len(self.choices)
-        for v, c in enumerate(self.choices):
+        for c in self.choices:
             if c is not SELF and not (type(c) is int and 0 <= c < n):
-                voter_field(c, n, f"voter {v}'s choice")
+                choices = tuple(
+                    c if c is SELF else voter_field(c, n, f"voter {v}'s choice")
+                    for v, c in enumerate(self.choices)
+                )
+                object.__setattr__(self, "choices", choices)
+                return
 
     @property
     def n(self) -> int:
@@ -122,11 +132,29 @@ class DelegationProfile:
     def from_parents(cls, parents: Sequence[int]) -> "DelegationProfile":
         """Inverse of :meth:`sort_key`: a voter that is its own parent votes
         personally, every other voter delegates to its parent."""
-        return cls(tuple(SELF if p == v else int(p) for v, p in enumerate(parents)))
+        return cls(tuple(SELF if p == v else p for v, p in enumerate(parents)))
 
     @classmethod
     def all_self(cls, n: int) -> "DelegationProfile":
         return cls((SELF,) * n)
+
+
+def first_cycle(starts: Iterable[int], step: Callable[[int], int | None]) -> list[int] | None:
+    """The first cycle that the parent pointers ``step`` close, or None.
+
+    Walks from each start in the given order, following ``step`` until it
+    gives None or reaches a vertex walked before.  A walk that reaches its
+    own trail has closed a cycle, returned from that vertex on, in walk order.
+    """
+    walked: dict[int, int] = {}  # vertex -> number of the walk that reached it
+    for walk, v in enumerate(starts):
+        while v is not None and v not in walked:
+            walked[v] = walk
+            v = step(v)
+        if v is not None and walked[v] == walk:
+            cycle = list(walked)  # in walk order: the cycle is the tail from v
+            return cycle[cycle.index(v) :]
+    return None
 
 
 def find_delegation_cycle(choices: Sequence[Choice]) -> list[int] | None:
@@ -135,25 +163,7 @@ def find_delegation_cycle(choices: Sequence[Choice]) -> list[int] | None:
     Reads ``choices`` as :class:`DelegationProfile` does, raising its errors.
     """
     choices = DelegationProfile(tuple(choices)).choices
-    state = [0] * len(choices)  # 0 unvisited, 1 on current walk, 2 done
-    for start in range(len(choices)):
-        if state[start]:
-            continue
-        walk = []
-        v = start
-        while v is not SELF and state[v] == 0:
-            state[v] = 1
-            walk.append(v)
-            v = choices[v]
-        if v is not SELF and state[v] == 1:
-            # closed a cycle inside the current walk
-            cycle_start = walk.index(v)
-            for u in walk:
-                state[u] = 2
-            return walk[cycle_start:]
-        for u in walk:
-            state[u] = 2
-    return None
+    return first_cycle(range(len(choices)), choices.__getitem__)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .core import (
     SELF,
     DelegationProfile,
     LiquidElection,
+    first_cycle,
     integer_field,
     rational_field,
     voter_field,
@@ -192,30 +193,9 @@ def min_cost_root_arborescence(
         if any(v != root and v not in best_in for v in members):
             return None
 
-        # walk parent pointers; a node revisited within one walk closes a cycle
-        state = dict.fromkeys(members, 0)
-        state[root] = 2
-        cycle = None
-        for start in members:
-            if state[start]:
-                continue
-            trail = []
-            u = start
-            while state[u] == 0:
-                state[u] = 1
-                trail.append(u)
-                u = best_in[u][0]
-            if state[u] == 1:
-                cycle = [u]
-                v = best_in[u][0]
-                while v != u:
-                    cycle.append(v)
-                    v = best_in[v][0]
-            for v in trail:
-                state[v] = 2
-            if cycle:
-                break
-
+        # the root stops every walk; walking members in set order keeps
+        # which cycle each level contracts
+        cycle = first_cycle(members, lambda u: None if u == root else best_in[u][0])
         if cycle is None:
             return list(best_in.values())
 

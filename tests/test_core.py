@@ -3,6 +3,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -58,11 +59,12 @@ def test_cycle_detection_reports_the_cycle():
         ((1, 2, 1, SELF), [1, 2]),  # voter 0 hangs into the cycle
         ((1, 0, 3, 2), [0, 1]),  # no guru at all: two cycles
         ((2, 2, 3, 4, 2), [2, 3, 4]),  # no guru: two tails into one cycle
+        ((SELF, 3, 1, 2), [1, 3, 2]),  # in walk order, not sorted
         ((SELF, 1), [1]),  # a voter delegating to itself
     ):
         with pytest.raises(CycleInDelegations) as err:
             build_forest(DelegationProfile(choices), (1,) * len(choices))
-        assert sorted(err.value.cycle) == cycle
+        assert err.value.cycle == cycle
 
 
 @pytest.mark.parametrize("build", ["validate", "json", "constructor"])
@@ -167,7 +169,24 @@ def test_network_and_profile_sizes_are_checked():
 
 def test_self_loop_free_cycle_finder():
     assert find_delegation_cycle((SELF, 0, 1)) is None
-    assert find_delegation_cycle((1, 0)) == [0, 1] or find_delegation_cycle((1, 0)) == [1, 0]
+    assert find_delegation_cycle((1, 0)) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "starts, parent, cycle",
+    [
+        ([10, 30, 20], {10: 30, 30: 20, 20: 30}, [30, 20]),  # ids need not be 0..n-1
+        ([5, 7, 9], {5: 7, 7: 9, 9: 5}, [5, 7, 9]),
+        ([5, 7, 9], {5: 7, 7: 9, 9: None}, None),  # a stop vertex breaks that cycle
+        ([0, 2], {0: 1, 1: None, 2: 1}, None),  # walk 2 ends where walk 0 went
+        ([0, 2, 3], {0: 1, 1: None, 2: 1, 3: 4, 4: 3}, [3, 4]),
+        ([0, 2], {0: 1, 1: 0, 2: 3, 3: 2}, [0, 1]),  # the first start's cycle
+        ([2, 0], {0: 1, 1: 0, 2: 3, 3: 2}, [2, 3]),
+        ([3, 0], {0: 1, 1: 0, 2: 3, 3: 2}, [3, 2]),
+    ],
+)
+def test_first_cycle_walks_the_starts_in_order(starts, parent, cycle):
+    assert core.first_cycle(starts, parent.get) == cycle
 
 
 @pytest.mark.parametrize(
@@ -194,26 +213,46 @@ def test_choices_outside_the_election_are_refused(choices, voter, choice):
         DelegationProfile(choices)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         find_delegation_cycle(choices)
+    # from_parents once read each parent by int(): True and "1" as voter 1,
+    # 0.0 as voter 0
+    parents = tuple(v if c is SELF else c for v, c in enumerate(choices))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        DelegationProfile.from_parents(parents)
 
 
 @pytest.mark.parametrize(
-    "rows, message",
+    "build, message",
     [
-        (((np.int64(1),), (np.int32(0),)), None),
-        (((True,), ()), "voter 0's out-neighbour must be an integer, got True"),
-        (((), (0.0,)), "voter 1's out-neighbour must be an integer, got 0.0"),
-        (((1,), ("0",)), "voter 1's out-neighbour must be an integer, got '0'"),
+        (lambda: SocialNetwork(((np.int64(1),), (np.int32(0),))), None),
+        (lambda: SocialNetwork((np.array([1]), np.array([0], dtype=np.int32))), None),
+        (lambda: SocialNetwork.from_arcs(2, [(np.int64(0), 1), (1, np.int32(0))]), None),
+        (lambda: SocialNetwork(((True,), ())), "voter 0's out-neighbour must be an integer, got True"),
+        (lambda: SocialNetwork(((), (0.0,))), "voter 1's out-neighbour must be an integer, got 0.0"),
+        (lambda: SocialNetwork(((1,), ("0",))), "voter 1's out-neighbour must be an integer, got '0'"),
+        # from_arcs once indexed its rows by the source first: a float raised
+        # a bare TypeError and True built an arc from voter 1
+        (lambda: SocialNetwork.from_arcs(3, [(1.0, 0)]), "arc source must be an integer, got 1.0"),
+        (lambda: SocialNetwork.from_arcs(3, [(True, 0)]), "arc source must be an integer, got True"),
+        (lambda: SocialNetwork.from_arcs(3, [(0, "1")]), "arc target must be an integer, got '1'"),
     ],
-    ids=["numpy", "bool", "float", "str"],
+    ids=[
+        "numpy", "numpy-array", "arcs-numpy", "bool", "float", "str",
+        "arcs-float", "arcs-bool", "arcs-str",
+    ],
 )
-def test_network_rows_read_ids_as_integers(rows, message):
-    # numpy ints pass, in rows and in profiles, as in election fields
+def test_network_rows_read_ids_as_integers(build, message):
+    # numpy ints pass, in rows, arcs and profiles, as in election fields, and
+    # are stored as plain ints, so the election can be written back
     if message is None:
-        e = LiquidElection(SocialNetwork(rows), (1, 2), DelegationProfile((np.int64(1), SELF)), 3)
+        e = LiquidElection(build(), (1, 2), DelegationProfile((np.int64(1), SELF)), 3)
         assert e.forest.gurus == (1,) and e.forest.subtree_weight[1] == 3
+        assert e.network.out_neighbors == ((1,), (0,)) and e.profile.choices == (1, SELF)
+        assert {type(v) for v in (*chain(*e.network.out_neighbors), e.profile.choices[0])} == {int}
+        plain = LiquidElection(SocialNetwork.complete(2), (1, 2), DelegationProfile((1, SELF)), 3)
+        assert instance_digest(e) == instance_digest(plain)
     else:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-            SocialNetwork(rows)
+            build()
 
 
 def test_validate_rejects_offnetwork_delegation():
