@@ -167,7 +167,7 @@ def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:
     sign = 1 if problem.objective.maximize else -1
     # an integer scoring key avoids per-profile Fraction construction
     size_weights, denominator = measure_weights(problem.objective.kind, n)
-    _, weights, quota = coalition_table.reduced_weights(election.weights, election.quota)
+    _, weights, quota = election.reduced
 
     def score(masks):
         keys = coalition_table.swing_counts(

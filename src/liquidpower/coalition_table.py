@@ -32,8 +32,8 @@ equals :meth:`DelegationProfile.sort_key`):
 
 Results are exact integers.  No table cell exceeds the total weight, so a
 table is filled in the narrowest signed integer type that holds it, int8 up
-to int64; weights are divided by their gcd (:func:`reduced_weights`) so
-that totals stay small, and games whose reduced total weight still
+to int64; the searches score the gcd-reduced game (``LiquidElection.reduced``)
+so that totals stay small, and games whose reduced total weight still
 overflows int64 are refused.  The test suite checks the tables against
 :mod:`liquidpower.exact`'s bit-sliced counts and an independent oracle.
 """
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -169,21 +169,6 @@ def chain_roots(parents) -> tuple[np.ndarray, np.ndarray]:
     return jump.reshape(p, n) - offsets, acyclic
 
 
-def reduced_weights(weights, quota: int) -> tuple[int, np.ndarray, int]:
-    """``(g, weights // g, ceil(quota / g))``, ``g`` the weights' gcd.
-
-    Dividing every weight by ``g`` and rounding the quota up keeps every
-    comparison of a coalition weight with the quota, and a reduced weight
-    sum times ``g`` is the true sum.  The array is int64 however small the
-    total, as callers sum over it; a reduced total weight that int64 does
-    not hold is refused (:func:`table_dtype`).
-    """
-    g = gcd(*weights)
-    reduced = [w // g for w in weights]
-    table_dtype(reduced)  # refuses a reduced total past int64
-    return g, np.array(reduced, dtype=np.int64), -(-quota // g)
-
-
 def check_table_work(passes, n: int) -> None:
     """Refuse a search whose table work exceeds :data:`WORK_CAP`, before any
     of it.  ``passes`` counts passes over ``2**n`` cells: a profile scored
@@ -290,7 +275,7 @@ def swing_counts_from_table(
 def swing_counts(masks, weights, quota: int, voters, size_weights) -> np.ndarray:
     """:func:`swing_counts_from_table` for every row of a ``(P, n)`` block
     of chain masks, the tables built :func:`table_rows` rows at a time;
-    ``weights`` and ``quota`` as :func:`reduced_weights` returns them."""
+    ``weights`` and ``quota`` as ``LiquidElection.reduced`` gives them."""
     n = masks.shape[1]
     rows = table_rows(n)
     tables = (

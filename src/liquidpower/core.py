@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd
 from typing import Callable, Final, Iterable, Sequence
 
 from .errors import (
@@ -132,6 +133,7 @@ class DelegationProfile:
     def from_parents(cls, parents: Sequence[int]) -> "DelegationProfile":
         """Inverse of :meth:`sort_key`: a voter that is its own parent votes
         personally, every other voter delegates to its parent."""
+        parents = cls(tuple(parents)).choices  # read first: 0.0 or False is refused, not SELF
         return cls(tuple(SELF if p == v else p for v, p in enumerate(parents)))
 
     @classmethod
@@ -303,7 +305,7 @@ class LiquidElection:
     every delegation follows a network arc, acyclicity, and the quota.
     Weights and quota are integers as :func:`integer_field` reads them
     (numpy ints pass) and are stored as plain ints.  The forest that proves
-    acyclicity is kept as ``forest``.
+    acyclicity is kept as ``forest``, the gcd-reduced game as ``reduced``.
     """
 
     network: SocialNetwork
@@ -349,6 +351,15 @@ class LiquidElection:
     @property
     def total_weight(self) -> int:
         return sum(self.weights)
+
+    @cached_property
+    def reduced(self) -> tuple[int, tuple[int, ...], int]:
+        """``(g, weights // g, ceil(quota / g))``, ``g`` the weights' gcd.  A
+        coalition weight is ``g * m`` for an integer ``m``, which reaches the
+        quota exactly when ``m >= ceil(quota / g)``: the reduced game keeps
+        every outcome, and a reduced weight sum times ``g`` is the true sum."""
+        g = gcd(*self.weights)
+        return g, tuple(w // g for w in self.weights), -(-self.quota // g)
 
     def with_profile(self, profile: DelegationProfile) -> "LiquidElection":
         """Same election under a different delegation profile (checked anew)."""

@@ -69,9 +69,8 @@ row of an empty extra member after its children, so the same tree yields
 it.  A leaf has ``t = 1`` and no children: its swing count is the sum of
 its outside row once floored (see "Windows" below), with no complement
 table.  A single voter's query walks its chain only, filling each level's
-siblings in one run.  The weights are first divided by their gcd ``g`` and
-the quota becomes ``ceil(quota / g)``, which changes no coalition's
-outcome.
+siblings in one run.  The walk counts the gcd-reduced game,
+``LiquidElection.reduced``, which changes no coalition's outcome.
 
 Windows.  Every row carries a base weight, the settled weight of its cell
 0, and drops the cells below the lowest weight that a voter still to be
@@ -109,7 +108,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
 
 from .core import LiquidElection, voter_field
 from .core import build_forest  # noqa: F401  bench/selftest.py patches dp.build_forest
@@ -211,8 +209,7 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
     n = election.n
     if target is not None:
         target = voter_field(target, n, "voter")
-    g = gcd(*election.weights)
-    quota = -(-election.quota // g)
+    g, weights, quota = election.reduced
     # a fill of up to n voters keeps n + 1 rows of at most ``quota`` weight
     # cells, and a cell holds one slot, or one per coalition size
     per_cell = n + 1 if slot_bits else 1
@@ -224,7 +221,7 @@ def _walk(election: LiquidElection, slot_bits: int, target: int | None = None) -
         )
     # voter n is the virtual root: weight 0, the gurus as children, and a
     # block that spans the whole layout plus its own position
-    weight = [w // g for w in election.weights] + [0]
+    weight = [*weights, 0]
     acc = [w // g for w in forest.subtree_weight] + [sum(weight)]
     size = list(forest.subtree_size) + [n + 1]
     children = list(forest.delegators) + [forest.gurus]

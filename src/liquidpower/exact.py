@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .core import LiquidElection, voter_field
@@ -90,8 +90,8 @@ def _winning_set(election: LiquidElection, bits, n: int) -> int:
     a ``2**n``-bit int; the election's voter ``v`` is coalition bit
     ``bits[v]``.
 
-    Weights are divided by their gcd and the quota rounded up, which keeps
-    every comparison.  ``top`` bits hold the reduced total, so adding
+    It sums the gcd-reduced game, ``LiquidElection.reduced``, which keeps
+    every outcome.  ``top`` bits hold the reduced total, so adding
     ``2**top - quota`` to a coalition's weight sets bit ``top`` exactly when
     the weight reaches the quota, and never carries past it: plane ``top``
     of the sum is the set of winning coalitions.  Voter ``v`` adds its
@@ -102,9 +102,7 @@ def _winning_set(election: LiquidElection, bits, n: int) -> int:
     of the top ``n - low`` bits; in a slice, a high bit's membership set is
     the whole slice or empty.
     """
-    g = gcd(*election.weights)
-    weights = [w // g for w in election.weights]
-    quota = -(-election.quota // g)
+    _, weights, quota = election.reduced
     top = sum(weights).bit_length()
     # live sets: the members, the planes, a chain stack and temporaries
     low = n

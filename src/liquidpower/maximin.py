@@ -10,7 +10,7 @@ is attained at a voter nobody delegates to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -22,7 +22,6 @@ from .coalition_table import (
     chain_masks,
     check_table_work,
     product_blocks,
-    reduced_weights,
     swing_counts,
 )
 from .core import DelegationProfile, LiquidElection, SocialNetwork, integer_field
@@ -38,6 +37,7 @@ class MaximinProblem:
     quota: int
     gurus: int
     kind: MeasureKind = MeasureKind.BANZHAF
+    election: LiquidElection = field(init=False, repr=False, compare=False)  # all self-voting
 
     def __post_init__(self):
         for name in ("quota", "gurus"):
@@ -46,7 +46,8 @@ class MaximinProblem:
         object.__setattr__(self, "weights", weights)
         n = self.network.n
         # the election checks the sizes, the weights and the quota
-        LiquidElection(self.network, weights, DelegationProfile.all_self(n), self.quota)
+        election = LiquidElection(self.network, weights, DelegationProfile.all_self(n), self.quota)
+        object.__setattr__(self, "election", election)
         if not 1 <= self.gurus <= n:
             raise ValueError(f"guru count {self.gurus} outside [1, {n}]")
         object.__setattr__(self, "kind", MeasureKind(self.kind))
@@ -145,7 +146,7 @@ def mmwp_bruteforce(problem: MaximinProblem) -> MaximinSolution:
         )
     # an integer scoring key per voter avoids per-profile Fractions
     size_weights, denominator = measure_weights(problem.kind, n)
-    _, weights, quota = reduced_weights(problem.weights, problem.quota)
+    _, weights, quota = problem.election.reduced
     voters = range(n)
 
     def keys(masks):

@@ -14,7 +14,7 @@ from math import comb, prod
 import numpy as np
 
 from . import coalition_table
-from .coalition_table import best_row, chain_roots, product_blocks, reduced_weights
+from .coalition_table import best_row, chain_roots, product_blocks, table_dtype
 from .core import DelegationProfile
 from .errors import InstanceTooLargeForEnumeration
 from .weightmax import WeightMaxOutcome, WeightMaxProblem
@@ -87,7 +87,9 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
     t = problem.target
     if problem.k_eff < 0:
         return WeightMaxOutcome(False, None, 0, 0)
-    g, weights, _ = reduced_weights(election.weights, election.quota)
+    g, reduced, _ = election.reduced
+    table_dtype(reduced)  # refuses a reduced total past int64
+    weights = np.array(reduced, dtype=np.int64)  # a narrower type wraps in the sums
     base = np.array(election.profile.sort_key(), dtype=np.intp)
     base[t] = t
     choices = election.profile.choices

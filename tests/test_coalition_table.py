@@ -21,7 +21,6 @@ from liquidpower.coalition_table import (
     TABLE_LIMIT,
     chain_masks,
     coalition_weight_table,
-    reduced_weights,
     swing_counts,
     swing_counts_from_table,
     table_dtype,
@@ -221,7 +220,8 @@ def test_swing_counts_scores_a_block_in_tables_of_table_rows(monkeypatch):
         quota = election.quota * scale - rng.randrange(scale)
         rows = [random_profile(rng, election.network).choices for _ in range(rng.randint(1, 9))]
         masks = _masks(rows)
-        g, reduced, reduced_quota = reduced_weights(weights, quota)
+        scaled = validate(election.network, weights, election.profile, quota)
+        g, reduced, reduced_quota = scaled.reduced
         assert g % scale == 0 and reduced_quota == -(-quota // g)
         want = swing_counts_from_table(
             coalition_weight_table(masks, weights), n, quota, range(n), [1] * n
@@ -282,7 +282,7 @@ def test_swing_count_keys_stay_int64_at_sixteen_voters(kind):
     # byte tables, but Shapley's keys reach 15! per swing
     rng = random.Random(20_407)
     election = random_election(rng, n_min=16, n_max=16, w_max=4)
-    _, weights, quota = reduced_weights(election.weights, election.quota)
+    _, weights, quota = election.reduced
     masks = _masks([election.profile.choices])
     assert table_dtype(weights) == np.int8
     size_weights, _ = measure_weights(kind, 16)

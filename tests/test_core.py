@@ -199,6 +199,8 @@ def test_first_cycle_walks_the_starts_in_order(starts, parent, cycle):
         ((True, SELF), 0, True),
         ((SELF, 0.0), 1, 0.0),
         ((SELF, 0, "1"), 2, "1"),
+        ((0.0, 0), 0, 0.0),
+        ((False, 0), 0, False),
     ],
 )
 def test_choices_outside_the_election_are_refused(choices, voter, choice):
@@ -214,7 +216,7 @@ def test_choices_outside_the_election_are_refused(choices, voter, choice):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         find_delegation_cycle(choices)
     # from_parents once read each parent by int(): True and "1" as voter 1,
-    # 0.0 as voter 0
+    # 0.0 as voter 0; then it took a float or bool equal to its voter as SELF
     parents = tuple(v if c is SELF else c for v, c in enumerate(choices))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         DelegationProfile.from_parents(parents)

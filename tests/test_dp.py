@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -272,6 +273,31 @@ def test_tables_within_the_cap_are_filled():
     assert values == tuple(banzhaf_of(e, v) for v in range(4))
     assert values == (Fraction(1, 2),) * 3 + (Fraction(0),)
     assert shapley_dp(e, 3) == 0
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind))
+def test_the_slot_cap_is_met_exactly_on_the_reduced_game(kind, monkeypatch):
+    # gcd 10: the tables hold 5 rows of ceil(57 / 10) = 6 weight cells, of
+    # one slot each for the swing count and of n + 1 = 5 for the ordering
+    # measure; sized from the quota 57 they would pass the cap
+    profile = DelegationProfile((SELF, 0, SELF, 2))
+    e = validate(SocialNetwork.complete(4), (50, 30, 20, 10), profile, 57)
+    assert e.reduced == (10, (5, 3, 2, 1), 6)
+    per_cell = 5 if kind is MeasureKind.SHAPLEY else 1
+    slots = 5 * 6 * per_cell
+    single = banzhaf_dp if kind is MeasureKind.BANZHAF else shapley_dp
+    want = all_indices_exact(e, kind)
+    monkeypatch.setattr(dp, "TABLE_SLOT_CAP", slots)
+    assert all_indices_dp(e, kind) == want
+    assert tuple(single(e, v) for v in range(4)) == want.values
+    monkeypatch.setattr(dp, "TABLE_SLOT_CAP", slots - 1)
+    message = (
+        f"the counting tables would hold about {slots} size slots (5 rows x 6 weight "
+        f"cells x {per_cell} per cell), over the cap of {slots - 1}"
+    )
+    for route in (lambda: all_indices_dp(e, kind), lambda: single(e, 3)):
+        with pytest.raises(InstanceTooLargeForEnumeration, match=f"^{re.escape(message)}$"):
+            route()
 
 
 def test_scaling_weights_and_quota_changes_no_value():

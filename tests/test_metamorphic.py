@@ -13,21 +13,31 @@ statements compare one voter's power ``f_u`` across two joins:
   ``l``'s chain up to its guru, ``f_u(Join(V, d*_u, l)) <= f_u(Join(V,
   d*_u, v))``.
 
-Each property runs on the walk's all-voter route and on its single-voter
+A third relation is scale-freeness: multiplying every weight by ``k`` and
+taking the quota ``k*q - r`` (``0 <= r < k``) wins the same coalitions, so
+every route's answer stays, a weight-max support times ``k`` (Matsui and
+Matsui, 2000).  Every route counts the gcd-reduced game
+``LiquidElection.reduced``, so one slip in that rule would move them all.
+
+Each Join property runs on the walk's all-voter route and on its single-voter
 route, for Banzhaf (n up to 200) and Shapley (n up to 60), comparing
 ``Fraction``s.  Runs are derandomized with a fixed example count, so they are
 the same on every machine.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from liquidpower.bribery import BriberyObjective, BriberyProblem, solve_bribery_exact
 from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
 from liquidpower.dp import all_indices_dp, banzhaf_dp, shapley_dp
-from liquidpower.exact import MeasureKind
+from liquidpower.exact import MeasureKind, all_indices_exact
+from liquidpower.maximin import MaximinProblem, mmwp_bruteforce
+from liquidpower.weightmax import WeightMaxProblem, wmaxp_exact
 
 KINDS = {MeasureKind.BANZHAF: (banzhaf_dp, 200), MeasureKind.SHAPLEY: (shapley_dp, 60)}
 
@@ -123,3 +133,56 @@ def test_join_lemma_fails_when_g_re_delegates(route):
     by_u, by_g = join(election, u, j), join(election, g, j)
     assert route(by_u, u, MeasureKind.BANZHAF) == Fraction(1, 4)
     assert route(by_g, u, MeasureKind.BANZHAF) == Fraction(1, 8)
+
+
+@st.composite
+def scalings(draw):
+    """A factor ``k`` and a quota shortfall ``r`` with ``0 <= r < k``."""
+    k = draw(st.sampled_from([2, 3, 2**40]))
+    return k, draw(st.integers(0, k - 1))
+
+
+def scaled(election, k: int, r: int):
+    """``election`` with every weight times ``k`` and the quota ``k*q - r``."""
+    weights = [w * k for w in election.weights]
+    return validate(election.network, weights, election.profile, k * election.quota - r)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@_fixed(40)
+@given(data=st.data())
+def test_scaling_the_weights_keeps_every_index(kind, data):
+    election, rng = data.draw(games(16))
+    k, r = data.draw(scalings())
+    big = scaled(election, k, r)
+    assert all_indices_dp(big, kind) == all_indices_dp(election, kind)
+    u = rng.randrange(election.n)
+    assert _single_voter(big, u, kind) == _single_voter(election, u, kind)
+    if election.n <= 12:
+        assert all_indices_exact(big, kind) == all_indices_exact(election, kind)
+
+
+@_fixed(40)
+@given(data=st.data())
+def test_scaling_the_weights_keeps_every_search_answer(data):
+    election, rng = data.draw(games(6))
+    k, r = data.draw(scalings())
+    big = scaled(election, k, r)
+    n, target, budget = election.n, rng.randrange(election.n), rng.randint(1, 2)
+    threshold, objective = Fraction(rng.randint(0, 4), 4), rng.choice(list(BriberyObjective))
+
+    def bribe(game):
+        return solve_bribery_exact(BriberyProblem(game, target, budget, threshold, objective))
+
+    assert bribe(big) == bribe(election)
+    gurus, kind = rng.randint(1, n), rng.choice(list(MeasureKind))
+
+    def maximin(game):
+        return mmwp_bruteforce(MaximinProblem(game.network, game.weights, game.quota, gurus, kind))
+
+    assert maximin(big) == maximin(election)
+    # the threshold scales as the quota does; the support is in weight units
+    tau = rng.randint(1, election.total_weight)
+    small = wmaxp_exact(WeightMaxProblem(election, target, budget, tau))
+    large = wmaxp_exact(WeightMaxProblem(big, target, budget, k * tau - r))
+    assert large == replace(small, support=k * small.support)
