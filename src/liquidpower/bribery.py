@@ -93,11 +93,12 @@ class BriberyOutcome:
     skipped_redirects: tuple[tuple[int, int], ...] = field(default=())
 
 
-def _change_options(election: LiquidElection) -> list[tuple]:
-    """Per voter: every legal choice different from the current one."""
+def _change_options(election: LiquidElection) -> list[tuple[int, ...]]:
+    """Per voter: every legal choice different from the current one, as a
+    parent (voting personally as the voter's own id, as in a sort key)."""
     options = []
     for v, current in enumerate(election.profile.choices):
-        opts = [] if current is SELF else [SELF]
+        opts = [] if current is SELF else [v]
         opts.extend(u for u in election.network.out_neighbors[v] if u != current)
         options.append(tuple(opts))
     return options
@@ -109,17 +110,12 @@ def neighborhood_size(election: LiquidElection, k: int) -> int:
     budget leaves none."""
     if k < 0:
         return 0
-    poly = [1]
+    # sums[d]: the elementary symmetric sums of the option counts, up to k
+    sums = [1] + [0] * min(k, election.n)
     for m in map(len, _change_options(election)):
-        # multiply poly by (1 + m*x), truncated at degree k
-        nxt = [0] * min(len(poly) + 1, k + 1)
-        for deg, coeff in enumerate(poly):
-            if deg < len(nxt):
-                nxt[deg] += coeff
-            if deg + 1 < len(nxt):
-                nxt[deg + 1] += coeff * m
-        poly = nxt
-    return sum(poly)
+        for d in range(len(sums) - 1, 0, -1):
+            sums[d] += sums[d - 1] * m
+    return sum(sums)
 
 
 def enumerate_neighborhood(election: LiquidElection, k: int):
@@ -134,20 +130,13 @@ def enumerate_neighborhood(election: LiquidElection, k: int):
     (:func:`coalition_table.chain_masks`) and ``changes`` the ``(P,)``
     change counts.  The neighbourhood is one product per subset of the
     voters (the subset's voters range over their changed options), walked
-    by :func:`coalition_table.product_blocks`.
+    by :func:`coalition_table.product_blocks`, which gets plain data: this
+    module builds no numpy array.
     """
-    # numpy loads here, not at import: the greedy solver needs none
-    import numpy as np
-
     n = election.n
-    base = np.array(election.profile.sort_key(), dtype=np.intp)
-    options = [
-        np.array([v if c is SELF else c for c in opts], dtype=np.intp)
-        for v, opts in enumerate(_change_options(election))
-    ]
     subsets = chain.from_iterable(combinations(range(n), s) for s in range(min(k, n) + 1))
-    products = ((base, subset, [options[v] for v in subset]) for subset in subsets)
-    yield from coalition_table.product_blocks(products, n, coalition_table.chain_masks)
+    base, options = election.profile.sort_key(), _change_options(election)
+    yield from coalition_table.product_blocks(base, options, subsets, coalition_table.chain_masks)
 
 
 def solve_bribery_exact(problem: BriberyProblem) -> BriberyOutcome:

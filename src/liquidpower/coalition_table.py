@@ -9,9 +9,9 @@ each given as a row of parents (a self-voter is its own parent, so a row
 equals :meth:`DelegationProfile.sort_key`):
 
 * :func:`product_blocks` generates the acyclic candidate rows of a stream
-  of products (a base row whose free voters range over option pools) in
-  blocks of :func:`walk_rows` rows; bribery's change neighbourhood and
-  maximin's root sets are such streams;
+  of products (one base row whose free voters range over their option
+  pools, one free set per product) in blocks of :func:`walk_rows` rows;
+  bribery's change neighbourhood and maximin's root sets are such streams;
 * :func:`chain_masks` resolves every voter's delegation chain, and tells the
   acyclic rows apart, by pointer doubling in ``ceil(log2 n)`` array steps;
   :func:`chain_roots` repeats that loop without the masks when only each
@@ -59,23 +59,25 @@ MASK_BITS = 63  # voters a non-negative int64 chain mask can hold
 WORK_CAP = 400_000 * 11 << 10  # table work of bribery over 400,000 profiles of 10 voters
 
 
-def product_blocks(products, n: int, resolve):
+def product_blocks(base, pools, frees, resolve):
     """The acyclic candidate rows of a stream of products, in numpy blocks.
 
-    Each product is ``(base, free, pools)``: a length-``n`` parent row, a
-    sequence of free voters and one option array per free voter; its
-    candidates are the base row with every free voter set to each
+    ``base`` is a length-``n`` parent row, ``pools`` one option sequence
+    per voter (both become intp arrays once; arrays pass uncopied) and
+    ``frees`` a stream of free-voter sequences, one per product.  A
+    product's candidates are the base row with every free voter set to each
     combination of its pool's options, in :func:`itertools.product` order
-    (the last free voter fastest).  Candidates of consecutive products share
-    blocks of :func:`walk_rows` rows, a large product being sliced over
-    several, and ``resolve`` (:func:`chain_masks` or :func:`chain_roots`)
-    finds each block's acyclic rows.  Yields ``(parents, resolved,
-    free_counts)`` for them: the ``(P, n)`` parent rows, what ``resolve``
-    gives for them and each row's number of free voters; a block whose
-    rows are all cyclic yields nothing.
+    (the last free voter fastest).  Consecutive products share blocks of
+    :func:`walk_rows` rows, a large product being sliced over several, and
+    ``resolve`` (:func:`chain_masks` or :func:`chain_roots`) finds each
+    block's acyclic rows.  Yields ``(parents, resolved, free_counts)`` for
+    them: the ``(P, n)`` parent rows, what ``resolve`` gives for them and
+    each row's number of free voters; a block of cyclic rows yields nothing.
     """
-    rows = walk_rows(n)
-    buffer = np.empty((rows, n), dtype=np.intp)
+    base = np.asarray(base, dtype=np.intp)
+    pools = [np.asarray(pool, dtype=np.intp) for pool in pools]
+    rows = walk_rows(len(base))
+    buffer = np.empty((rows, len(base)), dtype=np.intp)
     free_counts = np.empty(rows, dtype=np.intp)
 
     def acyclic(size):  # copies of the acyclic rows among the first ``size``
@@ -84,8 +86,8 @@ def product_blocks(products, n: int, resolve):
             yield buffer[:size][keep], resolved[keep], free_counts[:size][keep]
 
     filled = 0
-    for base, free, pools in products:
-        shape = [len(pool) for pool in pools]
+    for free in frees:
+        shape = [len(pools[v]) for v in free]
         total = prod(shape)
         start = 0
         while start < total:
@@ -96,8 +98,8 @@ def product_blocks(products, n: int, resolve):
             # radix, the last free voter fastest
             if shape:
                 digits = np.unravel_index(np.arange(start, stop), shape)
-                for v, pool, digit in zip(free, pools, digits):
-                    block[:, v] = pool[digit]
+                for v, digit in zip(free, digits):
+                    block[:, v] = pools[v][digit]
             free_counts[filled : filled + stop - start] = len(free)
             filled += stop - start
             start = stop

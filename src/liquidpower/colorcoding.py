@@ -21,6 +21,7 @@ from math import ceil, exp, log
 import numpy as np
 
 from . import coalition_table
+from .core import rational_field
 from .errors import ParameterTooLarge
 from .weightmax import (
     CostedDigraph,
@@ -282,6 +283,7 @@ def solve_fpt_colorcoding(
     size of every batch.  Each state of a witness is read back by
     ``_first_join``'s scan, which stops at the first candidate that joins.
     """
+    delta = rational_field(delta, "delta")
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
     if problem.req_bar < 0 or problem.k_eff < 0:

@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd
 from typing import Callable, Final, Iterable, Sequence
 
@@ -494,7 +493,9 @@ def election_from_json(doc: str | bytes | dict) -> LiquidElection:
         raise ValueError("'weights' must be a list of length n")
     if not isinstance(delegations, dict):
         raise ValueError("'delegations' must be an object")
-    if not set(map(type, chain.from_iterable(arcs))) <= {int}:
+    if not isinstance(arcs, list) or any(
+        not isinstance(arc, list) or list(map(type, arc)) != [int, int] for arc in arcs
+    ):
         raise ValueError("'arcs' must hold pairs of integer voter ids")
     network = SocialNetwork.from_arcs(n, ((a - 1, b - 1) for a, b in arcs))
     choices: list[Choice] = [SELF] * n

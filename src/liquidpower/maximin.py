@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
-import numpy as np
-
 from .coalition_table import (
     best_row,
     chain_masks,
@@ -64,24 +62,19 @@ def _profiles_with_roots(network: SocialNetwork, root_sets):
     """Acyclic profiles whose personally-voting voters are exactly one of
     ``root_sets``, as numpy blocks ``(parents, masks, free)``.
 
-    Per root set the candidates are one product: the roots fixed to
-    themselves, every other voter ranging over its out-neighbours.  A
-    candidate is acyclic exactly when every chain ends at a root, so the
-    acyclic rows of :func:`coalition_table.product_blocks` are the wanted
-    profiles; a block may span root sets.  ``parents`` and ``masks`` are
-    ``(P, n)`` arrays of parent rows (sort keys) and chain masks, ``free``
-    each row's count of non-roots (the same for every row of one search, so
-    it leaves the tie-break to the rows).
+    Per root set the candidates are one product of the identity row, the
+    root set's complement free over the out-neighbour lists (plain data:
+    this module builds no numpy array).  A candidate is acyclic exactly when
+    every chain ends at a root, so the acyclic rows of
+    :func:`coalition_table.product_blocks` are the wanted profiles; a block
+    may span root sets.  ``parents`` and ``masks`` are ``(P, n)`` arrays of
+    parent rows (sort keys) and chain masks, ``free`` each row's count of
+    non-roots (the same for every row of one search, so it leaves the
+    tie-break to the rows).
     """
     n = network.n
-    identity = np.arange(n, dtype=np.intp)
-    pools = [np.array(network.out_neighbors[v], dtype=np.intp) for v in range(n)]
-
-    def rooted(roots):
-        free = [v for v in range(n) if v not in roots]
-        return identity, free, [pools[v] for v in free]
-
-    yield from product_blocks(map(rooted, root_sets), n, chain_masks)
+    frees = ([v for v in range(n) if v not in roots] for roots in root_sets)
+    yield from product_blocks(range(n), network.out_neighbors, frees, chain_masks)
 
 
 def _count_profiles_with_roots(network: SocialNetwork, roots: tuple[int, ...]) -> int:

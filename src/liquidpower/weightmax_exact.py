@@ -103,9 +103,8 @@ def wmaxp_exact(problem: WeightMaxProblem) -> WeightMaxOutcome:
         return roots, acyclic & ((roots == t) | (parents == base)).all(axis=1)
 
     for sets in _redirect_runs(problem, g, pools):
-        products = ((base, row, [pools[v] for v in row]) for row in sets)
         best = best_row(
-            product_blocks(products, election.n, resolve),
+            product_blocks(base, pools, sets, resolve),
             lambda roots: (roots == t) @ weights,
         )
         if best is not None:

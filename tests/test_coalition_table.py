@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -21,9 +22,11 @@ from liquidpower.coalition_table import (
     TABLE_LIMIT,
     chain_masks,
     coalition_weight_table,
+    product_blocks,
     swing_counts,
     swing_counts_from_table,
     table_dtype,
+    walk_rows,
 )
 from liquidpower.core import SELF, SocialNetwork, validate
 from liquidpower.dp import swing_counts_dp
@@ -51,6 +54,65 @@ def _per_size(election, voters):
     gamma = coalition_weight_table(_masks([election.profile.choices]), election.weights)
     n = election.n
     return swing_counts_from_table(gamma, n, election.quota, voters, np.eye(n, dtype=int))[0]
+
+
+def _acyclic(row) -> bool:
+    """Whether every voter of a parent row ends at a voter that is its own
+    parent: ``n`` steps from anywhere reach a root, or a cycle."""
+    for v in range(len(row)):
+        for _ in range(len(row)):
+            v = row[v]
+        if row[v] != v:
+            return False
+    return True
+
+
+CELLS = {
+    "default": lambda n: coalition_table.CHUNK_CELLS,
+    "three tables": lambda n: 3 << n,
+    "one row": lambda n: 1,
+}
+
+
+@pytest.mark.parametrize("cells", CELLS.values(), ids=CELLS)
+def test_product_blocks_walk_each_free_set_in_product_order(monkeypatch, cells):
+    rng = random.Random(7)
+    for n in (1, 2, 4, 6):
+        monkeypatch.setattr(coalition_table, "CHUNK_CELLS", cells(n))
+        # pools are ranges of parents (a voter's own id votes), one empty
+        spans = [sorted(rng.sample(range(n + 1), 2)) for _ in range(n)]
+        pools = [range(lo, hi) for lo, hi in spans]
+        pools[rng.randrange(n)] = range(0)
+        chain = [max(v - 1, 0) for v in range(n)]
+        frees = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(12)]
+        frees = [()] + [tuple(sorted(free)) for free in frees]
+        for base in (range(n), chain, [rng.randrange(n) for _ in range(n)]):
+            expected = []
+            for free in frees:
+                for options in product(*(pools[v] for v in free)):
+                    row = list(base)
+                    for v, option in zip(free, options):
+                        row[v] = option
+                    if _acyclic(row):
+                        expected.append((row, len(free)))
+            forms = [
+                (base, pools),  # as drawn: ranges and lists
+                (tuple(base), [tuple(pool) for pool in pools]),
+                (np.array(base, dtype=np.intp), [np.array(pool, dtype=np.intp) for pool in pools]),
+            ]
+            for row_form, pool_form in forms:
+                blocks = list(product_blocks(row_form, pool_form, iter(frees), chain_masks))
+                assert all(0 < len(block[0]) <= walk_rows(n) for block in blocks)
+                walked = [
+                    (row, count)
+                    for parents, _, counts in blocks
+                    for row, count in zip(parents.tolist(), counts.tolist())
+                ]
+                assert walked == expected
+                if walked:
+                    masks = np.concatenate([block[1] for block in blocks])
+                    assert (masks == chain_masks([row for row, _ in expected])[0]).all()
+        monkeypatch.undo()
 
 
 def test_chain_masks_on_fixture():

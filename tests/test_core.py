@@ -364,6 +364,9 @@ def test_json_rejects_malformed_documents():
         election_from_json('{"weights": [1], "arcs": []}')
     with pytest.raises(ValueError, match="instance document must be a JSON object"):
         election_from_json("[1, 2]")
+    for arcs in (5, [1, 2], [[1]], [[1, 2, 3]]):
+        with pytest.raises(ValueError, match="^'arcs' must hold pairs of integer voter ids$"):
+            election_from_json({"n": 2, "weights": [1, 1], "arcs": arcs, "quota": 1})
 
 
 @pytest.mark.parametrize("key", ["1_0", " +1 ", "+1", "01", "\u0661", "", "-1", "1.0"])

@@ -19,6 +19,13 @@ every route's answer stays, a weight-max support times ``k`` (Matsui and
 Matsui, 2000).  Every route counts the gcd-reduced game
 ``LiquidElection.reduced``, so one slip in that rule would move them all.
 
+Relabelling the voters (weights, arcs, profile and target alike) moves every
+index with its voter and keeps every search's optimum: exact bribery's value
+and change count, maximin's μ, weight maximisation's support.  At the
+unanimity quota (the total weight) only the grand coalition wins, so every
+voter swings once, whatever the forest: Banzhaf ``1/2^(n-1)``, Shapley
+``1/n``.
+
 Each Join property runs on the walk's all-voter route and on its single-voter
 route, for Banzhaf (n up to 200) and Shapley (n up to 60), comparing
 ``Fraction``s.  Runs are derandomized with a fixed example count, so they are
@@ -35,9 +42,11 @@ from hypothesis import strategies as st
 from liquidpower.bribery import BriberyObjective, BriberyProblem, solve_bribery_exact
 from liquidpower.core import SELF, DelegationProfile, SocialNetwork, validate
 from liquidpower.dp import all_indices_dp, banzhaf_dp, shapley_dp
+from liquidpower.errors import NoFeasibleProfile
 from liquidpower.exact import MeasureKind, all_indices_exact
 from liquidpower.maximin import MaximinProblem, mmwp_bruteforce
 from liquidpower.weightmax import WeightMaxProblem, wmaxp_exact
+from support import random_election
 
 KINDS = {MeasureKind.BANZHAF: (banzhaf_dp, 200), MeasureKind.SHAPLEY: (shapley_dp, 60)}
 
@@ -186,3 +195,74 @@ def test_scaling_the_weights_keeps_every_search_answer(data):
     small = wmaxp_exact(WeightMaxProblem(election, target, budget, tau))
     large = wmaxp_exact(WeightMaxProblem(big, target, budget, k * tau - r))
     assert large == replace(small, support=k * small.support)
+
+
+def relabelled(election, perm):
+    """``election`` with every voter ``v`` renamed ``perm[v]``."""
+    n = election.n
+    weights, choices = [0] * n, [SELF] * n
+    for v, choice in enumerate(election.profile.choices):
+        weights[perm[v]] = election.weights[v]
+        choices[perm[v]] = SELF if choice is SELF else perm[choice]
+    network = SocialNetwork.from_arcs(n, [(perm[a], perm[b]) for a, b in election.network.arcs()])
+    return validate(network, weights, DelegationProfile(tuple(choices)), election.quota)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@_fixed(25)
+@given(data=st.data())
+def test_relabelling_the_voters_moves_every_index(kind, data):
+    election, rng = data.draw(games(60))
+    perm = rng.sample(range(election.n), election.n)
+    moved = all_indices_dp(relabelled(election, perm), kind).values
+    assert tuple(moved[perm[v]] for v in range(election.n)) == all_indices_dp(election, kind).values
+
+
+@_fixed(60)
+@given(data=st.data())
+def test_relabelling_the_voters_keeps_every_search_answer(data):
+    # random networks, so the arcs move too; n up to 6 keeps the searches small
+    rng = data.draw(st.randoms(use_true_random=False))
+    election = random_election(rng, 1, 6, rng.choice([1, 3, 8]), rng.random())
+    n = election.n
+    perm = rng.sample(range(n), n)
+    moved = relabelled(election, perm)
+    target, budget = rng.randrange(n), rng.randint(0, 2)
+    threshold, objective = Fraction(rng.randint(0, 4), 4), rng.choice(list(BriberyObjective))
+
+    def bribe(game, t):
+        outcome = solve_bribery_exact(BriberyProblem(game, t, budget, threshold, objective))
+        return outcome.decision, outcome.value, outcome.changes
+
+    assert bribe(moved, perm[target]) == bribe(election, target)
+    gurus, kind = rng.randint(1, n), rng.choice(list(MeasureKind))
+
+    def mu(game):
+        problem = MaximinProblem(game.network, game.weights, game.quota, gurus, kind)
+        try:
+            return mmwp_bruteforce(problem).mu
+        except NoFeasibleProfile:
+            return None
+
+    assert mu(moved) == mu(election)
+    tau = rng.randint(1, election.total_weight)
+
+    def support(game, t):
+        outcome = wmaxp_exact(WeightMaxProblem(game, t, budget, tau))
+        return outcome.decision, outcome.support, outcome.changes
+
+    assert support(moved, perm[target]) == support(election, target)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@_fixed(20)
+@given(data=st.data())
+def test_at_the_unanimity_quota_every_voter_swings_once(kind, data):
+    election, rng = data.draw(games(KINDS[kind][1]))
+    election = replace(election, quota=election.total_weight)
+    n = election.n
+    share = Fraction(1, 2 ** (n - 1)) if kind is MeasureKind.BANZHAF else Fraction(1, n)
+    assert all_indices_dp(election, kind).values == (share,) * n
+    assert _single_voter(election, rng.randrange(n), kind) == share
+    if n <= 12:
+        assert all_indices_exact(election, kind).values == (share,) * n

@@ -104,6 +104,26 @@ def test_colour_coding_refuses_a_delta_outside_the_unit_interval(delta):
 
 
 @pytest.mark.parametrize(
+    "delta, expected",
+    [
+        ("1/100", None),
+        (Fraction(1, 100), None),
+        (True, TypeError),
+        (None, TypeError),
+        ("0.1x", ValueError),
+    ],
+)
+def test_colour_coding_reads_delta_as_a_rational(delta, expected):
+    # "1/100" is 0.01 exactly: the same colourings, the same witness
+    problem = WeightMaxProblem(eight_voter_election(), 7, 1, 3)
+    if expected is None:
+        assert solve_fpt_colorcoding(problem, delta=delta) == solve_fpt_colorcoding(problem)
+    else:
+        with pytest.raises(expected, match="^delta "):
+            solve_fpt_colorcoding(problem, delta=delta)
+
+
+@pytest.mark.parametrize(
     "epsilon, expected",
     [
         ("1/2", None),
@@ -196,12 +216,12 @@ def _spy_walks(monkeypatch):
     products ``(free voters, candidates)`` and the rows and blocks kept."""
     walks = []
 
-    def spy(products, n, resolve):
-        products = [(base, tuple(free), pools) for base, free, pools in products]
-        sizes = [(free, prod(map(len, pools))) for _, free, pools in products]
+    def spy(base, pools, frees, resolve):
+        frees = [tuple(free) for free in frees]
+        sizes = [(free, prod(len(pools[v]) for v in free)) for free in frees]
         walk = {"products": sizes, "rows": [], "blocks": 0}
         walks.append(walk)
-        for block in coalition_table.product_blocks(products, n, resolve):
+        for block in coalition_table.product_blocks(base, pools, frees, resolve):
             walk["rows"] += map(tuple, block[0].tolist())
             walk["blocks"] += 1
             yield block
